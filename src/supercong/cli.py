@@ -25,7 +25,7 @@ from .classical_hg import (
     ramanujan_partial_sum,
     ramanujan_target,
 )
-from .exactnum import DenominatorDivisibleByP
+from .exactnum import MAX_PRIME, DenominatorDivisibleByP
 from .gaussian_hg import RoundingResidualTooLarge
 from .padic_gamma import NotPIntegral, gamma_p_rational
 
@@ -235,6 +235,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _usage_error(f"--primes expects A..B, got {args.primes!r}")
         if lo < 2 or lo > hi:
             return _usage_error(f"invalid prime range {args.primes!r}")
+        if hi > MAX_PRIME:
+            return _usage_error(f"prime range {args.primes!r} exceeds the {MAX_PRIME} cap")
         statements = tuple(s for s in args.statements.split(",") if s)
         if not statements:
             return _usage_error("empty statement set")
@@ -247,7 +249,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _usage_error("--mod-power must lie in 1..8")
         workers = args.workers
         if workers is None:
-            workers = int(os.environ.get("SUPERCONG_WORKERS", "1"))
+            env = os.environ.get("SUPERCONG_WORKERS", "1")
+            try:
+                workers = int(env)
+            except ValueError:
+                return _usage_error(f"SUPERCONG_WORKERS must be an integer, got {env!r}")
         if workers < 1:
             return _usage_error("--workers must be positive")
         cfg = SweepConfig(

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from supercong.cli import main
+from supercong.padic_gamma import gamma_p_rational
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +76,49 @@ def test_invalid_range_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "--primes", "1..10")
     assert code == 2
+
+
+def test_range_above_prime_cap_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--primes", "1000003..1000003")
+    assert code == 2 and out == ""
+    assert err.startswith("supercong: error: ") and err.count("\n") == 1
+    assert "1000000" in err
+
+
+def test_non_integer_workers_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERCONG_WORKERS", "abc")
+    code, out, err = run_cli(
+        capsys, "verify", "--statements", "lemma1", "--primes", "3..30"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("supercong: error: ") and err.count("\n") == 1
+    assert "SUPERCONG_WORKERS" in err
+
+
+def test_gamma_p_at_the_prime_cap(capsys):
+    # Gamma_p(3/4) mod p^2 at the largest admitted prime is a product of
+    # ~10^12 factors; the reflection formula Gamma_p(3/4) Gamma_p(1/4) =
+    # (-1)^x0 predicts its value
+    p = 999983
+    code, out, _ = run_cli(capsys, "gamma-p", "3/4", str(p), "2")
+    assert code == 0
+    quarter = gamma_p_rational(Fraction(1, 4), p, 2).value
+    x0 = 3 * pow(4, -1, p) % p
+    assert int(out) * quarter % p**2 == (-1) ** x0 % p**2
+
+
+def test_companion_at_mod_p6_reports_its_row(capsys):
+    # Gamma_p(1/2) mod p^5 is a 5 * 10^9-factor product; the companion is
+    # false mod p^6 and that finding must stay reported.  Gamma_p(1/2)^2 =
+    # (-1)^51 at p = 101, so the right-hand side -p / Gamma_p(1/2)^2 is p.
+    code, out, _ = run_cli(
+        capsys, "verify", "--statements", "vanhamme_b", "--mod-power", "6",
+        "--primes", "101..101", "--format", "json-lines",
+    )
+    assert code == 1
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["modulus"] == 101**6 and row["rhs"] == 101
+    assert row["pass"] is False
 
 
 def test_unknown_statement_exits_2(capsys):

@@ -46,11 +46,85 @@ def test_gamma_p_int_against_oracle():
         assert gamma_p_int(n, p, m).value == gamma_oracle(n, p, p**m)
 
 
-def test_vectorized_path_against_oracle():
-    # large enough n to cross into the block-product path
-    p, m = 101, 2
-    n = 70000
-    assert gamma_p_int(n, p, m).value == gamma_oracle(n, p, p**m)
+def gamma_oracle_at(ns, p, pm):
+    """gamma_oracle at every n in ns, from one pass of the plain product."""
+    wanted = set(ns)
+    found = {}
+    acc = 1
+    for j in range(max(wanted) + 1):
+        if j in wanted:
+            found[j] = (-acc) % pm if j % 2 else acc
+        if j and j % p:
+            acc = acc * j % pm
+    return found
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97, 101])
+def test_block_route_against_oracle(p):
+    # block boundaries qp-1, qp, qp+1 with q below and above the m + 2
+    # samples of the block logarithm, seeded random n up to 2p^m (so q
+    # also runs past p^(m-1)), at every m with p^m <= 10^6
+    rng = random.Random(1000 + p)
+    m = 1
+    while m <= 8 and p**m <= 10**6:
+        pm = p**m
+        ns = {q * p + d for q in range(1, m + 6) for d in (-1, 0, 1)}
+        ns |= {q * p + d for q in (pm // p, 2 * pm // p) for d in (-1, 0, 1)}
+        ns |= {rng.randrange(0, 2 * pm) for _ in range(40)}
+        want = gamma_oracle_at(ns, p, pm)
+        for n in sorted(ns):
+            assert gamma_p_int(n, p, m).value == want[n], (n, p, m)
+        m += 1
+
+
+def test_block_route_tail_prefixes_against_oracle():
+    # above 1024 a tail starts from a cached prefix of the block, whose log
+    # is Newton-evaluated at q; cover both sides of several prefixes
+    p, m = 1031, 2
+    pm = p**m
+    rng = random.Random(1031)
+    ns = {q * p + r for q in (0, 1, 5, p - 1) for r in (1023, 1024, 1025, 1026, p - 1)}
+    ns |= {rng.randrange(0, pm) for _ in range(60)}
+    want = gamma_oracle_at(ns, p, pm)
+    for n in sorted(ns):
+        assert gamma_p_int(n, p, m).value == want[n], n
+
+
+def test_block_route_on_long_products():
+    # n = 70000 at p = 101 crosses hundreds of full blocks and wraps past
+    # p^2; 515151 is the Gamma_p(1/2) mod p^3 product of the mod-p^4
+    # companion at p = 101
+    assert gamma_p_int(70000, 101, 2).value == gamma_oracle(70000, 101, 101**2)
+    n = product_bound(Fraction(1, 2), 101, 3)
+    assert n == 515151
+    assert gamma_p_int(n, 101, 3).value == gamma_oracle(n, 101, 101**3)
+
+
+def reflection_sign(x, p):
+    """(-1)^x0 with x0 in 1..p and x0 = x (mod p)."""
+    x0 = x.numerator * pow(x.denominator, -1, p) % p or p
+    return (-1) ** x0
+
+
+@pytest.mark.parametrize("p", [101, 499, 997, 7919, 999983])
+def test_reflection_formula_beyond_the_plain_product(p):
+    # Gamma_p(x) Gamma_p(1-x) = (-1)^x0: an oracle independent of any
+    # product, at sizes (up to p^m ~ 10^48) the plain product cannot reach
+    for m in range(2, 9):
+        pm = p**m
+        for x in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
+            g = gamma_p_rational(x, p, m).value
+            h = gamma_p_rational(1 - x, p, m).value
+            assert g * h % pm == reflection_sign(x, p) % pm, (x, p, m)
+
+
+def test_rhs_at_the_prime_cap():
+    assert rhs_vanhamme(999983, 3).value == 0  # 999983 = 3 (mod 4)
+    # 999961 = 1 (mod 4): -p / Gamma_p(3/4)^4 = -p * Gamma_p(1/4)^4 by the
+    # reflection formula, so the right-hand side follows from Gamma_p(1/4)
+    p = 999961
+    g = gamma_p_rational(Fraction(1, 4), p, 2).value
+    assert rhs_vanhamme(p, 3).value == -p * pow(g, 4, p**2) % p**3
 
 
 def test_gamma_p_rational_examples():
