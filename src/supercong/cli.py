@@ -247,6 +247,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         if args.mod_power is not None and not 1 <= args.mod_power <= 8:
             return _usage_error("--mod-power must lie in 1..8")
+        # rounding to the nearest integer needs a bound below 1/2; the
+        # chained comparison also rejects nan and +-inf
+        if not 0 < args.tolerance < 0.5:
+            return _usage_error(
+                f"--tolerance must be finite and lie in (0, 0.5), got {args.tolerance!r}"
+            )
         workers = args.workers
         if workers is None:
             env = os.environ.get("SUPERCONG_WORKERS", "1")

@@ -178,7 +178,7 @@ def gaussian_nFn_phi(p: int, n: int, lam: int, tol: float = 1e-3) -> int:
     scaled = total * p ** (n + 1) / (p - 1)
     nearest = round(scaled.real)
     residual = max(abs(scaled.real - nearest), abs(scaled.imag))
-    if residual >= tol:
+    if not residual < tol:  # a NaN residual or tol fails the guard too
         raise RoundingResidualTooLarge(
             f"residual {residual:.3e} >= {tol:.1e} at p={p}, n={n}"
         )

@@ -1,14 +1,78 @@
-"""Dense polynomials with exact coefficients, plus the differentiation and
-coefficient bookkeeping around P(z) = d/dz[ z ((z+1)...(z+m))^3 ] and its
-second-derivative companion Q(z) = (z/2) d^2/dz^2[ z ((z+1)...(z+m))^3 ]."""
+"""Dense integer polynomials and the P/Q lemma machinery.
+
+The paper's vanishing lemmas rest on
+
+    P(z) = d/dz [ z F(z)^3 ]   and   Q(z) = (z/2) d^2/dz^2 [ z F(z)^3 ],
+
+where F = (z+1)(z+2)...(z+m) with m = (p-1)/2.  Every production
+polynomial has integer coefficients; `RatPoly` also takes `Fraction`
+coefficients, which only tests use.
+
+Products (Kronecker substitution; D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009).  `RatPoly.__mul__` clears denominators (their lcm is 1 for
+integer polynomials), packs each signed coefficient list into one Python
+int with slot k holding the coefficient of z^k, multiplies the two ints
+once, so that CPython's Karatsuba does the work, and unpacks the slots
+with a borrow.  A product coefficient is a sum of at most
+n = min(len(a), len(b)) terms, so |c_k| <= max|a| * max|b| * n.  The slot
+width is bits(max|a| * max|b| * n) + 2 rounded up to whole bytes, which
+keeps |c_k| below a quarter of the slot: the slot bits determine c_k once
+read as signed, and the packed product fits a signed int of the full
+width.  A negative c_k borrows one from the slot above, so slot k reads
+c_k minus the borrow of slot k-1; the unpacking adds it back.
+
+Builds.  `pochhammer_poly` multiplies by one linear factor (z + r) at a
+time, an O(d) step.  F, F^2 and F^3 are built once per prime (a cache of
+two entries, so nothing is kept across a sweep) and shared by `p_poly`,
+`q_poly`, `p_identity_check` and `coefficient_facts_check`.  Q's factor
+1/2 is an exact integer halving: k(k-1) is even, and an odd coefficient
+would raise `ArithmeticError`.
+
+The mod-p facts of `lemma_sum_checks` need only F mod p: F^3 mod p has
+coefficients below p, and P and Q mod p follow from it coefficient by
+coefficient, so the full-size P and Q are never reduced.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import lru_cache
+from typing import Iterable, Optional, Union
 
 Coefficient = Union[int, Fraction]
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum_k coeffs[k] * 2^(8 width k) for signed integers below 2^(8 width)
+    in absolute value: the positive and negative parts, byte-packed."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """The `count` signed slot values of `value`, each below a quarter of
+    the 8*width-bit slot in absolute value."""
+    raw = value.to_bytes(count * width, "little", signed=True)
+    half = 1 << (8 * width - 1)
+    full = half << 1
+    out = []
+    borrow = 0
+    for start in range(0, count * width, width):
+        digit = int.from_bytes(raw[start : start + width], "little") + borrow
+        borrow = digit >= half
+        out.append(digit - full if borrow else digit)
+    return out
+
+
+def _cleared(coeffs: tuple) -> tuple[list[int], int]:
+    """(integer coefficients, lcm of the denominators)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class RatPoly:
@@ -35,7 +99,7 @@ class RatPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coeffs)
+        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RatPoly):
@@ -64,15 +128,18 @@ class RatPoly:
         return self + (-other)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        """Kronecker product: one big-int multiplication (module docstring)."""
+        if not self.coeffs or not other.coeffs:
             return RatPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RatPoly(out)
+        a, den_a = _cleared(self.coeffs)
+        b, den_b = _cleared(other.coeffs)
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        width = (bound.bit_length() + 2 + 7) // 8
+        out = _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
+        den = den_a * den_b
+        if den == 1:
+            return RatPoly(out)
+        return RatPoly(Fraction(c, den) for c in out)
 
     def scaled(self, c: Coefficient) -> "RatPoly":
         return RatPoly(tuple(c * x for x in self.coeffs))
@@ -84,6 +151,7 @@ class RatPoly:
         return RatPoly((0,) * k + self.coeffs)
 
     def derivative(self, order: int = 1) -> "RatPoly":
+        """Formal derivative of order 1 or 2."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         cs = self.coeffs
@@ -111,26 +179,46 @@ class RatPoly:
         return acc
 
 
+def _rising_coeffs(m: int, modulus: Optional[int] = None) -> list[int]:
+    """Coefficients of (z+1)...(z+m), optionally reduced mod `modulus`:
+    one O(d) step c_k <- r c_k + c_{k-1} per linear factor (z + r)."""
+    cs = [1]
+    for r in range(1, m + 1):
+        cs = [r * c + lower for c, lower in zip(cs + [0], [0] + cs)]
+        if modulus is not None:
+            cs = [c % modulus for c in cs]
+    return cs
+
+
 def pochhammer_poly(m: int) -> RatPoly:
     """(z+1)(z+2)...(z+m), the rising factorial of z+1 as a polynomial."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = RatPoly((1,))
-    for r in range(1, m + 1):
-        out = out * RatPoly((r, 1))
-    return out
+    return RatPoly(_rising_coeffs(m))
 
 
-def derivative(f: RatPoly, order: int = 1) -> RatPoly:
-    """Formal derivative of order 1 or 2."""
-    return f.derivative(order)
+@lru_cache(maxsize=2)
+def _powers(m: int) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """F, F^2 and F^3 for F = pochhammer_poly(m)."""
+    f = pochhammer_poly(m)
+    f2 = f * f
+    return f, f2, f2 * f
 
 
 def p_poly(p: int) -> RatPoly:
     """d/dz [ z * pochhammer_poly((p-1)/2)^3 ]; integer coefficients."""
-    m = (p - 1) // 2
-    f = pochhammer_poly(m)
-    return (f * f * f).shifted(1).derivative()
+    return _powers((p - 1) // 2)[2].shifted(1).derivative()
+
+
+def _halved(poly: RatPoly) -> RatPoly:
+    """poly / 2, which must have integer coefficients."""
+    out = []
+    for c in poly.coeffs:
+        half, odd = divmod(c, 2)
+        if odd:
+            raise ArithmeticError("half-integer coefficient in Q")
+        out.append(half)
+    return RatPoly(out)
 
 
 def q_poly(p: int) -> RatPoly:
@@ -138,28 +226,20 @@ def q_poly(p: int) -> RatPoly:
 
     Divisible by z with integer coefficients (k(k-1) is always even).
     """
-    m = (p - 1) // 2
-    f = pochhammer_poly(m)
-    q = (f * f * f).shifted(1).derivative(2).shifted(1).scaled(Fraction(1, 2))
-    coeffs = []
-    for c in q.coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ArithmeticError("half-integer coefficient in Q")
-        coeffs.append(int(c))
-    return RatPoly(coeffs)
+    return _halved(_powers((p - 1) // 2)[2].shifted(1).derivative(2).shifted(1))
 
 
 def p_identity_check(p: int) -> bool:
     """True iff P(z) factors as F^3 * [1 + 3z * sum_r 1/(z+r)] with F the
     rising-factorial polynomial, i.e. P = F^3 + 3z F^2 sum_r prod_{s!=r}(z+s)."""
     m = (p - 1) // 2
-    f = pochhammer_poly(m)
+    big_p = p_poly(p)  # builds F, F^2 and F^3 for this prime
+    f, f2, f3 = _powers(m)
     partial = RatPoly()
     for r in range(1, m + 1):
         partial = partial + f.div_linear(r)
-    rhs = f * f * f + (f * f * partial).shifted(1).scaled(3)
-    return p_poly(p) == rhs
+    rhs = f3 + (f2 * partial).shifted(1).scaled(3)
+    return big_p == rhs
 
 
 def coefficient_facts_check(p: int) -> bool:
@@ -171,8 +251,7 @@ def coefficient_facts_check(p: int) -> bool:
     big_q = q_poly(p)
     if not (big_p.is_integral() and big_q.is_integral()):
         return False
-    f = pochhammer_poly(m)
-    cube_coeff = (f * f * f).coefficient(p - 1)
+    cube_coeff = _powers(m)[2].coefficient(p - 1)
     ap1_p = big_p.coefficient(p - 1)
     ap1_q = big_q.coefficient(p - 1)
     return (
@@ -180,8 +259,8 @@ def coefficient_facts_check(p: int) -> bool:
         and big_p.coefficient(0) == math.factorial(m) ** 3
         and ap1_q % p == 0
         and big_q.coefficient(0) == 0
-        and cube_coeff == Fraction(ap1_p, p)
-        and cube_coeff == Fraction(2 * ap1_q, p * (p - 1))
+        and ap1_p == p * cube_coeff
+        and 2 * ap1_q == p * (p - 1) * cube_coeff
     )
 
 
@@ -204,10 +283,15 @@ def _eval_mod(coeffs_mod: list[int], x: int, p: int) -> int:
 def lemma_sum_checks(p: int) -> bool:
     """The mod-p sum facts that finish both vanishing lemmas:
     sum P(j) over 1..p-1 is -((p-1)/2)!^3; the head ((p-1)/2)!^3 + sum over
-    1..(p-1)/2 vanishes; P(j) = 0 for (p-1)/2 < j < p; and sum Q(j) = 0."""
+    1..(p-1)/2 vanishes; P(j) = 0 for (p-1)/2 < j < p; and sum Q(j) = 0.
+
+    P and Q mod p come from c_k = [z^k] F^3 mod p: [z^k] P = (k+1) c_k and
+    [z^k] Q = k(k+1)/2 c_k."""
     m = (p - 1) // 2
-    pc = [int(c) % p for c in p_poly(p).coeffs]
-    qc = [int(c) % p for c in q_poly(p).coeffs]
+    f = RatPoly(_rising_coeffs(m, p))
+    cube = [c % p for c in (f * f * f).coeffs]
+    pc = [(k + 1) * c % p for k, c in enumerate(cube)]
+    qc = [k * (k + 1) // 2 * c % p for k, c in enumerate(cube)]
     mf3 = pow(math.factorial(m) % p, 3, p)
     vals = [_eval_mod(pc, j, p) for j in range(1, p)]
     return (

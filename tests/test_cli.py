@@ -95,6 +95,25 @@ def test_non_integer_workers_env_exits_2(capsys, monkeypatch):
     assert "SUPERCONG_WORKERS" in err
 
 
+@pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "-1e-3", "0", "0.5", "2"))
+def test_tolerance_outside_the_rounding_range_exits_2(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "verify", "--statements", "thm_os", "--primes", "3..7", f"--tolerance={tol}"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("supercong: error: ") and err.count("\n") == 1
+    assert "--tolerance" in err
+
+
+def test_tolerance_inside_the_rounding_range_runs(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--statements", "thm_os", "--primes", "3..7",
+        "--tolerance", "1e-6", "--format", "json-lines",
+    )
+    assert code == 0 and err == ""
+    assert [json.loads(line)["p"] for line in out.splitlines()] == [3, 5, 7]
+
+
 def test_gamma_p_at_the_prime_cap(capsys):
     # Gamma_p(3/4) mod p^2 at the largest admitted prime is a product of
     # ~10^12 factors; the reflection formula Gamma_p(3/4) Gamma_p(1/4) =

@@ -208,6 +208,9 @@ def test_gaussian_series_lambda_zero():
 def test_rounding_residual_guard():
     with pytest.raises(RoundingResidualTooLarge):
         gaussian_nFn_phi(13, 2, 1, tol=1e-30)
+    # NaN compares False with everything, so it must fail the guard, not pass it
+    with pytest.raises(RoundingResidualTooLarge):
+        gaussian_nFn_phi(13, 2, 1, tol=float("nan"))
 
 
 def test_corollary5_small():

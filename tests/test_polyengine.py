@@ -1,16 +1,19 @@
 """Polynomial engine: rising-factorial polynomials, the P/Q machinery,
-exponential sums, and the mod-p sum facts."""
+exponential sums, the mod-p sum facts, and the Kronecker product against a
+schoolbook oracle."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supercong.polyengine import (
     RatPoly,
+    _halved,
     coefficient_facts_check,
-    derivative,
     exp_sum_check,
     lemma_sum_checks,
     p_identity_check,
@@ -34,11 +37,11 @@ def test_pochhammer_poly_examples():
 
 def test_derivative_examples():
     cube = RatPoly((0, 0, 0, 1))
-    assert derivative(cube) == RatPoly((0, 0, 3))
-    assert derivative(cube, 2) == RatPoly((0, 6))
-    assert derivative(pochhammer_poly(2)) == RatPoly((3, 2))
+    assert cube.derivative() == RatPoly((0, 0, 3))
+    assert cube.derivative(2) == RatPoly((0, 6))
+    assert pochhammer_poly(2).derivative() == RatPoly((3, 2))
     with pytest.raises(ValueError):
-        derivative(cube, 3)
+        cube.derivative(3)
 
 
 def _random_poly(rng, max_deg=10):
@@ -50,8 +53,8 @@ def test_derivative_linearity_and_product_rule():
     for _ in range(1000):
         f = _random_poly(rng)
         g = _random_poly(rng)
-        assert derivative(f + g) == derivative(f) + derivative(g)
-        assert derivative(f * g) == derivative(f) * g + f * derivative(g)
+        assert (f + g).derivative() == f.derivative() + g.derivative()
+        assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
 
 def test_horner_matches_termwise_evaluation():
@@ -94,6 +97,7 @@ def test_p_identity_small():
     assert p_identity_check(3)
     assert p_identity_check(5)
     assert p_identity_check(13)
+    assert p_identity_check(307)
 
 
 def test_coefficient_facts_p3():
@@ -148,3 +152,69 @@ def test_ratpoly_trimming_and_zero():
     assert (RatPoly((1, 1)) - RatPoly((1, 1))).degree == -1
     assert RatPoly((1, 2)).shifted(2) == RatPoly((0, 0, 1, 2))
     assert RatPoly((2, 4)).scaled(Fraction(1, 2)) == RatPoly((1, 2))
+
+
+def _schoolbook_mul(f, g):
+    """The O(len(f) len(g)) product: the oracle for RatPoly.__mul__."""
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return RatPoly()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return RatPoly(out)
+
+
+_BIG = 2**5000
+_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**6)),
+)
+_polys = st.lists(_coefficients, max_size=12).map(RatPoly)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_polys, _polys)
+@example(RatPoly(()), RatPoly((1, 2)))
+@example(RatPoly((5,)), RatPoly((0, 0, -3)))
+@example(RatPoly((-1, 1)), RatPoly((1, 1)))  # z^2 - 1: slot 0 holds -1
+@example(RatPoly((-1,)), RatPoly((1, 1, 1)))  # every slot negative, a borrow chain
+@example(RatPoly((-(2**5000), 2**5000)), RatPoly((2**5000, 2**5000)))
+@example(RatPoly((Fraction(1, 2), Fraction(-1, 3))), RatPoly((Fraction(2, 3), 6)))
+def test_product_matches_schoolbook(f, g):
+    assert f * g == _schoolbook_mul(f, g)
+    assert g * f == f * g
+
+
+def _schoolbook_cube(m):
+    f = RatPoly((1,))
+    for r in range(1, m + 1):
+        f = _schoolbook_mul(f, RatPoly((r, 1)))
+    return f, _schoolbook_mul(_schoolbook_mul(f, f), f)
+
+
+@pytest.mark.parametrize("p", (3, 5, 101, 499))
+def test_cube_p_and_q_against_schoolbook(p):
+    f, cube = _schoolbook_cube((p - 1) // 2)
+    assert pochhammer_poly((p - 1) // 2) == f
+    assert f * f * f == cube
+    lifted = cube.shifted(1)
+    assert p_poly(p) == lifted.derivative()
+    # halving over Q, independent of the integer halving in q_poly
+    assert q_poly(p) == lifted.derivative(2).shifted(1).scaled(Fraction(1, 2))
+    assert all(isinstance(c, int) for c in p_poly(p).coeffs + q_poly(p).coeffs)
+
+
+def test_halving_rejects_odd_coefficients():
+    assert _halved(RatPoly((0, 4, -6))) == RatPoly((0, 2, -3))
+    with pytest.raises(ArithmeticError):
+        _halved(RatPoly((0, 3)))
+
+
+@pytest.mark.parametrize("p", (211, 307, 499))
+def test_facts_at_larger_primes(p):
+    assert coefficient_facts_check(p)
+    assert lemma_sum_checks(p)
