@@ -29,18 +29,12 @@ from .exactnum import (
     Residue,
     is_odd_prime,
     p_valuation,
-    residue_add,
     residue_from_rational,
-    residue_inv,
-    residue_mul,
-    residue_neg,
 )
 from .gaussian_hg import (
     CharacterTable,
     MultChar,
     RoundingResidualTooLarge,
-    char_eval,
-    corollary5_check,
     gaussian_nFn_phi,
     greene_binom,
     jacobi_sum,
@@ -70,7 +64,6 @@ from .supercongruence import (
     XYZResult,
     xyz_quantities,
     cor5_check,
-    harmonic,
     lemma1_check,
     lemma2_check,
     lhs_vanhamme,

@@ -13,6 +13,9 @@ from .exactnum import Rational
 
 RationalLike = Union[Rational, int]
 
+#: Largest n_terms of the float partial sums (about 5 s of work).
+MAX_SERIES_TERMS = 10**7
+
 
 class LowerParamPole(ArithmeticError):
     """A lower parameter hits 0 or a negative integer inside the sum range."""
@@ -133,10 +136,14 @@ def whipple_check(
     return lhs == rhs
 
 
+def _check_n_terms(n_terms: int) -> None:
+    if not 0 <= n_terms <= MAX_SERIES_TERMS:
+        raise ValueError(f"n_terms must lie in 0..{MAX_SERIES_TERMS}, got {n_terms}")
+
+
 def ramanujan_partial_sum(n_terms: int) -> float:
     """Partial sum of sum_k (4k+1) binom(-1/2,k)^5 through k = n_terms."""
-    if n_terms < 0:
-        raise ValueError("n_terms must be nonnegative")
+    _check_n_terms(n_terms)
     s = 0.0
     b = 1.0
     for k in range(n_terms + 1):
@@ -153,8 +160,7 @@ def ramanujan_target() -> float:
 
 def entry20_partial_sum(n_terms: int) -> float:
     """Partial sum of sum_k (-1)^k (6k+1) 4^-k binom(-1/2,k)^3."""
-    if n_terms < 0:
-        raise ValueError("n_terms must be nonnegative")
+    _check_n_terms(n_terms)
     s = 0.0
     b = 1.0
     q = 1.0

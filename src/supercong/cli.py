@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from . import supercongruence as sc
 from .classical_hg import (
+    MAX_SERIES_TERMS,
     entry20_partial_sum,
     entry20_target,
     ramanujan_partial_sum,
@@ -29,10 +30,9 @@ from .exactnum import MAX_PRIME, DenominatorDivisibleByP
 from .gaussian_hg import RoundingResidualTooLarge
 from .padic_gamma import NotPIntegral, gamma_p_rational
 
-DEFAULT_STATEMENTS = ("vanhamme_a", "lemma1", "lemma2", "prop3")
 
-#: statements that honor a --mod-power override (the rest have fixed moduli)
-_MOD_POWER_STATEMENTS = {"vanhamme_a": 3, "vanhamme_b": 4, "cor5": 3}
+#: primes handed to a worker process at a time
+_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -59,33 +59,14 @@ def _sieve_odd_primes(lo: int, hi: int) -> list:
     return [n for n in range(max(lo, 3), size) if flags[n] and n % 2]
 
 
-def _run_statement(statement: str, p: int, mod_power: Optional[int], tol: float):
-    m = mod_power if (mod_power and statement in _MOD_POWER_STATEMENTS) else None
-    if statement == "vanhamme_a":
-        return sc.vanhamme_verify(p, m or 3)
-    if statement == "vanhamme_b":
-        return sc.vanhamme_b_verify(p, m or 4)
-    if statement == "lemma1":
-        return sc.lemma1_check(p)
-    if statement == "lemma2":
-        return sc.lemma2_check(p)
-    if statement == "prop3":
-        return sc.prop3_check(p)
-    if statement == "thm_os":
-        return sc.theorem_os_check(p, tol)
-    if statement == "cor5":
-        return sc.cor5_check(p, m or 3, tol)
-    if statement == "whipple_inst":
-        return sc.whipple_instance_check(p)
-    raise ValueError(f"unknown statement {statement!r}")
-
-
 def _prime_task(args) -> list:
     p, statements, mod_power, tol = args
     rows = []
     for statement in statements:
+        entry = sc.STATEMENTS[statement]
+        m = entry.default_m if mod_power is None or entry.default_m is None else mod_power
         start = time.perf_counter()
-        rec = _run_statement(statement, p, mod_power, tol)
+        rec = entry.check(p, m, tol)
         millis = (time.perf_counter() - start) * 1000.0
         rows.append(
             {
@@ -138,11 +119,14 @@ def _emit(rows: list, fmt: str, out) -> None:
 def cmd_verify(cfg: SweepConfig, out) -> int:
     primes = _sieve_odd_primes(cfg.prime_min, cfg.prime_max)
     tasks = [(p, cfg.statements, cfg.mod_power, cfg.tolerance) for p in primes]
-    if cfg.workers <= 1 or len(tasks) <= 1:
+    # the pool forks all its workers at the first submit: never more than
+    # the cores, nor than the chunks there are to hand out
+    workers = min(cfg.workers, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
+    if workers <= 1:
         chunks = map(_prime_task, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_prime_task, tasks, chunksize=4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_prime_task, tasks, chunksize=_CHUNK))
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda row: (row["statement"], row["p"]))
     _emit(rows, cfg.fmt, out)
@@ -175,22 +159,24 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="sweep primes and check statements")
     verify.add_argument(
         "--statements",
-        default=",".join(DEFAULT_STATEMENTS),
+        default=",".join(sc.DEFAULT_STATEMENTS),
         help=f"comma list from {{{','.join(sc.STATEMENTS)}}} "
-        f"(default: {','.join(DEFAULT_STATEMENTS)})",
+        f"(default: {','.join(sc.DEFAULT_STATEMENTS)})",
     )
     verify.add_argument("--primes", required=True, metavar="A..B", help="prime range")
     verify.add_argument(
         "--mod-power",
         type=int,
         default=None,
-        help="modulus exponent override for vanhamme_a / vanhamme_b / cor5",
+        help="modulus exponent override for "
+        + " / ".join(s for s, entry in sc.STATEMENTS.items() if entry.default_m is not None),
     )
     verify.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: $SUPERCONG_WORKERS or 1)",
+        help="worker processes (default: $SUPERCONG_WORKERS or 1), capped at "
+        "the core count and at one per 4 primes",
     )
     verify.add_argument(
         "--format",
@@ -212,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     series = sub.add_parser("series", help="partial sums of the two classical series")
     series.add_argument("which", choices=("ramanujan", "entry20"))
-    series.add_argument("n_terms", type=int)
+    series.add_argument("n_terms", type=int, help=f"0..{MAX_SERIES_TERMS}")
 
     return parser
 
@@ -284,9 +270,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _usage_error(str(exc))
 
     if args.command == "series":
-        if args.n_terms < 0:
-            return _usage_error("n_terms must be nonnegative")
-        return cmd_series(args.which, args.n_terms, out)
+        try:
+            return cmd_series(args.which, args.n_terms, out)
+        except ValueError as exc:  # n_terms outside 0..MAX_SERIES_TERMS
+            return _usage_error(str(exc))
 
     return _usage_error(f"unknown command {args.command!r}")  # unreachable
 

@@ -152,22 +152,6 @@ def residue_from_rational(q: Rational, p: int, m: int) -> Residue:
     return Residue(q.numerator * pow(q.denominator, -1, pm), p, m)
 
 
-def residue_add(a: Residue, b: Residue) -> Residue:
-    return a + b
-
-
-def residue_mul(a: Residue, b: Residue) -> Residue:
-    return a * b
-
-
-def residue_neg(a: Residue) -> Residue:
-    return -a
-
-
-def residue_inv(a: Residue) -> Residue:
-    return a.inverse()
-
-
 def p_valuation(q: Rational, p: int) -> PValuation:
     """Order of p in q; +inf for q = 0."""
     if not is_odd_prime(p):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactnum import is_odd_prime
-from .padic_gamma import rhs_vanhamme
 
 
 class RoundingResidualTooLarge(ArithmeticError):
@@ -102,6 +101,7 @@ class MultChar:
         return self.t == 0
 
     def __call__(self, a: int) -> complex:
+        """chi(a) with the zero extension: chi(0) = 0 unless chi is trivial."""
         a %= self.table.p
         if a == 0:
             return complex(1.0) if self.is_trivial else complex(0.0)
@@ -114,11 +114,6 @@ class MultChar:
         if other.table is not self.table:
             raise ValueError("characters live on different tables")
         return MultChar(self.table, (self.t + other.t) % (self.table.p - 1))
-
-
-def char_eval(chi: MultChar, a: int) -> complex:
-    """chi(a) with the zero extension: chi(0) = 0 unless chi is trivial."""
-    return chi(a)
 
 
 def jacobi_sum(chi: MultChar, lam: MultChar) -> complex:
@@ -183,10 +178,3 @@ def gaussian_nFn_phi(p: int, n: int, lam: int, tol: float = 1e-3) -> int:
             f"residual {residual:.3e} >= {tol:.1e} at p={p}, n={n}"
         )
     return nearest
-
-
-def corollary5_check(p: int, m: int = 3, tol: float = 1e-3) -> bool:
-    """True iff p^3 * 3F2(1) matches -p/gamma_p(3/4)^4 (or 0) mod p^m."""
-    pm = p**m
-    lhs = p * gaussian_nFn_phi(p, 2, 1, tol) % pm
-    return lhs == rhs_vanhamme(p, m).value

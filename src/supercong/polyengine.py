@@ -4,17 +4,15 @@ The paper's vanishing lemmas rest on
 
     P(z) = d/dz [ z F(z)^3 ]   and   Q(z) = (z/2) d^2/dz^2 [ z F(z)^3 ],
 
-where F = (z+1)(z+2)...(z+m) with m = (p-1)/2.  Every production
-polynomial has integer coefficients; `RatPoly` also takes `Fraction`
-coefficients, which only tests use.
+where F = (z+1)(z+2)...(z+m) with m = (p-1)/2.  Every polynomial here
+has integer coefficients: `RatPoly` rejects any other coefficient type.
 
 Products (Kronecker substitution; D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
-44, 2009).  `RatPoly.__mul__` clears denominators (their lcm is 1 for
-integer polynomials), packs each signed coefficient list into one Python
-int with slot k holding the coefficient of z^k, multiplies the two ints
-once, so that CPython's Karatsuba does the work, and unpacks the slots
-with a borrow.  A product coefficient is a sum of at most
+44, 2009).  `RatPoly.__mul__` packs each signed coefficient list into one
+Python int with slot k holding the coefficient of z^k, multiplies the two
+ints once, so that CPython's Karatsuba does the work, and unpacks the
+slots with a borrow.  A product coefficient is a sum of at most
 n = min(len(a), len(b)) terms, so |c_k| <= max|a| * max|b| * n.  The slot
 width is bits(max|a| * max|b| * n) + 2 rounded up to whole bytes, which
 keeps |c_k| below a quarter of the slot: the slot bits determine c_k once
@@ -37,14 +35,12 @@ coefficient, so the full-size P and Q are never reduced.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from itertools import repeat
+from typing import Iterable, Optional
 
-Coefficient = Union[int, Fraction]
 
-
-def _pack(coeffs: list[int], width: int) -> int:
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
     """sum_k coeffs[k] * 2^(8 width k) for signed integers below 2^(8 width)
     in absolute value: the positive and negative parts, byte-packed."""
     pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
@@ -67,39 +63,27 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
     return out
 
 
-def _cleared(coeffs: tuple) -> tuple[list[int], int]:
-    """(integer coefficients, lcm of the denominators)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 class RatPoly:
-    """Dense polynomial; coefficient list indexed by degree, trailing zeros trimmed."""
+    """Dense integer polynomial; coefficient list indexed by degree,
+    trailing zeros trimmed."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coefficient] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
+        if not all(map(isinstance, cs, repeat(int))):
+            raise TypeError("RatPoly coefficients must be int")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: Coefficient) -> "RatPoly":
-        return cls((c,))
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Coefficient:
+    def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RatPoly):
@@ -131,17 +115,12 @@ class RatPoly:
         """Kronecker product: one big-int multiplication (module docstring)."""
         if not self.coeffs or not other.coeffs:
             return RatPoly()
-        a, den_a = _cleared(self.coeffs)
-        b, den_b = _cleared(other.coeffs)
+        a, b = self.coeffs, other.coeffs
         bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
         width = (bound.bit_length() + 2 + 7) // 8
-        out = _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
-        den = den_a * den_b
-        if den == 1:
-            return RatPoly(out)
-        return RatPoly(Fraction(c, den) for c in out)
+        return RatPoly(_unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width))
 
-    def scaled(self, c: Coefficient) -> "RatPoly":
+    def scaled(self, c: int) -> "RatPoly":
         return RatPoly(tuple(c * x for x in self.coeffs))
 
     def shifted(self, k: int) -> "RatPoly":
@@ -159,7 +138,7 @@ class RatPoly:
             cs = tuple(k * cs[k] for k in range(1, len(cs)))
         return RatPoly(cs)
 
-    def div_linear(self, r: Coefficient) -> "RatPoly":
+    def div_linear(self, r: int) -> "RatPoly":
         """Exact quotient by (z + r); the remainder must vanish."""
         if not self.coeffs:
             return RatPoly()
@@ -172,7 +151,8 @@ class RatPoly:
             raise ArithmeticError(f"(z + {r}) does not divide this polynomial")
         return RatPoly(out)
 
-    def __call__(self, x: Coefficient) -> Coefficient:
+    def __call__(self, x):
+        """The value at x (an int or a Fraction), by Horner's rule."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -249,8 +229,6 @@ def coefficient_facts_check(p: int) -> bool:
     m = (p - 1) // 2
     big_p = p_poly(p)
     big_q = q_poly(p)
-    if not (big_p.is_integral() and big_q.is_integral()):
-        return False
     cube_coeff = _powers(m)[2].coefficient(p - 1)
     ap1_p = big_p.coefficient(p - 1)
     ap1_q = big_q.coefficient(p - 1)

@@ -14,22 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .exactnum import Rational, Residue, check_modulus, residue_from_rational
 from .gaussian_hg import gaussian_nFn_phi, legendre
 from .padic_gamma import gamma_p_rational, rhs_vanhamme
-
-#: Statement ids understood by the sweep front end.
-STATEMENTS = (
-    "vanhamme_a",
-    "vanhamme_b",
-    "lemma1",
-    "lemma2",
-    "prop3",
-    "thm_os",
-    "cor5",
-    "whipple_inst",
-)
 
 _METHODS = ("exact", "modular")
 
@@ -93,15 +82,6 @@ class HarmonicCache:
         for n in range(1, upto + 1):
             vals.append(vals[-1] + Fraction(1, n**order))
         return cls(order, tuple(vals))
-
-
-def harmonic(i: int, n: int) -> Rational:
-    """H_n of order i: sum of 1/j^i for j = 1..n, with H_0 = 0."""
-    if i not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(Fraction(1, j**i) for j in range(1, n + 1))
 
 
 def _check_method(method: str) -> None:
@@ -365,14 +345,6 @@ def cor5_check(p: int, m: int = 3, tol: float = 1e-3) -> VerificationRecord:
 # ---------------------------------------------------------------------------
 # Pochhammer-pair congruences
 
-POCH_CONGRUENCE_IDS = (
-    "poch_shift_square",  # shifted binomial pair vs binom(-1/2,k)^2, mod p^2
-    "poch_shift_linear",  # binom(-1/2,k)(-1)^k vs (k+1)_{(p-1)/2}/((p-1)/2)!, mod p
-    "poch_conj_quartic",  # conjugate-paired ratio vs binom(-1/2,k)^4, mod p^4
-    "poch_real_square",  # real-pair ratio vs binom(-1/2,k)^2, mod p^2
-)
-
-
 def poch_congruence_checks(p: int) -> list:
     """All four Pochhammer-pair congruences for 0 <= k <= (p-1)/2.
 
@@ -487,3 +459,34 @@ def whipple_instance_check(p: int) -> VerificationRecord:
         lhs == rhs,
     )
     return rec
+
+
+# ---------------------------------------------------------------------------
+# the statement registry of the sweep front end
+
+
+@dataclass(frozen=True)
+class Statement:
+    """One sweep statement: its default modulus exponent (None where the
+    modulus is fixed and a --mod-power override does not apply) and
+    `check(p, m, tol)`, which returns the statement's record at p."""
+
+    default_m: Optional[int]
+    check: Callable[[int, Optional[int], float], VerificationRecord]
+
+
+# Each check resolves its record function through this module's globals at
+# call time, so a wrapper installed on the module attribute sees every call.
+STATEMENTS = {
+    "vanhamme_a": Statement(3, lambda p, m, tol: vanhamme_verify(p, m)),
+    "vanhamme_b": Statement(4, lambda p, m, tol: vanhamme_b_verify(p, m)),
+    "lemma1": Statement(None, lambda p, m, tol: lemma1_check(p)),
+    "lemma2": Statement(None, lambda p, m, tol: lemma2_check(p)),
+    "prop3": Statement(None, lambda p, m, tol: prop3_check(p)),
+    "thm_os": Statement(None, lambda p, m, tol: theorem_os_check(p, tol)),
+    "cor5": Statement(3, lambda p, m, tol: cor5_check(p, m, tol)),
+    "whipple_inst": Statement(None, lambda p, m, tol: whipple_instance_check(p)),
+}
+
+#: The statements a sweep checks when none are named.
+DEFAULT_STATEMENTS = ("vanhamme_a", "lemma1", "lemma2", "prop3")

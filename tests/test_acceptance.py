@@ -18,7 +18,6 @@ from supercong.classical_hg import (
     ramanujan_target,
     whipple_check,
 )
-from supercong.gaussian_hg import corollary5_check
 from supercong.polyengine import (
     coefficient_facts_check,
     exp_sum_check,
@@ -26,6 +25,7 @@ from supercong.polyengine import (
     p_identity_check,
 )
 from supercong.supercongruence import (
+    cor5_check,
     lhs_vanhamme,
     lhs_vanhamme_b,
     poch_congruence_checks,
@@ -146,7 +146,7 @@ def test_criterion_05_theorem_os_instance():
 
 
 def test_criterion_06_corollary5_relation():
-    failures = [p for p in _primes_to(199) if not corollary5_check(p)]
+    failures = [p for p in _primes_to(199) if not cor5_check(p).passed]
     _report(6, "p^3 3F2(1) vs the Gamma branch mod p^3 for p <= 199", not failures,
             f"failures={failures}")
 

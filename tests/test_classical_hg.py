@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from supercong.classical_hg import (
+    MAX_SERIES_TERMS,
     HypergeomSpec,
     LowerParamPole,
     ParameterPole,
@@ -163,6 +164,13 @@ def test_entry20_partial_sum_examples():
     assert entry20_partial_sum(0) == 1.0
     assert entry20_partial_sum(1) == 1.21875  # 1 + 7/32
     assert abs(entry20_partial_sum(60) - entry20_target()) < 1e-12
+
+
+def test_partial_sums_reject_n_terms_outside_the_cap():
+    for partial_sum in (ramanujan_partial_sum, entry20_partial_sum):
+        for n_terms in (-1, MAX_SERIES_TERMS + 1):
+            with pytest.raises(ValueError):
+                partial_sum(n_terms)
 
 
 def test_targets():

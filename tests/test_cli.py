@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import cli, supercongruence
+from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
 from supercong.padic_gamma import gamma_p_rational
 
@@ -200,6 +202,42 @@ def test_parallel_matches_serial(capsys):
     assert strip_millis(out1) == strip_millis(out2)
 
 
+@pytest.mark.parametrize(
+    "primes, cores, size",
+    (("3..5", 64, None), ("3..97", 64, 6), ("3..97", 2, 2), ("3..97", None, None)),
+)
+def test_workers_bounded_by_cores_and_chunks(capsys, monkeypatch, primes, cores, size):
+    # 3..5 is one 4-prime chunk and 3..97 six; no pool runs for one worker
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    args = ("verify", "--statements", "lemma1", "--primes", primes, "--format", "json-lines")
+    code, out, _ = run_cli(capsys, *args, "--workers", "100000")
+    assert code == 0
+    assert sizes == ([] if size is None else [size])
+    _, serial, _ = run_cli(capsys, *args, "--workers", "1")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["p"], r["lhs"]) for r in rows] == [
+        (r["p"], r["lhs"]) for r in map(json.loads, serial.splitlines())
+    ]
+
+
 def test_workers_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SUPERCONG_WORKERS", "2")
     code, out, _ = run_cli(
@@ -218,6 +256,57 @@ def test_mod_power_override(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert all(row["modulus"] == row["p"] for row in rows)
+
+
+def test_mod_power_applies_to_exactly_the_entries_with_a_default_exponent(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--statements", ",".join(supercongruence.STATEMENTS),
+        "--primes", "3..13", "--mod-power", "2", "--format", "json-lines",
+    )
+    assert code == 0
+    exponents = {}
+    for row in map(json.loads, out.splitlines()):
+        k = {row["p"] ** k: k for k in range(1, 9)}[row["modulus"]]
+        exponents.setdefault(row["statement"], set()).add(k)
+    assert exponents == {
+        "vanhamme_a": {2},
+        "vanhamme_b": {2},
+        "cor5": {2},
+        "lemma1": {1},
+        "lemma2": {1},
+        "prop3": {3},
+        "thm_os": {3},
+        "whipple_inst": {4},
+    }
+    overridden = {s for s, entry in supercongruence.STATEMENTS.items() if entry.default_m}
+    assert overridden == {"vanhamme_a", "vanhamme_b", "cor5"}
+
+
+@pytest.mark.parametrize("statement", tuple(supercongruence.STATEMENTS))
+def test_every_registry_id_reports_rows_under_its_own_name(capsys, statement):
+    code, out, _ = run_cli(
+        capsys, "verify", "--statements", statement, "--primes", "3..5",
+        "--format", "json-lines",
+    )
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(row["statement"], row["p"]) for row in rows] == [(statement, 3), (statement, 5)]
+    assert code == (0 if all(row["pass"] for row in rows) else 1)
+
+
+def test_verify_reaches_record_functions_through_the_module_global(capsys, monkeypatch):
+    calls = []
+    real = supercongruence.cor5_check
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(supercongruence, "cor5_check", spy)
+    code, _, _ = run_cli(
+        capsys, "verify", "--statements", "cor5", "--primes", "3..7", "--mod-power", "2",
+    )
+    assert code == 0
+    assert [args[:2] for args in calls] == [(3, 2), (5, 2), (7, 2)]
 
 
 def test_gaussian_statements_opt_in(capsys):
@@ -248,6 +337,15 @@ def test_series_command(capsys):
     code, out, _ = run_cli(capsys, "series", "entry20", "60")
     gap = float(out.split("gap=")[1])
     assert gap < 1e-12
+
+
+@pytest.mark.parametrize("n_terms", (-1, MAX_SERIES_TERMS + 1))
+def test_series_outside_the_term_cap_exits_2(capsys, n_terms):
+    for which in ("ramanujan", "entry20"):
+        code, out, err = run_cli(capsys, "series", which, str(n_terms))
+        assert code == 2 and out == ""
+        assert err.startswith("supercong: error: ") and err.count("\n") == 1
+        assert "n_terms" in err
 
 
 def test_usage_error_from_argparse():

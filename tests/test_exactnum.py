@@ -14,11 +14,7 @@ from supercong.exactnum import (
     Residue,
     is_odd_prime,
     p_valuation,
-    residue_add,
     residue_from_rational,
-    residue_inv,
-    residue_mul,
-    residue_neg,
 )
 
 
@@ -62,9 +58,6 @@ def test_ring_op_examples():
     assert (Residue(1, 3, 3) + Residue(26, 3, 3)).value == 0
     assert (Residue(14, 3, 3) * Residue(2, 3, 3)).value == 1
     assert (-Residue(0, 5, 3)).value == 0
-    assert residue_add(Residue(1, 3, 3), Residue(26, 3, 3)).value == 0
-    assert residue_mul(Residue(14, 3, 3), Residue(2, 3, 3)).value == 1
-    assert residue_neg(Residue(0, 5, 3)).value == 0
 
 
 def test_modulus_mismatch():
@@ -75,8 +68,8 @@ def test_modulus_mismatch():
 
 
 def test_inverse_examples():
-    assert residue_inv(Residue(1, 5, 3)).value == 1
-    assert residue_inv(Residue(18, 5, 3)).value == inv_oracle(18, 125) == 7
+    assert Residue(1, 5, 3).inverse().value == 1
+    assert Residue(18, 5, 3).inverse().value == inv_oracle(18, 125) == 7
     with pytest.raises(NotAUnit):
         Residue(5, 5, 3).inverse()
 

@@ -81,7 +81,7 @@ def test_p_poly_example():
         poly = p_poly(p)
         assert poly.coefficient(0) == math.factorial(m) ** 3
         assert poly.degree == (3 * p - 3) // 2
-        assert poly.is_integral()
+        assert all(isinstance(c, int) for c in poly.coeffs)
 
 
 def test_q_poly_example():
@@ -89,8 +89,7 @@ def test_q_poly_example():
     for p in SMALL_PRIMES:
         poly = q_poly(p)
         assert poly.coefficient(0) == 0
-        assert poly.is_integral()
-        assert all(isinstance(c, int) for c in poly.coeffs[1:])
+        assert all(isinstance(c, int) for c in poly.coeffs)
 
 
 def test_p_identity_small():
@@ -151,7 +150,16 @@ def test_ratpoly_trimming_and_zero():
     assert RatPoly(()) == RatPoly((0,))
     assert (RatPoly((1, 1)) - RatPoly((1, 1))).degree == -1
     assert RatPoly((1, 2)).shifted(2) == RatPoly((0, 0, 1, 2))
-    assert RatPoly((2, 4)).scaled(Fraction(1, 2)) == RatPoly((1, 2))
+    assert RatPoly((1, 2)).scaled(2) == RatPoly((2, 4))
+    assert _halved(RatPoly((2, 4))) == RatPoly((1, 2))
+
+
+def test_ratpoly_rejects_non_int_coefficients():
+    for bad in (Fraction(1, 2), Fraction(2, 1), 1.0, "1"):
+        with pytest.raises(TypeError):
+            RatPoly((1, bad))
+    with pytest.raises(TypeError):
+        RatPoly((2, 4)).scaled(Fraction(1, 2))
 
 
 def _schoolbook_mul(f, g):
@@ -171,7 +179,6 @@ _coefficients = st.one_of(
     st.just(0),
     st.integers(-9, 9),
     st.integers(-_BIG, _BIG),
-    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**6)),
 )
 _polys = st.lists(_coefficients, max_size=12).map(RatPoly)
 
@@ -183,7 +190,6 @@ _polys = st.lists(_coefficients, max_size=12).map(RatPoly)
 @example(RatPoly((-1, 1)), RatPoly((1, 1)))  # z^2 - 1: slot 0 holds -1
 @example(RatPoly((-1,)), RatPoly((1, 1, 1)))  # every slot negative, a borrow chain
 @example(RatPoly((-(2**5000), 2**5000)), RatPoly((2**5000, 2**5000)))
-@example(RatPoly((Fraction(1, 2), Fraction(-1, 3))), RatPoly((Fraction(2, 3), 6)))
 def test_product_matches_schoolbook(f, g):
     assert f * g == _schoolbook_mul(f, g)
     assert g * f == f * g
@@ -204,7 +210,8 @@ def test_cube_p_and_q_against_schoolbook(p):
     lifted = cube.shifted(1)
     assert p_poly(p) == lifted.derivative()
     # halving over Q, independent of the integer halving in q_poly
-    assert q_poly(p) == lifted.derivative(2).shifted(1).scaled(Fraction(1, 2))
+    twice_q = lifted.derivative(2).shifted(1)
+    assert list(q_poly(p).coeffs) == [Fraction(c, 2) for c in twice_q.coeffs]
     assert all(isinstance(c, int) for c in p_poly(p).coeffs + q_poly(p).coeffs)
 
 

@@ -13,7 +13,6 @@ from supercong.supercongruence import (
     HarmonicCache,
     STATEMENTS,
     cor5_check,
-    harmonic,
     lemma1_check,
     lemma2_check,
     lhs_vanhamme,
@@ -37,9 +36,9 @@ PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def test_harmonic_examples():
-    assert harmonic(1, 0) == 0
-    assert harmonic(1, 3) == Fraction(11, 6)
-    assert harmonic(2, 2) == Fraction(5, 4)
+    assert HarmonicCache.build(1, 0).values == (0,)
+    assert HarmonicCache.build(1, 3).values[3] == Fraction(11, 6)
+    assert HarmonicCache.build(2, 2).values[2] == Fraction(5, 4)
 
 
 def test_harmonic_cache_invariants():
@@ -48,7 +47,7 @@ def test_harmonic_cache_invariants():
         assert cache.values[0] == 0
         for n in range(1, 41):
             assert cache.values[n] - cache.values[n - 1] == Fraction(1, n**order)
-            assert cache.values[n] == harmonic(order, n)
+            assert cache.values[n] == sum(Fraction(1, j**order) for j in range(1, n + 1))
 
 
 def test_lhs_vanhamme_examples():
