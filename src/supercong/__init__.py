@@ -31,15 +31,7 @@ from .exactnum import (
     p_valuation,
     residue_from_rational,
 )
-from .gaussian_hg import (
-    CharacterTable,
-    MultChar,
-    RoundingResidualTooLarge,
-    gaussian_nFn_phi,
-    greene_binom,
-    jacobi_sum,
-    legendre,
-)
+from .gaussian_hg import gaussian_nFn_phi, legendre
 from .padic_gamma import (
     NotPIntegral,
     gamma_p_int,

@@ -26,8 +26,7 @@ from .classical_hg import (
     ramanujan_partial_sum,
     ramanujan_target,
 )
-from .exactnum import MAX_PRIME, DenominatorDivisibleByP
-from .gaussian_hg import RoundingResidualTooLarge
+from .exactnum import MAX_EXPONENT, MAX_PRIME, DenominatorDivisibleByP
 from .padic_gamma import NotPIntegral, gamma_p_rational
 
 
@@ -43,7 +42,6 @@ class SweepConfig:
     mod_power: Optional[int]
     workers: int
     fmt: str
-    tolerance: float
 
 
 def _sieve_odd_primes(lo: int, hi: int) -> list:
@@ -60,13 +58,13 @@ def _sieve_odd_primes(lo: int, hi: int) -> list:
 
 
 def _prime_task(args) -> list:
-    p, statements, mod_power, tol = args
+    p, statements, mod_power = args
     rows = []
     for statement in statements:
         entry = sc.STATEMENTS[statement]
         m = entry.default_m if mod_power is None or entry.default_m is None else mod_power
         start = time.perf_counter()
-        rec = entry.check(p, m, tol)
+        rec = entry.check(p, m)
         millis = (time.perf_counter() - start) * 1000.0
         rows.append(
             {
@@ -118,7 +116,7 @@ def _emit(rows: list, fmt: str, out) -> None:
 
 def cmd_verify(cfg: SweepConfig, out) -> int:
     primes = _sieve_odd_primes(cfg.prime_min, cfg.prime_max)
-    tasks = [(p, cfg.statements, cfg.mod_power, cfg.tolerance) for p in primes]
+    tasks = [(p, cfg.statements, cfg.mod_power) for p in primes]
     # the pool forks all its workers at the first submit: never more than
     # the cores, nor than the chunks there are to hand out
     workers = min(cfg.workers, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
@@ -184,12 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="human",
         dest="fmt",
     )
-    verify.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-3,
-        help="rounding-residual bound for the finite-field series (default 1e-3)",
-    )
 
     gamma = sub.add_parser("gamma-p", help="p-adic Gamma at a rational argument")
     gamma.add_argument("x", help="rational literal, e.g. 3/4")
@@ -231,14 +223,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _usage_error(
                 f"unknown statements {unknown}; choose from {list(sc.STATEMENTS)}"
             )
-        if args.mod_power is not None and not 1 <= args.mod_power <= 8:
-            return _usage_error("--mod-power must lie in 1..8")
-        # rounding to the nearest integer needs a bound below 1/2; the
-        # chained comparison also rejects nan and +-inf
-        if not 0 < args.tolerance < 0.5:
+        capped = [s for s in statements if hi > sc.STATEMENTS[s].max_p]
+        if capped:
             return _usage_error(
-                f"--tolerance must be finite and lie in (0, 0.5), got {args.tolerance!r}"
+                f"prime range {args.primes!r} exceeds the cap of "
+                + ", ".join(f"{s} ({sc.STATEMENTS[s].max_p})" for s in capped)
             )
+        if args.mod_power is not None and not 1 <= args.mod_power <= MAX_EXPONENT:
+            return _usage_error(f"--mod-power must lie in 1..{MAX_EXPONENT}")
         workers = args.workers
         if workers is None:
             env = os.environ.get("SUPERCONG_WORKERS", "1")
@@ -255,13 +247,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             mod_power=args.mod_power,
             workers=workers,
             fmt=args.fmt,
-            tolerance=args.tolerance,
         )
-        try:
-            return cmd_verify(cfg, out)
-        except RoundingResidualTooLarge as exc:
-            print(f"supercong: {exc}", file=sys.stderr)
-            return 2
+        return cmd_verify(cfg, out)
 
     if args.command == "gamma-p":
         try:

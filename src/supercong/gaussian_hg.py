@@ -1,28 +1,28 @@
-"""Finite-field side: multiplicative characters of F_p, Jacobi sums, the
-normalized binomial of characters, and the all-quadratic-character Gaussian
-hypergeometric series with exact integer extraction of p^n * (n+1)Fn(lambda).
+"""Finite-field side: the quadratic character of F_p and the exact integer
+p^n * (n+1)Fn(lambda) of the all-quadratic-character Gaussian
+hypergeometric series.
 
-Character sums are evaluated in complex doubles; every externally visible
-value is an integer recovered by rounding, guarded by a residual bound.
-Two zero conventions coexist deliberately:
+The series is computed by Greene's recursion (J. Greene, "Hypergeometric
+functions over finite fields", Trans. AMS 301, 1987, Thm 3.13), which for
+the all-phi series needs the Legendre symbol phi alone.  With
+w(y) = phi(y) phi(1-y) and T_n(x) = p^n * (n+1)Fn(x),
 
-* direct evaluation extends characters to all of F_p with chi(0) = 0 for
-  nontrivial chi and epsilon(0) = 1;
-* inside Jacobi sums every character (the trivial one included) counts 0
-  at 0, so J(eps, eps) = p - 2.
+    T_0(x) = phi(1 - x),
+    T_n(x) = phi(-1) * sum over y in F_p of T_(n-1)(x*y) w(y),
+
+so T_1(x) = p * 2F1(x) = phi(-1) sum_y phi(y) phi(1-y) phi(1-x*y).  Every
+step is an integer sum: no character table, no floating point and no
+rounding.  The tables T_1 .. T_(n-1) cost O(p^2) each and the last level is
+evaluated at lambda alone in O(p).
+
+The series factor chi(lambda) counts 0 at lambda = 0 for every character,
+the trivial one included, so the series vanishes at lambda = 0 (mod p); the
+recursion by itself would give (-1)^n there, so that case is answered first.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import lru_cache
-
 from .exactnum import is_odd_prime
-
-
-class RoundingResidualTooLarge(ArithmeticError):
-    """Character sum too far from an integer; p is past the float budget."""
 
 
 def legendre(a: int, p: int) -> int:
@@ -33,148 +33,33 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def _factorize(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _legendre_table(p: int) -> list:
+    """phi(a) for a = 0 .. p-1, by squaring every unit once."""
+    phi = [-1] * p
+    phi[0] = 0
+    for y in range(1, (p + 1) // 2):
+        phi[y * y % p] = 1
+    return phi
 
 
-def _least_primitive_root(p: int) -> int:
-    prime_divisors = _factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
-            return g
-    raise ArithmeticError(f"no primitive root found mod {p}")  # unreachable
-
-
-class CharacterTable:
-    """Discrete-log table of F_p^* over its least primitive root.
-
-    Immutable after construction; one instance per prime, freely shareable.
-    """
-
-    def __init__(self, p: int):
-        if not is_odd_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
-        self.p = p
-        self.g = _least_primitive_root(p)
-        log = [0] * p  # log[0] never read
-        x = 1
-        for k in range(p - 1):
-            log[x] = k
-            x = x * self.g % p
-        self.log = log
-        step = 2.0 * math.pi / (p - 1)
-        self.roots = [
-            complex(math.cos(step * k), math.sin(step * k)) for k in range(p - 1)
-        ]
-
-    def char(self, t: int) -> "MultChar":
-        return MultChar(self, t % (self.p - 1))
-
-    @property
-    def epsilon(self) -> "MultChar":
-        return self.char(0)
-
-    @property
-    def phi(self) -> "MultChar":
-        return self.char((self.p - 1) // 2)
-
-
-@dataclass(frozen=True, eq=False)
-class MultChar:
-    """Multiplicative character chi with chi(g) = exp(2*pi*i*t/(p-1))."""
-
-    table: CharacterTable
-    t: int
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.t == 0
-
-    def __call__(self, a: int) -> complex:
-        """chi(a) with the zero extension: chi(0) = 0 unless chi is trivial."""
-        a %= self.table.p
-        if a == 0:
-            return complex(1.0) if self.is_trivial else complex(0.0)
-        return self.table.roots[self.t * self.table.log[a] % (self.table.p - 1)]
-
-    def conjugate(self) -> "MultChar":
-        return MultChar(self.table, (-self.t) % (self.table.p - 1))
-
-    def __mul__(self, other: "MultChar") -> "MultChar":
-        if other.table is not self.table:
-            raise ValueError("characters live on different tables")
-        return MultChar(self.table, (self.t + other.t) % (self.table.p - 1))
-
-
-def jacobi_sum(chi: MultChar, lam: MultChar) -> complex:
-    """Sum of chi(a) lam(1-a) over a in F_p.
-
-    Every character counts 0 at 0 here, the trivial one included, so only
-    a outside {0, 1} contribute and J(eps, eps) = p - 2.
-    """
-    tab = chi.table
-    if lam.table is not tab:
-        raise ValueError("characters live on different tables")
-    p = tab.p
-    log = tab.log
-    roots = tab.roots
-    order = p - 1
-    t1 = chi.t
-    t2 = lam.t
-    total = complex(0.0)
-    for a in range(2, p):
-        total += roots[(t1 * log[a] + t2 * log[p + 1 - a]) % order]
-    return total
-
-
-def greene_binom(top: MultChar, bottom: MultChar) -> complex:
-    """Normalized Jacobi sum bottom(-1)/p * J(top, conj(bottom))."""
-    if bottom.table is not top.table:
-        raise ValueError("characters live on different tables")
-    return bottom(-1) / top.table.p * jacobi_sum(top, bottom.conjugate())
-
-
-@lru_cache(maxsize=64)
-def _table(p: int) -> CharacterTable:
-    return CharacterTable(p)
-
-
-def gaussian_nFn_phi(p: int, n: int, lam: int, tol: float = 1e-3) -> int:
-    """The exact integer p^n * (n+1)Fn(lam) for the all-quadratic series.
-
-    Evaluates p/(p-1) times the sum over all characters chi of
-    greene_binom(phi*chi, chi)^(n+1) * chi(lam), scales by p^n, and rounds;
-    the pre-rounding residual must stay below tol.
-    """
+def gaussian_nFn_phi(p: int, n: int, lam: int) -> int:
+    """The exact integer p^n * (n+1)Fn(lam) for the all-quadratic series."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tab = _table(p)
-    if lam % p == 0:
-        # the series factor chi(lam) follows the Jacobi-sum convention
-        # (every character counts 0 at 0), so the whole sum vanishes
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    lam %= p
+    if lam == 0:
         return 0
-    phi_t = (p - 1) // 2
-    total = complex(0.0)
-    for t in range(p - 1):
-        chi = tab.char(t)
-        b = greene_binom(tab.char(phi_t + t), chi)
-        total += b ** (n + 1) * chi(lam)
-    # fixed order: sum first, then the exact p^(n+1)/(p-1) scale
-    scaled = total * p ** (n + 1) / (p - 1)
-    nearest = round(scaled.real)
-    residual = max(abs(scaled.real - nearest), abs(scaled.imag))
-    if not residual < tol:  # a NaN residual or tol fails the guard too
-        raise RoundingResidualTooLarge(
-            f"residual {residual:.3e} >= {tol:.1e} at p={p}, n={n}"
-        )
-    return nearest
+    phi = _legendre_table(p)
+    sign = phi[p - 1]  # phi(-1)
+    w = [phi[y] * phi[1 - y] for y in range(p)]  # phi[1 - y] wraps to phi(p + 1 - y)
+    support = range(2, p)  # w vanishes at y = 0 and y = 1
+
+    def level(prev: list, x: int) -> int:
+        return sign * sum(prev[x * y % p] * w[y] for y in support)
+
+    table = [phi[1 - x] for x in range(p)]  # T_0
+    for _ in range(n - 1):
+        table = [level(table, x) for x in range(p)]
+    return level(table, lam)

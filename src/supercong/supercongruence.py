@@ -6,7 +6,7 @@ Every truncated sum has two interchangeable evaluation routes: exact
 Rational accumulation reduced once at the end, and per-term residue
 accumulation (valid because every denominator in range is a p-unit;
 the test suite asserts the two agree).  Residue comparisons are exact
-integer equality throughout, never tolerances.
+integer equality throughout, never approximate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactnum import Rational, Residue, check_modulus, residue_from_rational
+from .exactnum import MAX_PRIME, Rational, Residue, check_modulus, residue_from_rational
 from .gaussian_hg import gaussian_nFn_phi, legendre
 from .padic_gamma import gamma_p_rational, rhs_vanhamme
 
@@ -320,14 +320,14 @@ def prop3_check(p: int) -> VerificationRecord:
     return _record("prop3", p, lhs, rhs)
 
 
-def theorem_os_check(p: int, tol: float = 1e-3) -> VerificationRecord:
+def theorem_os_check(p: int) -> VerificationRecord:
     """p^2 * 3F2(1) against phi(-1) [p^2 X + p Y + Z] mod p^3.
 
     The p-power prefactors set the precision each reduced quantity is
     needed at: X mod p, Y mod p^2, Z mod p^3.
     """
     check_modulus(p, 3)
-    f2 = gaussian_nFn_phi(p, 2, 1, tol)
+    f2 = gaussian_nFn_phi(p, 2, 1)
     lhs = Residue(f2, p, 3)
     x1 = _xy_mod(p, p, True)
     y2 = _xy_mod(p, p * p, False)
@@ -336,9 +336,9 @@ def theorem_os_check(p: int, tol: float = 1e-3) -> VerificationRecord:
     return _record("thm_os", p, lhs, rhs)
 
 
-def cor5_check(p: int, m: int = 3, tol: float = 1e-3) -> VerificationRecord:
+def cor5_check(p: int, m: int = 3) -> VerificationRecord:
     """p^3 * 3F2(1) = p * (p^2 * 3F2(1)) against the Gamma branch mod p^m."""
-    lhs = Residue(p * gaussian_nFn_phi(p, 2, 1, tol), p, m)
+    lhs = Residue(p * gaussian_nFn_phi(p, 2, 1), p, m)
     return _record("cor5", p, lhs, rhs_vanhamme(p, m))
 
 
@@ -468,24 +468,34 @@ def whipple_instance_check(p: int) -> VerificationRecord:
 @dataclass(frozen=True)
 class Statement:
     """One sweep statement: its default modulus exponent (None where the
-    modulus is fixed and a --mod-power override does not apply) and
-    `check(p, m, tol)`, which returns the statement's record at p."""
+    modulus is fixed and a --mod-power override does not apply),
+    `check(p, m)`, which returns the statement's record at p, and `max_p`,
+    the largest prime a sweep may ask it for."""
 
     default_m: Optional[int]
-    check: Callable[[int, Optional[int], float], VerificationRecord]
+    check: Callable[[int, Optional[int]], VerificationRecord]
+    max_p: int = MAX_PRIME
 
+
+# The O(p^2) Gaussian series of thm_os and cor5 and the exact rationals of
+# the well-poised instance, whose cost grows like p^3, cap their statements
+# at the largest prime at which one check took about 5 s on a 2-vCPU host
+# (Python 3.11): theorem_os_check(5101) 4.9 s, whipple_instance_check(2089)
+# 4.7-5.1 s.
+FINITE_FIELD_MAX_P = 5101
+WHIPPLE_INST_MAX_P = 2089
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.
 STATEMENTS = {
-    "vanhamme_a": Statement(3, lambda p, m, tol: vanhamme_verify(p, m)),
-    "vanhamme_b": Statement(4, lambda p, m, tol: vanhamme_b_verify(p, m)),
-    "lemma1": Statement(None, lambda p, m, tol: lemma1_check(p)),
-    "lemma2": Statement(None, lambda p, m, tol: lemma2_check(p)),
-    "prop3": Statement(None, lambda p, m, tol: prop3_check(p)),
-    "thm_os": Statement(None, lambda p, m, tol: theorem_os_check(p, tol)),
-    "cor5": Statement(3, lambda p, m, tol: cor5_check(p, m, tol)),
-    "whipple_inst": Statement(None, lambda p, m, tol: whipple_instance_check(p)),
+    "vanhamme_a": Statement(3, lambda p, m: vanhamme_verify(p, m)),
+    "vanhamme_b": Statement(4, lambda p, m: vanhamme_b_verify(p, m)),
+    "lemma1": Statement(None, lambda p, m: lemma1_check(p)),
+    "lemma2": Statement(None, lambda p, m: lemma2_check(p)),
+    "prop3": Statement(None, lambda p, m: prop3_check(p)),
+    "thm_os": Statement(None, lambda p, m: theorem_os_check(p), FINITE_FIELD_MAX_P),
+    "cor5": Statement(3, lambda p, m: cor5_check(p, m), FINITE_FIELD_MAX_P),
+    "whipple_inst": Statement(None, lambda p, m: whipple_instance_check(p), WHIPPLE_INST_MAX_P),
 }
 
 #: The statements a sweep checks when none are named.

@@ -1,0 +1,171 @@
+"""The definitional character sum of the Gaussian series, in complex
+doubles: the small-p oracle of `gaussian_hg.gaussian_nFn_phi`.
+
+Characters of F_p live on a discrete-log table over the least primitive
+root.  Two zero conventions coexist deliberately:
+
+* direct evaluation extends characters to all of F_p with chi(0) = 0 for
+  nontrivial chi and epsilon(0) = 1;
+* inside Jacobi sums every character (the trivial one included) counts 0
+  at 0, so J(eps, eps) = p - 2.
+
+`charsum_nFn_phi` sums Greene's definition over all p - 1 characters and
+rounds; the pre-rounding residual is returned alongside the integer and
+guarded by a bound.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+from supercong.exactnum import is_odd_prime
+
+
+class RoundingResidualTooLarge(ArithmeticError):
+    """Character sum too far from an integer; p is past the float budget."""
+
+
+def _factorize(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _least_primitive_root(p: int) -> int:
+    prime_divisors = _factorize(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
+            return g
+    raise ArithmeticError(f"no primitive root found mod {p}")  # unreachable
+
+
+class CharacterTable:
+    """Discrete-log table of F_p^* over its least primitive root."""
+
+    def __init__(self, p: int):
+        if not is_odd_prime(p):
+            raise ValueError(f"{p} is not an odd prime")
+        self.p = p
+        self.g = _least_primitive_root(p)
+        log = [0] * p  # log[0] never read
+        x = 1
+        for k in range(p - 1):
+            log[x] = k
+            x = x * self.g % p
+        self.log = log
+        step = 2.0 * math.pi / (p - 1)
+        self.roots = [
+            complex(math.cos(step * k), math.sin(step * k)) for k in range(p - 1)
+        ]
+
+    def char(self, t: int) -> "MultChar":
+        return MultChar(self, t % (self.p - 1))
+
+    @property
+    def epsilon(self) -> "MultChar":
+        return self.char(0)
+
+    @property
+    def phi(self) -> "MultChar":
+        return self.char((self.p - 1) // 2)
+
+
+@dataclass(frozen=True, eq=False)
+class MultChar:
+    """Multiplicative character chi with chi(g) = exp(2*pi*i*t/(p-1))."""
+
+    table: CharacterTable
+    t: int
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.t == 0
+
+    def __call__(self, a: int) -> complex:
+        """chi(a) with the zero extension: chi(0) = 0 unless chi is trivial."""
+        a %= self.table.p
+        if a == 0:
+            return complex(1.0) if self.is_trivial else complex(0.0)
+        return self.table.roots[self.t * self.table.log[a] % (self.table.p - 1)]
+
+    def conjugate(self) -> "MultChar":
+        return MultChar(self.table, (-self.t) % (self.table.p - 1))
+
+    def __mul__(self, other: "MultChar") -> "MultChar":
+        if other.table is not self.table:
+            raise ValueError("characters live on different tables")
+        return MultChar(self.table, (self.t + other.t) % (self.table.p - 1))
+
+
+def jacobi_sum(chi: MultChar, lam: MultChar) -> complex:
+    """Sum of chi(a) lam(1-a) over a in F_p, every character 0 at 0."""
+    tab = chi.table
+    if lam.table is not tab:
+        raise ValueError("characters live on different tables")
+    p = tab.p
+    log = tab.log
+    roots = tab.roots
+    order = p - 1
+    total = complex(0.0)
+    for a in range(2, p):
+        total += roots[(chi.t * log[a] + lam.t * log[p + 1 - a]) % order]
+    return total
+
+
+def greene_binom(top: MultChar, bottom: MultChar) -> complex:
+    """Normalized Jacobi sum bottom(-1)/p * J(top, conj(bottom))."""
+    if bottom.table is not top.table:
+        raise ValueError("characters live on different tables")
+    return bottom(-1) / top.table.p * jacobi_sum(top, bottom.conjugate())
+
+
+@lru_cache(maxsize=64)
+def _table(p: int) -> CharacterTable:
+    return CharacterTable(p)
+
+
+def charsum_nFn_phi_with_residual(p: int, n: int, lam: int) -> tuple:
+    """(nearest integer, residual) of p^n * (n+1)Fn(lam) by the definition.
+
+    Evaluates p/(p-1) times the sum over all characters chi of
+    greene_binom(phi*chi, chi)^(n+1) * chi(lam) and scales by p^n; the
+    residual is the distance of that complex number from its rounding.
+    At lam = 0 (mod p) every series factor chi(lam) counts 0, so the
+    value is exactly 0.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    tab = _table(p)
+    if lam % p == 0:
+        return 0, 0.0
+    phi_t = (p - 1) // 2
+    total = complex(0.0)
+    for t in range(p - 1):
+        chi = tab.char(t)
+        b = greene_binom(tab.char(phi_t + t), chi)
+        total += b ** (n + 1) * chi(lam)
+    # fixed order: sum first, then the exact p^(n+1)/(p-1) scale
+    scaled = total * p ** (n + 1) / (p - 1)
+    nearest = round(scaled.real)
+    residual = max(abs(scaled.real - nearest), abs(scaled.imag))
+    return nearest, residual
+
+
+def charsum_nFn_phi(p: int, n: int, lam: int, tol: float = 1e-3) -> int:
+    """The rounded character sum; the residual must stay below tol."""
+    nearest, residual = charsum_nFn_phi_with_residual(p, n, lam)
+    if not residual < tol:  # a NaN residual or tol fails the guard too
+        raise RoundingResidualTooLarge(
+            f"residual {residual:.3e} >= {tol:.1e} at p={p}, n={n}"
+        )
+    return nearest

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from supercong import cli, supercongruence
 from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
+from supercong.exactnum import MAX_EXPONENT
 from supercong.padic_gamma import gamma_p_rational
 
 
@@ -97,23 +99,61 @@ def test_non_integer_workers_env_exits_2(capsys, monkeypatch):
     assert "SUPERCONG_WORKERS" in err
 
 
-@pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "-1e-3", "0", "0.5", "2"))
-def test_tolerance_outside_the_rounding_range_exits_2(capsys, tol):
+@pytest.mark.parametrize(
+    "flag", (("--tolerance", "1e-6"), ("--tolerance=nan",)), ids=("1e-6", "nan")
+)
+def test_tolerance_option_is_gone(capsys, flag):
+    # the finite-field series is an exact integer; argparse rejects the flag
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--statements", "thm_os", "--primes", "3..7", *flag])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "statement, record_fn",
+    (
+        ("thm_os", "theorem_os_check"),
+        ("cor5", "cor5_check"),
+        ("whipple_inst", "whipple_instance_check"),
+    ),
+)
+def test_range_above_a_statement_cap_exits_2(capsys, monkeypatch, statement, record_fn):
+    # a check at 999983 would run for days: fail at once if one starts
+    def never(*args):
+        raise AssertionError(f"{record_fn} ran above the cap")
+
+    monkeypatch.setattr(supercongruence, record_fn, never)
+    cap = supercongruence.STATEMENTS[statement].max_p
+    assert cap < 999983
     code, out, err = run_cli(
-        capsys, "verify", "--statements", "thm_os", "--primes", "3..7", f"--tolerance={tol}"
+        capsys, "verify", "--statements", f"lemma1,{statement}", "--primes", "999983..999983"
     )
     assert code == 2 and out == ""
     assert err.startswith("supercong: error: ") and err.count("\n") == 1
-    assert "--tolerance" in err
+    assert f"{statement} ({cap})" in err and "lemma1" not in err
 
 
-def test_tolerance_inside_the_rounding_range_runs(capsys):
-    code, out, err = run_cli(
-        capsys, "verify", "--statements", "thm_os", "--primes", "3..7",
-        "--tolerance", "1e-6", "--format", "json-lines",
-    )
-    assert code == 0 and err == ""
+def test_statement_cap_boundary(capsys, monkeypatch):
+    entry = supercongruence.STATEMENTS["thm_os"]
+    monkeypatch.setitem(supercongruence.STATEMENTS, "thm_os", replace(entry, max_p=7))
+    args = ("verify", "--statements", "thm_os", "--format", "json-lines", "--primes")
+    code, out, _ = run_cli(capsys, *args, "3..7")
+    assert code == 0
     assert [json.loads(line)["p"] for line in out.splitlines()] == [3, 5, 7]
+    # the cap applies to the range's top, prime or not
+    code, out, err = run_cli(capsys, *args, "3..8")
+    assert code == 2 and out == ""
+    assert err.startswith("supercong: error: ") and "thm_os (7)" in err
+
+
+@pytest.mark.parametrize("power", (0, MAX_EXPONENT + 1))
+def test_mod_power_outside_the_exponent_cap_exits_2(capsys, power):
+    code, out, err = run_cli(
+        capsys, "verify", "--statements", "cor5", "--primes", "3..7", "--mod-power", str(power)
+    )
+    assert code == 2 and out == ""
+    assert err == f"supercong: error: --mod-power must lie in 1..{MAX_EXPONENT}\n"
 
 
 def test_gamma_p_at_the_prime_cap(capsys):

@@ -1,6 +1,8 @@
-"""Character tables, Jacobi sums and the finite-field series.  Oracles:
-explicit quadratic-residue sets, brute-force character summation, and an
-exact plus-minus-one computation at p = 3."""
+"""The Legendre symbol, the finite-field series and its oracles: explicit
+quadratic-residue sets, the definitional complex character sum of
+`charsum_oracle` (with its own character-table, Jacobi-sum and
+normalized-binomial tests), an exact plus-minus-one computation at p = 3
+and Ono's closed form of p^2 * 3F2(1)."""
 
 import cmath
 import math
@@ -8,14 +10,15 @@ import random
 
 import pytest
 
-from supercong.gaussian_hg import (
+from charsum_oracle import (
     CharacterTable,
     RoundingResidualTooLarge,
-    gaussian_nFn_phi,
+    charsum_nFn_phi,
     greene_binom,
     jacobi_sum,
-    legendre,
 )
+from supercong.exactnum import is_odd_prime
+from supercong.gaussian_hg import gaussian_nFn_phi, legendre
 from supercong.supercongruence import cor5_check
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -193,23 +196,55 @@ def test_gaussian_series_p3_exact_oracle():
 def test_gaussian_series_real_and_integral():
     for p in (3, 5, 7, 13, 29, 53, 97):
         # tight residual: passing at tol 1e-8 certifies reality + integrality
-        value = gaussian_nFn_phi(p, 2, 1, tol=1e-8)
+        # of the character sum, and the integer route must land on it
+        value = gaussian_nFn_phi(p, 2, 1)
         assert isinstance(value, int)
+        assert charsum_nFn_phi(p, 2, 1, tol=1e-8) == value
 
 
 def test_gaussian_series_lambda_zero():
     # lambda = 0 kills every term under the series zero rules
     for p in (5, 7):
-        assert gaussian_nFn_phi(p, 2, 0, tol=1e-6) == 0
-        assert gaussian_nFn_phi(p, 2, p, tol=1e-6) == 0  # reduced mod p first
+        for n in (1, 2, 3):
+            assert gaussian_nFn_phi(p, n, 0) == 0
+            assert gaussian_nFn_phi(p, n, p) == 0  # reduced mod p first
+        assert charsum_nFn_phi(p, 2, 0, tol=1e-6) == 0
+        assert charsum_nFn_phi(p, 2, p, tol=1e-6) == 0
+
+
+def test_gaussian_series_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        gaussian_nFn_phi(7, 0, 1)
+    for p in (1, 2, 9):
+        with pytest.raises(ValueError):
+            gaussian_nFn_phi(p, 2, 1)
 
 
 def test_rounding_residual_guard():
     with pytest.raises(RoundingResidualTooLarge):
-        gaussian_nFn_phi(13, 2, 1, tol=1e-30)
+        charsum_nFn_phi(13, 2, 1, tol=1e-30)
     # NaN compares False with everything, so it must fail the guard, not pass it
     with pytest.raises(RoundingResidualTooLarge):
-        gaussian_nFn_phi(13, 2, 1, tol=float("nan"))
+        charsum_nFn_phi(13, 2, 1, tol=float("nan"))
+
+
+@pytest.mark.parametrize("n, p_max", ((1, 199), (2, 199), (3, 97)))
+def test_integer_route_matches_charsum_oracle(n, p_max):
+    for p in filter(is_odd_prime, range(3, p_max + 1)):
+        for lam in (0, 1, 2, 5, p - 1, p):
+            assert gaussian_nFn_phi(p, n, lam) == charsum_nFn_phi(p, n, lam), (p, n, lam)
+
+
+def test_ono_closed_form():
+    # K. Ono, Trans. AMS 350 (1998): p^2 * 3F2(1) is 0 for p = 3 (mod 4) and
+    # 4x^2 - 2p for p = x^2 + y^2 with x odd
+    for p in filter(is_odd_prime, range(3, 998)):
+        if p % 4 == 3:
+            expect = 0
+        else:
+            (x,) = [x for x in range(1, math.isqrt(p) + 1, 2) if math.isqrt(p - x * x) ** 2 == p - x * x]
+            expect = 4 * x * x - 2 * p
+        assert gaussian_nFn_phi(p, 2, 1) == expect, p
 
 
 def test_corollary5_small():
