@@ -5,8 +5,13 @@ conjugate-paired parameters, and the per-prime verification records.
 Every truncated sum has two interchangeable evaluation routes: exact
 Rational accumulation reduced once at the end, and per-term residue
 accumulation (valid because every denominator in range is a p-unit;
-the test suite asserts the two agree).  Residue comparisons are exact
-integer equality throughout, never approximate.
+the test suite asserts the two agree).  The records take the exact route
+for the Van Hamme left-hand sides and prop3's Z, and the modular one for
+X, Y and thm_os's Z.  Two layers are kept for the last prime asked, so
+the statements that share them compute them once per prime: the exact
+quintic sum (vanhamme_a, prop3), reduced at each caller's modulus, and
+p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact integer
+equality throughout, never approximate.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .exactnum import MAX_PRIME, Rational, Residue, check_modulus, residue_from_rational
@@ -98,6 +104,20 @@ def _inverses(n: int, pm: int) -> list:
 # truncated Van Hamme sums
 
 
+@lru_cache(maxsize=1)
+def _quintic_sum(p: int) -> Rational:
+    """The exact sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, kept for
+    the last prime asked: vanhamme_a and prop3 read it at one prime, each
+    at its own modulus."""
+    total = Fraction(0)
+    b = Fraction(1)
+    for k in range((p - 1) // 2 + 1):
+        if k:
+            b *= Fraction(-(2 * k - 1), 2 * k)
+        total += (4 * k + 1) * b**5
+    return total
+
+
 def lhs_vanhamme(p: int, m: int = 3, method: str = "exact") -> Residue:
     """Sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, reduced mod p^m.
 
@@ -107,13 +127,7 @@ def lhs_vanhamme(p: int, m: int = 3, method: str = "exact") -> Residue:
     pm = check_modulus(p, m)
     half = (p - 1) // 2
     if method == "exact":
-        total = Fraction(0)
-        b = Fraction(1)
-        for k in range(half + 1):
-            if k:
-                b *= Fraction(-(2 * k - 1), 2 * k)
-            total += (4 * k + 1) * b**5
-        return residue_from_rational(total, p, m)
+        return residue_from_rational(_quintic_sum(p), p, m)
     # binom(-1/2,k)^5 = (-1)^k C(2k,k)^5 / 1024^k
     inv = _inverses(half, pm)
     inv1024 = pow(1024, -1, pm)
@@ -320,6 +334,14 @@ def prop3_check(p: int) -> VerificationRecord:
     return _record("prop3", p, lhs, rhs)
 
 
+@lru_cache(maxsize=1)
+def _gaussian_3f2(p: int) -> int:
+    """p^2 * 3F2(1) for the last prime asked, which thm_os and cor5 share.
+    The series is looked up in this module's globals at each miss, so a
+    wrapper installed on that attribute sees every evaluation."""
+    return gaussian_nFn_phi(p, 2, 1)
+
+
 def theorem_os_check(p: int) -> VerificationRecord:
     """p^2 * 3F2(1) against phi(-1) [p^2 X + p Y + Z] mod p^3.
 
@@ -327,18 +349,17 @@ def theorem_os_check(p: int) -> VerificationRecord:
     needed at: X mod p, Y mod p^2, Z mod p^3.
     """
     check_modulus(p, 3)
-    f2 = gaussian_nFn_phi(p, 2, 1)
-    lhs = Residue(f2, p, 3)
+    lhs = Residue(_gaussian_3f2(p), p, 3)
     x1 = _xy_mod(p, p, True)
     y2 = _xy_mod(p, p * p, False)
-    z3 = z_quantity(p, 3).value
+    z3 = z_quantity(p, 3, "modular").value
     rhs = Residue(legendre(-1, p) * (p * p * x1 + p * y2 + z3), p, 3)
     return _record("thm_os", p, lhs, rhs)
 
 
 def cor5_check(p: int, m: int = 3) -> VerificationRecord:
     """p^3 * 3F2(1) = p * (p^2 * 3F2(1)) against the Gamma branch mod p^m."""
-    lhs = Residue(p * gaussian_nFn_phi(p, 2, 1), p, m)
+    lhs = Residue(p * _gaussian_3f2(p), p, m)
     return _record("cor5", p, lhs, rhs_vanhamme(p, m))
 
 
@@ -484,15 +505,23 @@ class Statement:
 # 4.7-5.1 s.
 FINITE_FIELD_MAX_P = 5101
 WHIPPLE_INST_MAX_P = 2089
+# The exact-rational truncated sums of vanhamme_a, vanhamme_b and prop3
+# (prop3 reads the quintic sum and Z) also grow like p^3 and cap the same
+# way, timed alone in a fresh process: vanhamme_verify(7703) 4.6-5.5 s,
+# vanhamme_b_verify(8297) 4.2-5.3 s, prop3_check(6907) 4.4-5.5 s.  The
+# per-term modular route (ROADMAP item 2) lifts these three caps.
+VANHAMME_A_MAX_P = 7703
+VANHAMME_B_MAX_P = 8297
+PROP3_MAX_P = 6907
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.
 STATEMENTS = {
-    "vanhamme_a": Statement(3, lambda p, m: vanhamme_verify(p, m)),
-    "vanhamme_b": Statement(4, lambda p, m: vanhamme_b_verify(p, m)),
+    "vanhamme_a": Statement(3, lambda p, m: vanhamme_verify(p, m), VANHAMME_A_MAX_P),
+    "vanhamme_b": Statement(4, lambda p, m: vanhamme_b_verify(p, m), VANHAMME_B_MAX_P),
     "lemma1": Statement(None, lambda p, m: lemma1_check(p)),
     "lemma2": Statement(None, lambda p, m: lemma2_check(p)),
-    "prop3": Statement(None, lambda p, m: prop3_check(p)),
+    "prop3": Statement(None, lambda p, m: prop3_check(p), PROP3_MAX_P),
     "thm_os": Statement(None, lambda p, m: theorem_os_check(p), FINITE_FIELD_MAX_P),
     "cor5": Statement(3, lambda p, m: cor5_check(p, m), FINITE_FIELD_MAX_P),
     "whipple_inst": Statement(None, lambda p, m: whipple_instance_check(p), WHIPPLE_INST_MAX_P),

@@ -21,6 +21,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def rows_without_millis(out):
+    rows = [json.loads(line) for line in out.splitlines()]
+    for row in rows:
+        del row["millis"]
+    return rows
+
+
 def test_verify_vanhamme_sweep_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--statements", "vanhamme_a", "--primes", "3..100",
@@ -113,6 +120,9 @@ def test_tolerance_option_is_gone(capsys, flag):
 @pytest.mark.parametrize(
     "statement, record_fn",
     (
+        ("vanhamme_a", "vanhamme_verify"),
+        ("vanhamme_b", "vanhamme_b_verify"),
+        ("prop3", "prop3_check"),
         ("thm_os", "theorem_os_check"),
         ("cor5", "cor5_check"),
         ("whipple_inst", "whipple_instance_check"),
@@ -232,14 +242,7 @@ def test_parallel_matches_serial(capsys):
     code1, out1, _ = run_cli(capsys, *args, "--workers", "1")
     code2, out2, _ = run_cli(capsys, *args, "--workers", "3")
     assert code1 == code2 == 0
-
-    def strip_millis(text):
-        rows = [json.loads(line) for line in text.splitlines()]
-        for row in rows:
-            row.pop("millis")
-        return rows
-
-    assert strip_millis(out1) == strip_millis(out2)
+    assert rows_without_millis(out1) == rows_without_millis(out2)
 
 
 @pytest.mark.parametrize(
@@ -347,6 +350,48 @@ def test_verify_reaches_record_functions_through_the_module_global(capsys, monke
     )
     assert code == 0
     assert [args[:2] for args in calls] == [(3, 2), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize(
+    "statements, extra",
+    (
+        ("vanhamme_a,lemma1,lemma2,prop3", ()),
+        ("prop3,vanhamme_a", ()),
+        ("vanhamme_a,lemma1,lemma2,prop3", ("--mod-power", "5")),
+        ("thm_os,cor5", ()),
+    ),
+    ids=("default", "prop3-first", "mod-power-5", "finite-field"),
+)
+def test_shared_layers_run_once_per_prime(capsys, monkeypatch, statements, extra):
+    # vanhamme_a and prop3 read one exact quintic sum, each at its own
+    # modulus; thm_os and cor5 read one p^2 * 3F2(1)
+    series_primes = []
+    real_series = supercongruence.gaussian_nFn_phi
+
+    def series_spy(p, n, lam):
+        series_primes.append(p)
+        return real_series(p, n, lam)
+
+    monkeypatch.setattr(supercongruence, "gaussian_nFn_phi", series_spy)
+    quintic = supercongruence._quintic_sum
+    quintic.cache_clear()
+    supercongruence._gaussian_3f2.cache_clear()
+    argv = ("verify", "--primes", "3..97", "--workers", "1", "--format", "json-lines", *extra)
+    code, out, _ = run_cli(capsys, *argv, "--statements", statements)
+    rows = rows_without_millis(out)
+    assert code == (0 if all(row["pass"] for row in rows) else 1)
+    primes = sorted({row["p"] for row in rows})
+    assert len(primes) == 24
+
+    reads_quintic = {"vanhamme_a", "prop3"} & set(statements.split(","))
+    assert quintic.cache_info().misses == (len(primes) if reads_quintic else 0)
+    assert series_primes == (primes if "thm_os" in statements else [])
+
+    alone = []
+    for statement in sorted(statements.split(",")):
+        _, out, _ = run_cli(capsys, *argv, "--statements", statement)
+        alone += rows_without_millis(out)
+    assert rows == alone
 
 
 def test_gaussian_statements_opt_in(capsys):

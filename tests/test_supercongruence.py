@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from supercong.classical_hg import binom_half
-from supercong.exactnum import residue_from_rational
+from supercong.exactnum import MAX_EXPONENT, is_odd_prime, residue_from_rational
 from supercong.gaussian_hg import legendre
 from supercong.supercongruence import (
     HarmonicCache,
@@ -264,8 +264,19 @@ def test_exact_vs_modular_spot_large():
         assert x_quantity(p, "exact") == x_quantity(p, "modular")
         assert y_quantity(p, "exact") == y_quantity(p, "modular")
         assert lhs_vanhamme(p, 3, "exact") == lhs_vanhamme(p, 3, "modular")
-    assert z_quantity(499, 3, "exact") == z_quantity(499, 3, "modular")
     assert lhs_vanhamme_b(499, 4, "exact") == lhs_vanhamme_b(499, 4, "modular")
+    # theorem_os_check takes the modular Z at every prime of the finite_field
+    # benchmark range
+    for p in range(3, 500, 2):
+        if is_odd_prime(p):
+            assert z_quantity(p, 3, "exact") == z_quantity(p, 3, "modular")
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 97, 199))
+def test_kept_quintic_sum_reduces_at_every_modulus(p):
+    # the exact sum is kept per prime and reduced at whatever modulus is asked
+    for m in range(1, MAX_EXPONENT + 1):
+        assert lhs_vanhamme(p, m, "exact") == lhs_vanhamme(p, m, "modular")
 
 
 def test_y_mod_p_squared_agrees_with_exact():
