@@ -51,10 +51,7 @@ from .polyengine import (
 )
 from .supercongruence import (
     STATEMENTS,
-    HarmonicCache,
     VerificationRecord,
-    XYZResult,
-    xyz_quantities,
     cor5_check,
     lemma1_check,
     lemma2_check,

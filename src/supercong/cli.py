@@ -132,6 +132,10 @@ def cmd_verify(cfg: SweepConfig, out) -> int:
 
 
 def cmd_gamma_p(x_literal: str, p: int, m: int, out) -> int:
+    # Fraction() expands an exponent literal in full before any check can
+    # bound it; the int digit limit already bounds the other literal forms
+    if "e" in x_literal.lower():
+        raise ValueError(f"exponent literals are not accepted, got {x_literal!r}")
     x = Fraction(x_literal)
     out.write(f"{gamma_p_rational(x, p, m).value}\n")
     return 0
@@ -184,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     gamma = sub.add_parser("gamma-p", help="p-adic Gamma at a rational argument")
-    gamma.add_argument("x", help="rational literal, e.g. 3/4")
+    gamma.add_argument("x", help="integer, a/b or decimal literal, e.g. 3/4")
     gamma.add_argument("p", type=int)
     gamma.add_argument("m", type=int)
 

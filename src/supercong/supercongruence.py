@@ -2,16 +2,18 @@
 (lambda, n) = (1, 2), the specialized well-poised transformation with
 conjugate-paired parameters, and the per-prime verification records.
 
-Every truncated sum has two interchangeable evaluation routes: exact
-Rational accumulation reduced once at the end, and per-term residue
-accumulation (valid because every denominator in range is a p-unit;
-the test suite asserts the two agree).  The records take the exact route
-for the Van Hamme left-hand sides and prop3's Z, and the modular one for
-X, Y and thm_os's Z.  Two layers are kept for the last prime asked, so
-the statements that share them compute them once per prime: the exact
-quintic sum (vanhamme_a, prop3), reduced at each caller's modulus, and
-p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact integer
-equality throughout, never approximate.
+The truncated sums share one shape, the sum over k <= (p-1)/2 of
+(ak+b) C(2k,k)^e / r^k, and one modular kernel, `_central_sum`, evaluates
+it mod p^m (every denominator in range is a p-unit).  Production runs two
+routes: the kernel, for the mod-p^4 companion and Z, and the exact
+rational quintic sum of vanhamme_a and prop3, reduced once at the end.
+X and Y are per-term residue sums over harmonic prefix tables.  The exact
+twins of the modular sums live in `tests/exact_oracle.py`, which the
+suite holds production against.  Two layers are kept for the last prime
+asked, so the statements that share them compute them once per prime:
+the exact quintic sum (vanhamme_a, prop3), reduced at each caller's
+modulus, and p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact
+integer equality throughout, never approximate.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from typing import Callable, Optional
 from .exactnum import MAX_PRIME, Rational, Residue, check_modulus, residue_from_rational
 from .gaussian_hg import gaussian_nFn_phi, legendre
 from .padic_gamma import gamma_p_rational, rhs_vanhamme
-
-_METHODS = ("exact", "modular")
 
 
 @dataclass(frozen=True)
@@ -48,53 +48,6 @@ def _record(statement: str, p: int, lhs: Residue, rhs: Residue) -> VerificationR
     return VerificationRecord(statement, p, lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class XYZResult:
-    """The three harmonic-sum quantities of one prime, at the precisions
-    they are consumed at: X and Y mod p, Z mod p^3."""
-
-    x_mod_p: Residue
-    y_mod_p: Residue
-    z_mod_p3: Residue
-
-    def __post_init__(self) -> None:
-        if not (self.x_mod_p.p == self.y_mod_p.p == self.z_mod_p3.p):
-            raise ValueError("X, Y, Z must share one prime")
-        if (self.x_mod_p.m, self.y_mod_p.m, self.z_mod_p3.m) != (1, 1, 3):
-            raise ValueError("precisions must be (1, 1, 3)")
-
-    @property
-    def p(self) -> int:
-        return self.x_mod_p.p
-
-
-def xyz_quantities(p: int) -> XYZResult:
-    """X, Y and Z at one prime, bundled."""
-    return XYZResult(x_quantity(p), y_quantity(p), z_quantity(p))
-
-
-@dataclass(frozen=True)
-class HarmonicCache:
-    """Prefix list of generalized harmonic sums H_0 .. H_n of one order."""
-
-    order: int
-    values: tuple
-
-    @classmethod
-    def build(cls, order: int, upto: int) -> "HarmonicCache":
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        vals = [Fraction(0)]
-        for n in range(1, upto + 1):
-            vals.append(vals[-1] + Fraction(1, n**order))
-        return cls(order, tuple(vals))
-
-
-def _check_method(method: str) -> None:
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
-
-
 def _inverses(n: int, pm: int) -> list:
     """Modular inverses of 1..n mod pm (all are p-units for n < p)."""
     return [0] + [pow(i, -1, pm) for i in range(1, n + 1)]
@@ -102,6 +55,25 @@ def _inverses(n: int, pm: int) -> list:
 
 # ---------------------------------------------------------------------------
 # truncated Van Hamme sums
+
+
+def _central_sum(p: int, m: int, a: int, b: int, e: int, r: int) -> int:
+    """Sum of (ak+b) C(2k,k)^e / r^k for k <= (p-1)/2, mod p^m.
+
+    The term ratio C(2k,k) / C(2k-2,k-1) = 2(2k-1)/k is applied as a
+    numerator and a denominator: `total / den` is the partial sum, with
+    den = prod k^e r, a p-unit for k < p and p not dividing r, inverted
+    once at the end.
+    """
+    pm = p**m
+    num = den = 1
+    total = b
+    for k in range(1, (p - 1) // 2 + 1):
+        num = num * (2 * (2 * k - 1)) ** e % pm
+        step = k**e * r
+        den = den * step % pm
+        total = (total * step + (a * k + b) * num) % pm
+    return total * pow(den, -1, pm) % pm
 
 
 @lru_cache(maxsize=1)
@@ -118,57 +90,24 @@ def _quintic_sum(p: int) -> Rational:
     return total
 
 
-def lhs_vanhamme(p: int, m: int = 3, method: str = "exact") -> Residue:
+def lhs_vanhamme(p: int, m: int = 3) -> Residue:
     """Sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, reduced mod p^m.
 
     Every denominator is a power of 2, a p-unit for odd p.
     """
-    _check_method(method)
-    pm = check_modulus(p, m)
-    half = (p - 1) // 2
-    if method == "exact":
-        return residue_from_rational(_quintic_sum(p), p, m)
-    # binom(-1/2,k)^5 = (-1)^k C(2k,k)^5 / 1024^k
-    inv = _inverses(half, pm)
-    inv1024 = pow(1024, -1, pm)
-    c = 1
-    qk = 1
-    total = 0
-    sign = 1
-    for k in range(half + 1):
-        if k:
-            c = c * (2 * (2 * k - 1)) % pm * inv[k] % pm
-            qk = qk * inv1024 % pm
-            sign = -sign
-        total = (total + sign * (4 * k + 1) * pow(c, 5, pm) * qk) % pm
-    return Residue(total, p, m)
+    check_modulus(p, m)
+    # the kernel row (4, 1, 5, -1024) is equal; moving to it waits on the
+    # benchmark's peak-RSS metric (ROADMAP item 1)
+    return residue_from_rational(_quintic_sum(p), p, m)
 
 
-def lhs_vanhamme_b(p: int, m: int = 4, method: str = "exact") -> Residue:
-    """Sum of (-1)^k (6k+1) 4^-k binom(-1/2,k)^3 for k <= (p-1)/2 mod p^m."""
-    _check_method(method)
-    pm = check_modulus(p, m)
-    half = (p - 1) // 2
-    if method == "exact":
-        total = Fraction(0)
-        b = Fraction(1)
-        for k in range(half + 1):
-            if k:
-                b *= Fraction(-(2 * k - 1), 2 * k)
-            total += Fraction((-1) ** k * (6 * k + 1), 4**k) * b**3
-        return residue_from_rational(total, p, m)
-    # the signs cancel: (-1)^k 4^-k binom(-1/2,k)^3 = C(2k,k)^3 / 256^k
-    inv = _inverses(half, pm)
-    inv256 = pow(256, -1, pm)
-    c = 1
-    qk = 1
-    total = 0
-    for k in range(half + 1):
-        if k:
-            c = c * (2 * (2 * k - 1)) % pm * inv[k] % pm
-            qk = qk * inv256 % pm
-        total = (total + (6 * k + 1) * pow(c, 3, pm) * qk) % pm
-    return Residue(total, p, m)
+def lhs_vanhamme_b(p: int, m: int = 4) -> Residue:
+    """Sum of (-1)^k (6k+1) 4^-k binom(-1/2,k)^3 for k <= (p-1)/2 mod p^m.
+
+    The signs cancel: (-1)^k 4^-k binom(-1/2,k)^3 = C(2k,k)^3 / 256^k.
+    """
+    check_modulus(p, m)
+    return Residue(_central_sum(p, m, 6, 1, 3, 256), p, m)
 
 
 def rhs_vanhamme_b(p: int, m: int = 4) -> Residue:
@@ -187,39 +126,6 @@ def rhs_vanhamme_b(p: int, m: int = 4) -> Residue:
 # them at the precision they are consumed at (mod p as lemma statements, and
 # mod p^2 for the pY term of the decomposition check).  The common weight is
 # binom(-1/2,j)^3 (-1)^{3j} = C(2j,j)^3 / 64^j.
-
-
-def _weights_exact(half: int):
-    w = Fraction(1)
-    for j in range(half + 1):
-        if j:
-            w *= Fraction((2 * j - 1) ** 3, 8 * j**3)
-        yield j, w
-
-
-def _x_sum(p: int) -> Rational:
-    """Exact rational value of the reduced X quantity."""
-    m = (p - 1) // 2
-    h1 = HarmonicCache.build(1, p - 1).values
-    h2 = HarmonicCache.build(2, p - 1).values
-    total = Fraction(0)
-    for j, w in _weights_exact(m):
-        d1 = h1[m + j] - h1[j]
-        d2 = h2[m + j] - h2[j]
-        total += w * (3 * j * d1 + Fraction(9, 2) * j * j * d1 * d1 - Fraction(3, 2) * j * j * d2)
-    return total
-
-
-def _y_sum(p: int) -> Rational:
-    """Exact rational value of the reduced Y quantity."""
-    m = (p - 1) // 2
-    h1 = HarmonicCache.build(1, p - 1).values
-    total = Fraction(0)
-    for j, w in _weights_exact(m):
-        d1 = h1[m + j] - h1[j]
-        dmid = h1[m + j] - h1[m - j]
-        total += w * (1 + 3 * j * d1 - Fraction(3, 2) * j * dmid)
-    return total
 
 
 def _harmonic_tables_mod(p: int, pm: int, need_second: bool):
@@ -258,47 +164,26 @@ def _xy_mod(p: int, pm: int, want_x: bool) -> int:
     return total
 
 
-def x_quantity(p: int, method: str = "modular") -> Residue:
+def x_quantity(p: int) -> Residue:
     """The reduced X quantity mod p (expected 0 at every odd prime)."""
-    _check_method(method)
     check_modulus(p, 1)
-    if method == "exact":
-        return residue_from_rational(_x_sum(p), p, 1)
     return Residue(_xy_mod(p, p, True), p, 1)
 
 
-def y_quantity(p: int, method: str = "modular") -> Residue:
+def y_quantity(p: int) -> Residue:
     """The reduced Y quantity mod p (expected 0 at every odd prime)."""
-    _check_method(method)
     check_modulus(p, 1)
-    if method == "exact":
-        return residue_from_rational(_y_sum(p), p, 1)
     return Residue(_xy_mod(p, p, False), p, 1)
 
 
-def z_quantity(p: int, m: int = 3, method: str = "exact") -> Residue:
+def z_quantity(p: int, m: int = 3) -> Residue:
     """Sum of C(2j,j)^3 / 64^j for j <= (p-1)/2 mod p^m.
 
     The 16^(-3j/2) weight of the defining sum resolves to 64^-j;
     equivalently this is the sum of (-1)^j binom(-1/2,j)^3.
     """
-    _check_method(method)
-    pm = check_modulus(p, m)
-    half = (p - 1) // 2
-    if method == "exact":
-        total = Fraction(0)
-        for j, w in _weights_exact(half):
-            total += w
-        return residue_from_rational(total, p, m)
-    inv = _inverses(half, pm)
-    inv8 = pow(8, -1, pm)
-    w = 1
-    total = 0
-    for j in range(half + 1):
-        if j:
-            w = w * pow((2 * j - 1) * inv[j] % pm, 3, pm) % pm * inv8 % pm
-        total = (total + w) % pm
-    return Residue(total, p, m)
+    check_modulus(p, m)
+    return Residue(_central_sum(p, m, 0, 1, 3, 64), p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +237,7 @@ def theorem_os_check(p: int) -> VerificationRecord:
     lhs = Residue(_gaussian_3f2(p), p, 3)
     x1 = _xy_mod(p, p, True)
     y2 = _xy_mod(p, p * p, False)
-    z3 = z_quantity(p, 3, "modular").value
+    z3 = z_quantity(p, 3).value
     rhs = Residue(legendre(-1, p) * (p * p * x1 + p * y2 + z3), p, 3)
     return _record("thm_os", p, lhs, rhs)
 
@@ -505,23 +390,21 @@ class Statement:
 # 4.7-5.1 s.
 FINITE_FIELD_MAX_P = 5101
 WHIPPLE_INST_MAX_P = 2089
-# The exact-rational truncated sums of vanhamme_a, vanhamme_b and prop3
-# (prop3 reads the quintic sum and Z) also grow like p^3 and cap the same
-# way, timed alone in a fresh process: vanhamme_verify(7703) 4.6-5.5 s,
-# vanhamme_b_verify(8297) 4.2-5.3 s, prop3_check(6907) 4.4-5.5 s.  The
-# per-term modular route (ROADMAP item 2) lifts these three caps.
-VANHAMME_A_MAX_P = 7703
-VANHAMME_B_MAX_P = 8297
-PROP3_MAX_P = 6907
+# The exact quintic sum that vanhamme_a and prop3 read also grows like p^3
+# and caps both the same way, timed alone in a fresh process with the sum
+# not yet kept: vanhamme_verify(7703) 4.3-5.1 s, prop3_check(7703)
+# 4.2-4.8 s.  The modular kernel of vanhamme_b and Z needs no cap below
+# MAX_PRIME: vanhamme_b_verify(999983, 8) takes about 2 s.
+QUINTIC_SUM_MAX_P = 7703
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.
 STATEMENTS = {
-    "vanhamme_a": Statement(3, lambda p, m: vanhamme_verify(p, m), VANHAMME_A_MAX_P),
-    "vanhamme_b": Statement(4, lambda p, m: vanhamme_b_verify(p, m), VANHAMME_B_MAX_P),
+    "vanhamme_a": Statement(3, lambda p, m: vanhamme_verify(p, m), QUINTIC_SUM_MAX_P),
+    "vanhamme_b": Statement(4, lambda p, m: vanhamme_b_verify(p, m)),
     "lemma1": Statement(None, lambda p, m: lemma1_check(p)),
     "lemma2": Statement(None, lambda p, m: lemma2_check(p)),
-    "prop3": Statement(None, lambda p, m: prop3_check(p), PROP3_MAX_P),
+    "prop3": Statement(None, lambda p, m: prop3_check(p), QUINTIC_SUM_MAX_P),
     "thm_os": Statement(None, lambda p, m: theorem_os_check(p), FINITE_FIELD_MAX_P),
     "cor5": Statement(3, lambda p, m: cor5_check(p, m), FINITE_FIELD_MAX_P),
     "whipple_inst": Statement(None, lambda p, m: whipple_instance_check(p), WHIPPLE_INST_MAX_P),

@@ -1,0 +1,80 @@
+"""Exact-rational twins of the modular truncated sums of
+`supercong.supercongruence`: the reduce-once oracle the suite holds the
+production routes against.
+
+Every sum here is accumulated in Fractions and reduced mod p^m once, at
+the end; every denominator in range is a p-unit.  The central-binomial
+sums are rows (a, b, e, r) of
+
+    sum_{k <= (p-1)/2} (ak+b) C(2k,k)^e / r^k,
+
+with C(2k,k) from `math.comb`, not from the term ratio the production
+kernel steps by.  X and Y are the reduced binom(-1/2,j)^3 forms over
+exact harmonic prefix sums.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from supercong.exactnum import Residue, residue_from_rational
+
+#: (4k+1) binom(-1/2,k)^5 = (4k+1) C(2k,k)^5 / (-1024)^k: vanhamme_a, prop3
+QUINTIC = (4, 1, 5, -1024)
+#: (-1)^k (6k+1) 4^-k binom(-1/2,k)^3 = (6k+1) C(2k,k)^3 / 256^k: vanhamme_b
+COMPANION = (6, 1, 3, 256)
+#: C(2j,j)^3 / 64^j = (-1)^j binom(-1/2,j)^3: Z
+Z = (0, 1, 3, 64)
+ROWS = (QUINTIC, COMPANION, Z)
+
+
+def central_sum(p: int, a: int, b: int, e: int, r: int) -> Fraction:
+    """The exact sum of (ak+b) C(2k,k)^e / r^k for k <= (p-1)/2."""
+    return sum(
+        (Fraction((a * k + b) * math.comb(2 * k, k) ** e, r**k) for k in range((p - 1) // 2 + 1)),
+        Fraction(0),
+    )
+
+
+def central_residue(p: int, m: int, row: tuple) -> Residue:
+    """One row's exact sum reduced mod p^m."""
+    return residue_from_rational(central_sum(p, *row), p, m)
+
+
+def harmonic_prefix(order: int, upto: int) -> list:
+    """H_0 .. H_upto of the given order: H_n = sum_{i <= n} 1 / i^order."""
+    values = [Fraction(0)]
+    for n in range(1, upto + 1):
+        values.append(values[-1] + Fraction(1, n**order))
+    return values
+
+
+def _weights(half: int):
+    for j in range(half + 1):
+        yield j, Fraction(math.comb(2 * j, j) ** 3, 64**j)
+
+
+def x_sum(p: int) -> Fraction:
+    """Exact rational value of the reduced X quantity."""
+    m = (p - 1) // 2
+    h1 = harmonic_prefix(1, p - 1)
+    h2 = harmonic_prefix(2, p - 1)
+    total = Fraction(0)
+    for j, w in _weights(m):
+        d1 = h1[m + j] - h1[j]
+        d2 = h2[m + j] - h2[j]
+        total += w * (3 * j * d1 + Fraction(9, 2) * j * j * d1 * d1 - Fraction(3, 2) * j * j * d2)
+    return total
+
+
+def y_sum(p: int) -> Fraction:
+    """Exact rational value of the reduced Y quantity."""
+    m = (p - 1) // 2
+    h1 = harmonic_prefix(1, p - 1)
+    total = Fraction(0)
+    for j, w in _weights(m):
+        d1 = h1[m + j] - h1[j]
+        dmid = h1[m + j] - h1[m - j]
+        total += w * (1 + 3 * j * d1 - Fraction(3, 2) * j * dmid)
+    return total

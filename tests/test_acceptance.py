@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from charsum_oracle import charsum_nFn_phi_with_residual
+from exact_oracle import COMPANION, QUINTIC, Z, central_residue, x_sum, y_sum
 from supercong.classical_hg import (
     entry20_partial_sum,
     entry20_target,
@@ -20,6 +21,7 @@ from supercong.classical_hg import (
     ramanujan_target,
     whipple_check,
 )
+from supercong.exactnum import residue_from_rational
 from supercong.gaussian_hg import gaussian_nFn_phi
 from supercong.polyengine import (
     coefficient_facts_check,
@@ -28,6 +30,7 @@ from supercong.polyengine import (
     p_identity_check,
 )
 from supercong.supercongruence import (
+    _central_sum,
     cor5_check,
     lhs_vanhamme,
     lhs_vanhamme_b,
@@ -247,19 +250,22 @@ def test_criterion_10_display_constants():
 
 def test_criterion_11_oracle_equivalence():
     failures = []
-    for p in _primes_to(50):
+    # each production route against the other one: the exact quintic sum
+    # against the modular kernel, the modular sums against tests/exact_oracle
+    for p in _primes_to(199):
         checks = (
-            lhs_vanhamme(p, 3, "exact") == lhs_vanhamme(p, 3, "modular"),
-            lhs_vanhamme_b(p, 4, "exact") == lhs_vanhamme_b(p, 4, "modular"),
-            x_quantity(p, "exact") == x_quantity(p, "modular"),
-            y_quantity(p, "exact") == y_quantity(p, "modular"),
-            z_quantity(p, 3, "exact") == z_quantity(p, 3, "modular"),
+            lhs_vanhamme(p, 3) == central_residue(p, 3, QUINTIC)
+            and lhs_vanhamme(p, 3).value == _central_sum(p, 3, *QUINTIC),
+            lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION),
+            x_quantity(p) == residue_from_rational(x_sum(p), p, 1),
+            y_quantity(p) == residue_from_rational(y_sum(p), p, 1),
+            z_quantity(p, 3) == central_residue(p, 3, Z),
         )
         if not all(checks):
             failures.append(p)
     _report(
         11,
-        "per-term residue accumulation equals exact-rational reduction, p <= 50",
+        "per-term residue accumulation equals exact-rational reduction, p <= 199",
         not failures,
         f"failures={failures}",
     )

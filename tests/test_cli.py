@@ -3,15 +3,18 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from supercong import cli, supercongruence
 from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
-from supercong.exactnum import MAX_EXPONENT
+from supercong.exactnum import MAX_EXPONENT, MAX_PRIME
 from supercong.padic_gamma import gamma_p_rational
 
 
@@ -121,7 +124,6 @@ def test_tolerance_option_is_gone(capsys, flag):
     "statement, record_fn",
     (
         ("vanhamme_a", "vanhamme_verify"),
-        ("vanhamme_b", "vanhamme_b_verify"),
         ("prop3", "prop3_check"),
         ("thm_os", "theorem_os_check"),
         ("cor5", "cor5_check"),
@@ -176,6 +178,17 @@ def test_gamma_p_at_the_prime_cap(capsys):
     quarter = gamma_p_rational(Fraction(1, 4), p, 2).value
     x0 = 3 * pow(4, -1, p) % p
     assert int(out) * quarter % p**2 == (-1) ** x0 % p**2
+
+
+def test_companion_at_the_prime_cap_reports_its_row(capsys):
+    # the modular kernel runs the companion to the global prime cap
+    code, out, _ = run_cli(
+        capsys, "verify", "--statements", "vanhamme_b", "--primes", "999983..999983",
+        "--format", "json-lines",
+    )
+    assert code == 0
+    (row,) = rows_without_millis(out)
+    assert (row["statement"], row["p"], row["modulus"]) == ("vanhamme_b", 999983, 999983**4)
 
 
 def test_companion_at_mod_p6_reports_its_row(capsys):
@@ -412,6 +425,13 @@ def test_gamma_p_command(capsys):
     assert code == 0 and out.strip() == "1"
     code, _, err = run_cli(capsys, "gamma-p", "1/3", "3", "2")
     assert code == 2
+    code, out, _ = run_cli(capsys, "gamma-p", "0.75", "5", "2")
+    assert code == 0 and out.strip() == "6"
+    # Fraction() would expand these exponents for seconds to hours
+    for literal in ("1e10000000", "1e30000000", "1e1000000000"):
+        code, out, err = run_cli(capsys, "gamma-p", literal, "5", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("supercong: error: ") and err.count("\n") == 1
 
 
 def test_series_command(capsys):
@@ -437,3 +457,115 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify"])  # --primes is required
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under generated argv
+
+# derandomized, so every run checks the same cases; the monkeypatched pool
+# stub is meant to hold across all examples of a test
+_FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda value: [flag, str(value)]))
+
+
+_STATEMENT_LISTS = st.lists(
+    st.sampled_from((*supercongruence.STATEMENTS, "nonsense", "")), min_size=1, max_size=3
+).map(",".join)
+# one past a statement cap is even for every cap below MAX_PRIME, so those
+# ranges hold no prime and exit at once whether or not the cap applies
+_PRIME_RANGES = st.one_of(
+    st.tuples(st.integers(2, 60), st.integers(0, 60)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    st.tuples(st.integers(-2, 60), st.integers(-2, 60)).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from(
+        sorted({f"{entry.max_p + 1}..{entry.max_p + 1}" for entry in supercongruence.STATEMENTS.values()})
+    ),
+    st.sampled_from(("", "abc", "3..", "..5", "3...5", "3..5..7", "3-5", "3.0..5", "0x3..5")),
+    st.none(),  # --primes left out, which argparse requires
+)
+_VERIFY_ARGV = st.tuples(
+    _optional("--statements", _STATEMENT_LISTS),
+    _PRIME_RANGES.map(lambda r: [] if r is None else ["--primes", r]),
+    _optional("--mod-power", st.integers(-1, 10)),
+    _optional("--workers", st.sampled_from((0, 1, 1))),
+    _optional("--format", st.sampled_from(("json-lines", "csv", "human", "xml"))),
+).map(lambda parts: ["verify"] + [arg for part in parts for arg in part])
+
+_GAMMA_ARGV = st.tuples(
+    st.one_of(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.tuples(st.integers(-50, 50), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]}"),
+        st.tuples(
+            st.integers(1, 9), st.sampled_from("eE"), st.integers(-(10**9), 10**9)
+        ).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+    ),
+    st.one_of(
+        st.sampled_from((3, 5, 7, 11, 13, 97)),
+        st.sampled_from((1, 2, 4, 9, 15, 91)),
+        st.integers(-100, 0),
+        st.integers(MAX_PRIME + 1, 10**12),
+    ),
+    st.integers(-1, 10),
+).map(lambda t: ["gamma-p", *map(str, t)])
+
+_SERIES_ARGV = st.tuples(
+    st.sampled_from(("ramanujan", "entry20", "euler")),
+    st.one_of(
+        st.integers(-5, 200),
+        st.integers(MAX_SERIES_TERMS + 1, 10**12),
+        st.just("abc"),
+    ),
+).map(lambda t: ["series", *map(str, t)])
+
+
+def _assert_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            assert exc.code == 2, argv
+            assert err.getvalue().startswith("usage: supercong"), (argv, err.getvalue())
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("supercong: error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", argv
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def pool(*args, **kwargs):
+        raise AssertionError("a generated case started a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    monkeypatch.delenv("SUPERCONG_WORKERS", raising=False)
+
+
+@_FUZZ
+@given(argv=_VERIFY_ARGV)
+def test_verify_exit_contract(no_pool, argv):
+    _assert_exit_contract(argv)
+
+
+@_FUZZ
+@given(argv=_GAMMA_ARGV)
+def test_gamma_p_exit_contract(no_pool, argv):
+    _assert_exit_contract(argv)
+
+
+@_FUZZ
+@given(argv=_SERIES_ARGV)
+def test_series_exit_contract(no_pool, argv):
+    _assert_exit_contract(argv)

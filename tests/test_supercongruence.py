@@ -6,12 +6,24 @@ from fractions import Fraction
 
 import pytest
 
+from exact_oracle import (
+    COMPANION,
+    QUINTIC,
+    ROWS,
+    Z,
+    central_residue,
+    central_sum,
+    harmonic_prefix,
+    x_sum,
+    y_sum,
+)
 from supercong.classical_hg import binom_half
 from supercong.exactnum import MAX_EXPONENT, is_odd_prime, residue_from_rational
 from supercong.gaussian_hg import legendre
 from supercong.supercongruence import (
-    HarmonicCache,
     STATEMENTS,
+    _central_sum,
+    _xy_mod,
     cor5_check,
     lemma1_check,
     lemma2_check,
@@ -28,26 +40,24 @@ from supercong.supercongruence import (
     x_quantity,
     y_quantity,
     z_quantity,
-    _x_sum,
-    _y_sum,
 )
 
 PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def test_harmonic_examples():
-    assert HarmonicCache.build(1, 0).values == (0,)
-    assert HarmonicCache.build(1, 3).values[3] == Fraction(11, 6)
-    assert HarmonicCache.build(2, 2).values[2] == Fraction(5, 4)
+    assert harmonic_prefix(1, 0) == [0]
+    assert harmonic_prefix(1, 3)[3] == Fraction(11, 6)
+    assert harmonic_prefix(2, 2)[2] == Fraction(5, 4)
 
 
 def test_harmonic_cache_invariants():
     for order in (1, 2):
-        cache = HarmonicCache.build(order, 40)
-        assert cache.values[0] == 0
+        values = harmonic_prefix(order, 40)
+        assert values[0] == 0
         for n in range(1, 41):
-            assert cache.values[n] - cache.values[n - 1] == Fraction(1, n**order)
-            assert cache.values[n] == sum(Fraction(1, j**order) for j in range(1, n + 1))
+            assert values[n] - values[n - 1] == Fraction(1, n**order)
+            assert values[n] == sum(Fraction(1, j**order) for j in range(1, n + 1))
 
 
 def test_lhs_vanhamme_examples():
@@ -58,6 +68,12 @@ def test_lhs_vanhamme_examples():
     assert sum((4 * k + 1) * binom_half(k) ** 5 for k in range(3)) == Fraction(29835, 32768)
     assert lhs_vanhamme(5, 3).value == 95
     assert lhs_vanhamme(7, 3).value == 0
+    # the oracle's quintic row is the defining sum
+    for p in PRIMES_TO_50:
+        k_max = (p - 1) // 2
+        assert central_sum(p, *QUINTIC) == sum(
+            (4 * k + 1) * binom_half(k) ** 5 for k in range(k_max + 1)
+        )
 
 
 def test_lhs_vanhamme_b_examples():
@@ -67,6 +83,12 @@ def test_lhs_vanhamme_b_examples():
     )
     assert exact == Fraction(39, 32)
     assert lhs_vanhamme_b(3).value == 39 * pow(32, -1, 81) % 81 == 24
+    # the oracle's companion row is the defining sum
+    for p in PRIMES_TO_50:
+        assert central_sum(p, *COMPANION) == sum(
+            Fraction((-1) ** k * (6 * k + 1), 4**k) * binom_half(k) ** 3
+            for k in range((p - 1) // 2 + 1)
+        )
     # summand denominators stay p-units through k = (p-1)/2
     for p in (3, 5, 13):
         k = (p - 1) // 2
@@ -113,26 +135,25 @@ def test_rhs_vanhamme_b_agrees_with_full_precision_gamma():
 
 def test_x_quantity():
     # hand value at p = 3: j=1 contributes (1/8)(3/2 + 9/8 - 3/8) = 9/32
-    assert _x_sum(3) == Fraction(9, 32)
+    # (the j = 0 bracket vanishes identically)
+    assert x_sum(3) == Fraction(9, 32)
     assert x_quantity(3).value == 0
     assert x_quantity(5).value == 0
-    assert x_quantity(5, method="exact").value == 0
-    # the j = 0 bracket vanishes identically
-    assert _x_sum(3) == Fraction(9, 32)  # no j=0 contribution
+    assert residue_from_rational(x_sum(5), 5, 1).value == 0
 
 
 def test_y_quantity():
     # hand value at p = 3: 1 + (1/8)(1 + 3/2 - 9/4) = 33/32
-    assert _y_sum(3) == Fraction(33, 32)
+    assert y_sum(3) == Fraction(33, 32)
     assert y_quantity(3).value == 0
     assert y_quantity(7).value == 0
-    assert y_quantity(7, method="exact").value == 0
+    assert residue_from_rational(y_sum(7), 7, 1).value == 0
 
 
 def test_telescoped_middle_term():
     for p in (5, 7, 13):
         m = (p - 1) // 2
-        h1 = HarmonicCache.build(1, p - 1).values
+        h1 = harmonic_prefix(1, p - 1)
         for j in range(m + 1):
             expect = sum(Fraction(4 * p, p * p - (2 * r + 1) ** 2) for r in range(j))
             assert h1[m + j] - h1[m - j] == expect
@@ -145,7 +166,7 @@ def test_z_quantity():
         m = (p - 1) // 2
         lhs = sum(Fraction(math.comb(2 * j, j) ** 3, 64**j) for j in range(m + 1))
         rhs = sum((-1) ** j * binom_half(j) ** 3 for j in range(m + 1))
-        assert lhs == rhs
+        assert lhs == rhs == central_sum(p, *Z)
         assert z_quantity(p).value == residue_from_rational(lhs, p, 3).value
     assert z_quantity(5).value == residue_from_rational(
         sum(Fraction(math.comb(2 * j, j) ** 3, 64**j) for j in range(3)), 5, 3
@@ -183,19 +204,6 @@ def test_cor5_record():
     for p in (3, 5, 13):
         rec = cor5_check(p)
         assert rec.passed and rec.statement == "cor5"
-
-
-def test_xyz_result_bundle():
-    from supercong.supercongruence import XYZResult, xyz_quantities
-
-    bundle = xyz_quantities(7)
-    assert bundle.p == 7
-    assert bundle.x_mod_p.value == bundle.y_mod_p.value == 0
-    assert bundle.z_mod_p3 == z_quantity(7)
-    with pytest.raises(ValueError):
-        XYZResult(x_quantity(3), y_quantity(5), z_quantity(5))
-    with pytest.raises(ValueError):
-        XYZResult(x_quantity(5), y_quantity(5), z_quantity(5, 2))
 
 
 def test_record_invariants():
@@ -250,52 +258,46 @@ def test_sine_parity_matches_quadratic_character():
 
 
 def test_exact_vs_modular_accumulation_small():
+    # the exact quintic sum against the kernel, the modular sums against the
+    # exact oracle
     for p in (3, 5, 7, 11, 13):
-        assert lhs_vanhamme(p, 3, "exact") == lhs_vanhamme(p, 3, "modular")
-        assert lhs_vanhamme_b(p, 4, "exact") == lhs_vanhamme_b(p, 4, "modular")
-        assert z_quantity(p, 3, "exact") == z_quantity(p, 3, "modular")
-        assert x_quantity(p, "exact") == x_quantity(p, "modular")
-        assert y_quantity(p, "exact") == y_quantity(p, "modular")
+        assert lhs_vanhamme(p, 3).value == _central_sum(p, 3, *QUINTIC)
+        assert lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION)
+        assert z_quantity(p, 3) == central_residue(p, 3, Z)
+        assert x_quantity(p) == residue_from_rational(x_sum(p), p, 1)
+        assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
 
 
 def test_exact_vs_modular_spot_large():
-    # spot-check the fast path against the exact one well past the small range
+    # spot-check each production route against the other one well past the
+    # small range
     for p in (97, 199):
-        assert x_quantity(p, "exact") == x_quantity(p, "modular")
-        assert y_quantity(p, "exact") == y_quantity(p, "modular")
-        assert lhs_vanhamme(p, 3, "exact") == lhs_vanhamme(p, 3, "modular")
-    assert lhs_vanhamme_b(499, 4, "exact") == lhs_vanhamme_b(499, 4, "modular")
-    # theorem_os_check takes the modular Z at every prime of the finite_field
-    # benchmark range
-    for p in range(3, 500, 2):
+        assert x_quantity(p) == residue_from_rational(x_sum(p), p, 1)
+        assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
+        assert lhs_vanhamme(p, 3).value == _central_sum(p, 3, *QUINTIC)
+    assert lhs_vanhamme_b(499, 4) == central_residue(499, 4, COMPANION)
+    # theorem_os_check and prop3_check take the modular Z at every prime of
+    # the finite_field and default_sweep benchmark ranges
+    for p in range(3, 1000, 2):
         if is_odd_prime(p):
-            assert z_quantity(p, 3, "exact") == z_quantity(p, 3, "modular")
+            assert z_quantity(p, 3) == central_residue(p, 3, Z)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 97, 199))
 def test_kept_quintic_sum_reduces_at_every_modulus(p):
-    # the exact sum is kept per prime and reduced at whatever modulus is asked
+    # the exact quintic sum is kept per prime and reduced at whatever
+    # modulus is asked; the kernel matches the exact oracle on every row
     for m in range(1, MAX_EXPONENT + 1):
-        assert lhs_vanhamme(p, m, "exact") == lhs_vanhamme(p, m, "modular")
+        assert lhs_vanhamme(p, m).value == _central_sum(p, m, *QUINTIC)
+        for row in ROWS:
+            assert _central_sum(p, m, *row) == central_residue(p, m, row).value
 
 
 def test_y_mod_p_squared_agrees_with_exact():
     # theorem_os_check consumes Y at precision p^2; validate that path
-    from supercong.supercongruence import _xy_mod
-
     for p in (3, 5, 7, 13, 29):
-        exact = _y_sum(p)
-        pm = p * p
-        expect = exact.numerator * pow(exact.denominator, -1, pm) % pm
-        assert _xy_mod(p, pm, False) == expect
-        exact_x = _x_sum(p)
-        expect_x = exact_x.numerator * pow(exact_x.denominator, -1, p) % p
-        assert _xy_mod(p, p, True) == expect_x
-
-
-def test_method_validation():
-    with pytest.raises(ValueError):
-        lhs_vanhamme(5, 3, "fast")
+        assert _xy_mod(p, p * p, False) == residue_from_rational(y_sum(p), p, 2).value
+        assert _xy_mod(p, p, True) == residue_from_rational(x_sum(p), p, 1).value
 
 
 def test_x_sum_random_p_integrality():
@@ -303,5 +305,5 @@ def test_x_sum_random_p_integrality():
     from supercong.exactnum import p_valuation
 
     for p in (3, 5, 7, 13, 31):
-        assert p_valuation(_x_sum(p), p) >= 1
-        assert p_valuation(_y_sum(p), p) >= 1
+        assert p_valuation(x_sum(p), p) >= 1
+        assert p_valuation(y_sum(p), p) >= 1
