@@ -4,7 +4,6 @@ Gaussian hypergeometric series over F_p, harmonic-sum decompositions,
 the terminating well-poised transformation, and the polynomial lemmas)."""
 
 from .classical_hg import (
-    HypergeomSpec,
     LowerParamPole,
     ParameterPole,
     PoleAtNonpositiveInteger,
@@ -20,17 +19,7 @@ from .classical_hg import (
     reflection_check,
     whipple_check,
 )
-from .exactnum import (
-    DenominatorDivisibleByP,
-    INFINITE_VALUATION,
-    ModulusMismatch,
-    NotAUnit,
-    Rational,
-    Residue,
-    is_odd_prime,
-    p_valuation,
-    residue_from_rational,
-)
+from .exactnum import DenominatorDivisibleByP, Residue, is_odd_prime, residue_from_rational
 from .gaussian_hg import gaussian_nFn_phi, legendre
 from .padic_gamma import (
     NotPIntegral,

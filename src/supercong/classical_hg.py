@@ -5,13 +5,7 @@ and double-precision partial sums of the two 1/pi-type series."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-from .exactnum import Rational
-
-RationalLike = Union[Rational, int]
 
 #: Largest n_terms of the float partial sums (about 5 s of work).
 MAX_SERIES_TERMS = 10**7
@@ -29,7 +23,7 @@ class PoleAtNonpositiveInteger(ArithmeticError):
     """Gamma limit requested at a nonpositive integer."""
 
 
-def pochhammer(a: RationalLike, n: int) -> Rational:
+def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -40,7 +34,7 @@ def pochhammer(a: RationalLike, n: int) -> Rational:
     return out
 
 
-def binom_half(k: int) -> Rational:
+def binom_half(k: int) -> Fraction:
     """Binomial coefficient with top -1/2: (-1)^k (1/2)_k / k!."""
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -55,36 +49,26 @@ def central_binom_identity_check(j: int) -> bool:
     return math.comb(2 * j, j) == 2 ** (2 * j) * (-1) ** j * binom_half(j)
 
 
-@dataclass(frozen=True)
-class HypergeomSpec:
-    """Parameters of a pFq series: upper a_1..a_p, lower b_1..b_q, argument z."""
-
-    upper: tuple
-    lower: tuple
-    z: Rational
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in self.lower))
-        object.__setattr__(self, "z", Fraction(self.z))
-
-
 def _poch_hits_zero(b: Fraction, n_terms: int) -> bool:
     # (b)_k = 0 for some k <= n_terms iff b in {0, -1, ..., -(n_terms-1)}
     return b.denominator == 1 and 0 >= b > -n_terms
 
 
-def hypergeom_terminating(spec: HypergeomSpec) -> Rational:
-    """Exact value of a terminating pFq as a finite rational sum.
+def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
+    """Exact value of the terminating pFq with upper parameters `upper`,
+    lower parameters `lower` and argument z, as a finite rational sum.
 
     Some upper parameter must be a nonpositive integer; the sum runs to the
     smallest such termination index.
     """
-    stops = [-int(a) for a in spec.upper if a.denominator == 1 and a <= 0]
+    upper = [Fraction(a) for a in upper]
+    lower = [Fraction(b) for b in lower]
+    z = Fraction(z)
+    stops = [-int(a) for a in upper if a.denominator == 1 and a <= 0]
     if not stops:
         raise ValueError("no upper parameter terminates the series")
     n_stop = min(stops)
-    for b in spec.lower:
+    for b in lower:
         if _poch_hits_zero(b, n_stop):
             raise LowerParamPole(f"lower parameter {b} is a pole within k<={n_stop}")
     total = Fraction(0)
@@ -94,20 +78,19 @@ def hypergeom_terminating(spec: HypergeomSpec) -> Rational:
     fact = 1
     for k in range(n_stop + 1):
         if k:
-            for a in spec.upper:
+            for a in upper:
                 num *= a + (k - 1)
-            for b in spec.lower:
+            for b in lower:
                 den *= b + (k - 1)
-            zk *= spec.z
+            zk *= z
             fact *= k
         total += num / den * zk / fact
     return total
 
 
-def whipple_check(
-    a: RationalLike, c: RationalLike, d: RationalLike, e: RationalLike, m: int
-) -> bool:
-    """Exact check of the terminating well-poised transformation with f = -m.
+def whipple_check(a, c, d, e, m: int) -> bool:
+    """Exact check of the terminating well-poised transformation with f = -m
+    at rational (Fraction or int) parameters a, c, d, e.
 
     The 6F5 at -1 with parameter row (a, 1+a/2, c, d, e, -m) must equal
     (1+a)_m / (1+a-e)_m times the 3F2 at 1 with upper row (1+a-c-d, e, -m).
@@ -126,13 +109,9 @@ def whipple_check(
     for g in (1 + a, 1 + a - e + m):
         if g.denominator == 1 and g <= 0:
             raise ParameterPole(f"{g} is a nonpositive integer")
-    lhs = hypergeom_terminating(
-        HypergeomSpec((a, 1 + a / 2, c, d, e, f), lhs_lower, Fraction(-1))
-    )
+    lhs = hypergeom_terminating((a, 1 + a / 2, c, d, e, f), lhs_lower, -1)
     prefactor = pochhammer(1 + a, m) / pochhammer(1 + a - e, m)
-    rhs = prefactor * hypergeom_terminating(
-        HypergeomSpec((1 + a - c - d, e, f), rhs_lower, Fraction(1))
-    )
+    rhs = prefactor * hypergeom_terminating((1 + a - c - d, e, f), rhs_lower, 1)
     return lhs == rhs
 
 
@@ -179,7 +158,7 @@ def entry20_target() -> float:
     return 4.0 / math.pi
 
 
-def gamma_limit_approx(x: RationalLike, n_steps: int) -> float:
+def gamma_limit_approx(x: Fraction | int, n_steps: int) -> float:
     """K-th term of the limit K! K^(x-1) / (x)_K defining Gamma(x)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

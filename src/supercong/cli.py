@@ -11,10 +11,10 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,22 +26,14 @@ from .classical_hg import (
     ramanujan_partial_sum,
     ramanujan_target,
 )
-from .exactnum import MAX_EXPONENT, MAX_PRIME, DenominatorDivisibleByP
+from .exactnum import MAX_EXPONENT, MAX_PRIME
 from .padic_gamma import NotPIntegral, gamma_p_rational
 
 
 #: primes handed to a worker process at a time
 _CHUNK = 4
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    prime_min: int
-    prime_max: int
-    statements: tuple
-    mod_power: Optional[int]
-    workers: int
-    fmt: str
+#: characters of a rejected gamma-p literal quoted in its error line
+_QUOTE = 40
 
 
 def _sieve_odd_primes(lo: int, hi: int) -> list:
@@ -114,12 +106,13 @@ def _emit(rows: list, fmt: str, out) -> None:
         )
 
 
-def cmd_verify(cfg: SweepConfig, out) -> int:
-    primes = _sieve_odd_primes(cfg.prime_min, cfg.prime_max)
-    tasks = [(p, cfg.statements, cfg.mod_power) for p in primes]
+def cmd_verify(
+    lo: int, hi: int, statements: tuple, mod_power: Optional[int], workers: int, fmt: str, out
+) -> int:
+    tasks = [(p, statements, mod_power) for p in _sieve_odd_primes(lo, hi)]
     # the pool forks all its workers at the first submit: never more than
     # the cores, nor than the chunks there are to hand out
-    workers = min(cfg.workers, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
+    workers = min(workers, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
     if workers <= 1:
         chunks = map(_prime_task, tasks)
     else:
@@ -127,17 +120,35 @@ def cmd_verify(cfg: SweepConfig, out) -> int:
             chunks = list(pool.map(_prime_task, tasks, chunksize=_CHUNK))
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda row: (row["statement"], row["p"]))
-    _emit(rows, cfg.fmt, out)
+    _emit(rows, fmt, out)
     return 1 if any(not row["pass"] for row in rows) else 0
 
 
 def cmd_gamma_p(x_literal: str, p: int, m: int, out) -> int:
+    # error lines quote a prefix of the literal, never all of it
+    shown = repr(x_literal[:_QUOTE] + ("..." if len(x_literal) > _QUOTE else ""))
     # Fraction() expands an exponent literal in full before any check can
     # bound it; the int digit limit already bounds the other literal forms
     if "e" in x_literal.lower():
-        raise ValueError(f"exponent literals are not accepted, got {x_literal!r}")
-    x = Fraction(x_literal)
-    out.write(f"{gamma_p_rational(x, p, m).value}\n")
+        raise ValueError(f"exponent literals are not accepted, got {shown}")
+    try:
+        x = Fraction(x_literal)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"{shown} has a zero denominator") from None
+    except ValueError:
+        # past Python's int digit limit, say so instead of its advice to
+        # raise the limit, which a command-line user cannot follow
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        longest = max(map(len, re.findall(r"\d+", x_literal)), default=0)
+        if limit and longest > limit:
+            message = f"{shown} has {longest} digits in a row; at most {limit} are read"
+            raise ValueError(message) from None
+        raise ValueError(f"{shown} is not an integer, a/b or decimal literal") from None
+    try:
+        value = gamma_p_rational(x, p, m).value
+    except NotPIntegral:
+        raise NotPIntegral(f"{shown} is not p-integral at p={p}") from None
+    out.write(f"{value}\n")
     return 0
 
 
@@ -176,9 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker processes (default: $SUPERCONG_WORKERS or 1), capped at "
-        "the core count and at one per 4 primes",
+        default=1,
+        help="worker processes (default: 1), capped at the core count and at "
+        "one per 4 primes",
     )
     verify.add_argument(
         "--format",
@@ -235,29 +246,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         if args.mod_power is not None and not 1 <= args.mod_power <= MAX_EXPONENT:
             return _usage_error(f"--mod-power must lie in 1..{MAX_EXPONENT}")
-        workers = args.workers
-        if workers is None:
-            env = os.environ.get("SUPERCONG_WORKERS", "1")
-            try:
-                workers = int(env)
-            except ValueError:
-                return _usage_error(f"SUPERCONG_WORKERS must be an integer, got {env!r}")
-        if workers < 1:
+        if args.workers < 1:
             return _usage_error("--workers must be positive")
-        cfg = SweepConfig(
-            prime_min=lo,
-            prime_max=hi,
-            statements=statements,
-            mod_power=args.mod_power,
-            workers=workers,
-            fmt=args.fmt,
-        )
-        return cmd_verify(cfg, out)
+        return cmd_verify(lo, hi, statements, args.mod_power, args.workers, args.fmt, out)
 
     if args.command == "gamma-p":
         try:
             return cmd_gamma_p(args.x, args.p, args.m, out)
-        except (NotPIntegral, DenominatorDivisibleByP, ValueError, ZeroDivisionError) as exc:
+        except (NotPIntegral, ValueError, ZeroDivisionError) as exc:
             return _usage_error(str(exc))
 
     if args.command == "series":

@@ -1,36 +1,20 @@
-"""Exact rationals and residue arithmetic modulo odd prime powers.
+"""Residues modulo odd prime powers and the checks at the API boundary.
 
-`Rational` is the stdlib `fractions.Fraction`: always in lowest terms,
-denominator positive, zero stored as 0/1.  `Residue` is a canonical element
-of Z/p^m for an odd prime p.  Everything here is immutable and pure.
+`Residue` is a validated value record: a canonical element of Z/p^m for an
+odd prime p, compared by value and modulus.  Production does its modular
+arithmetic on plain ints with `pow` and `%` and wraps only the results.
+Exact rationals are the stdlib `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
-
-Rational = Fraction
-
-#: p-adic order of zero.
-INFINITE_VALUATION = math.inf
-
-PValuation = Union[int, float]
 
 #: API-boundary caps; p**m must stay a comfortable bignum.
 MAX_PRIME = 10**6
 MAX_EXPONENT = 8
-
-
-class ModulusMismatch(ArithmeticError):
-    """Arithmetic between residues with different (p, m)."""
-
-
-class NotAUnit(ArithmeticError):
-    """Tried to invert a residue divisible by p."""
 
 
 class DenominatorDivisibleByP(ArithmeticError):
@@ -91,81 +75,11 @@ class Residue:
     def modulus(self) -> int:
         return self.p**self.m
 
-    def _coerce(self, other: Union["Residue", int]) -> "Residue":
-        if isinstance(other, int):
-            return Residue(other, self.p, self.m)
-        if not isinstance(other, Residue):
-            raise TypeError(f"cannot combine Residue with {type(other).__name__}")
-        if (other.p, other.m) != (self.p, self.m):
-            raise ModulusMismatch(
-                f"residues mod {self.p}^{self.m} and {other.p}^{other.m}"
-            )
-        return other
 
-    def __add__(self, other: Union["Residue", int]) -> "Residue":
-        other = self._coerce(other)
-        return Residue(self.value + other.value, self.p, self.m)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.p, self.m)
-
-    def __sub__(self, other: Union["Residue", int]) -> "Residue":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Union["Residue", int]) -> "Residue":
-        return self._coerce(other) - self
-
-    def __mul__(self, other: Union["Residue", int]) -> "Residue":
-        other = self._coerce(other)
-        return Residue(self.value * other.value, self.p, self.m)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Residue":
-        if self.value % self.p == 0:
-            raise NotAUnit(f"{self.value} is divisible by {self.p}")
-        return Residue(pow(self.value, -1, self.modulus), self.p, self.m)
-
-    def __pow__(self, k: int) -> "Residue":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return Residue(pow(self.value, k, self.modulus), self.p, self.m)
-
-    def reduce(self, m: int) -> "Residue":
-        """Drop precision to p**m (m <= self.m)."""
-        if m > self.m:
-            raise ValueError("cannot raise precision")
-        return Residue(self.value, self.p, m)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def residue_from_rational(q: Rational, p: int, m: int) -> Residue:
+def residue_from_rational(q: Fraction | int, p: int, m: int) -> Residue:
     """Image of a p-integral rational in Z/p^m."""
     q = Fraction(q)
     pm = check_modulus(p, m)
     if q.denominator % p == 0:
         raise DenominatorDivisibleByP(f"denominator of {q} is divisible by {p}")
     return Residue(q.numerator * pow(q.denominator, -1, pm), p, m)
-
-
-def p_valuation(q: Rational, p: int) -> PValuation:
-    """Order of p in q; +inf for q = 0."""
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    q = Fraction(q)
-    if q == 0:
-        return INFINITE_VALUATION
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v

@@ -56,9 +56,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
-from .exactnum import Rational, Residue, check_modulus
+from .exactnum import Residue, check_modulus
 
 
 class NotPIntegral(ArithmeticError):
@@ -79,8 +78,7 @@ def _range_product(lo: int, hi: int, mod: int) -> int:
 
 
 def _valuation(n: int, p: int) -> int:
-    """v_p(n) for an integer n != 0, without p_valuation's checks on p and
-    its Fraction handling, which would dominate the series loops below."""
+    """v_p(n) for an integer n != 0: the one p-adic valuation of the package."""
     v = 0
     while n % p == 0:
         n //= p
@@ -196,7 +194,7 @@ def gamma_p_int(n: int, p: int, m: int) -> Residue:
     return Residue(core, p, m)
 
 
-def product_bound(x: Union[Rational, int], p: int, m: int) -> int:
+def product_bound(x: Fraction | int, p: int, m: int) -> int:
     """Number of factors (bound) in the defining product used for x mod p^m.
 
     Exposed so that the block route can be checked against the plain
@@ -209,7 +207,7 @@ def product_bound(x: Union[Rational, int], p: int, m: int) -> int:
     return x.numerator * pow(x.denominator, -1, pm) % pm
 
 
-def gamma_p_rational(x: Union[Rational, int], p: int, m: int) -> Residue:
+def gamma_p_rational(x: Fraction | int, p: int, m: int) -> Residue:
     """gamma_p at a p-integral rational (integers pass straight through)."""
     n = product_bound(x, p, m)
     return gamma_p_int(n, p, m)

@@ -7,9 +7,12 @@ The truncated sums share one shape, the sum over k <= (p-1)/2 of
 it mod p^m (every denominator in range is a p-unit).  Production runs two
 routes: the kernel, for the mod-p^4 companion and Z, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
-X and Y are per-term residue sums over harmonic prefix tables.  The exact
-twins of the modular sums live in `tests/exact_oracle.py`, which the
-suite holds production against.  Two layers are kept for the last prime
+X and Y are per-term residue sums over harmonic prefix tables.  One
+walker, `_pochhammer_pairs`, carries the paired Pochhammer ratios that
+both the Pochhammer-pair congruences and the well-poised instance read.
+The exact twins of the modular sums and the instance's four separate
+Pochhammer products live in `tests/exact_oracle.py`, which the suite
+holds production against.  Two layers are kept for the last prime
 asked, so the statements that share them compute them once per prime:
 the exact quintic sum (vanhamme_a, prop3), reduced at each caller's
 modulus, and p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .exactnum import MAX_PRIME, Rational, Residue, check_modulus, residue_from_rational
+from .exactnum import MAX_PRIME, Residue, check_modulus, residue_from_rational
 from .gaussian_hg import gaussian_nFn_phi, legendre
 from .padic_gamma import gamma_p_rational, rhs_vanhamme
 
@@ -49,8 +52,15 @@ def _record(statement: str, p: int, lhs: Residue, rhs: Residue) -> VerificationR
 
 
 def _inverses(n: int, pm: int) -> list:
-    """Modular inverses of 1..n mod pm (all are p-units for n < p)."""
-    return [0] + [pow(i, -1, pm) for i in range(1, n + 1)]
+    """Modular inverses of 1..n mod pm = p^m, for n < p, at index i.
+
+    pm = (pm // i) i + pm % i, and pm % i is a nonzero unit below i, so
+    1/i = -(pm // i) / (pm % i): one multiplication per entry, no inversion.
+    """
+    inv = [0, 1] + [0] * (n - 1)
+    for i in range(2, n + 1):
+        inv[i] = -(pm // i) * inv[pm % i] % pm
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +87,7 @@ def _central_sum(p: int, m: int, a: int, b: int, e: int, r: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _quintic_sum(p: int) -> Rational:
+def _quintic_sum(p: int) -> Fraction:
     """The exact sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, kept for
     the last prime asked: vanhamme_a and prop3 read it at one prime, each
     at its own modulus."""
@@ -249,102 +259,71 @@ def cor5_check(p: int, m: int = 3) -> VerificationRecord:
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer-pair congruences
+# Pochhammer pairs: the congruences and the well-poised instance
+#
+# The instance's parameters come in complex-conjugate pairs, 1/2 +- ip/2
+# over their lower partners 1 -+ ip/2, and in real mirror pairs, 1/2 +- p/2
+# over 1 -+ p/2.  Each pair multiplies to a rational, so every term is
+# exact; the congruences and the instance read the same running ratios.
+
+
+def _pochhammer_pairs(p: int):
+    """Yield (k, binom(-1/2,k), Q_k, R_k) for 0 <= k <= (p-1)/2, where
+
+        Q_k = prod_{r<k} ((r+1/2)^2 + p^2/4)((r+1/2)^2 - p^2/4)
+                         / (((r+1)^2 + p^2/4)((r+1)^2 - p^2/4)),
+        R_k = prod_{r<k} ((r+1/2)^2 - p^2/4) / ((r+1)^2 + p^2/4).
+
+    With r = k-1 the factors scale by 4 to (2k-1)^2 +- p^2 over (2k)^2 +- p^2,
+    so each step is one integer ratio; (2k)^2 - p^2 never vanishes for odd p.
+    """
+    p2 = p * p
+    bk = qk = rk = Fraction(1)
+    for k in range((p - 1) // 2 + 1):
+        if k:
+            odd, even = (2 * k - 1) ** 2, (2 * k) ** 2
+            bk *= Fraction(1 - 2 * k, 2 * k)
+            qk *= Fraction((odd + p2) * (odd - p2), (even + p2) * (even - p2))
+            rk *= Fraction(odd - p2, even + p2)
+        yield k, bk, qk, rk
+
 
 def poch_congruence_checks(p: int) -> list:
     """All four Pochhammer-pair congruences for 0 <= k <= (p-1)/2.
 
     Returns one record per (identity, k); every ratio in sight is a p-unit,
     so the residue reductions are well defined at the stated precisions.
+    The shifted sides are the binomials C(m+k,k) C(m,k) and
+    C(m+k,m) = (k+1)_m / m! with m = (p-1)/2; the conjugate and real sides
+    are Q_k and R_k.
     """
     m = (p - 1) // 2
-    mfact = math.factorial(m)
-    quarter = Fraction(p * p, 4)
-    half = Fraction(1, 2)
     records = []
-    bk = Fraction(1)  # binom(-1/2, k)
-    shift_num = 1  # C(m+k, k) * C(m, k)
-    conj_num = Fraction(1)  # prod ((r+1/2)^2 + p^2/4)((r+1/2)^2 - p^2/4)
-    conj_den = Fraction(1)  # prod ((r+1)^2 + p^2/4)((r+1)^2 - p^2/4)
-    real_num = Fraction(1)  # prod ((r+1/2)^2 - p^2/4)
-    real_den = Fraction(1)  # prod ((r+1)^2 + p^2/4)
-    for k in range(m + 1):
-        if k:
-            bk *= Fraction(-(2 * k - 1), 2 * k)
-            shift_num = math.comb(m + k, k) * math.comb(m, k)
-            r = k - 1
-            plus = (r + half) ** 2 + quarter
-            minus = (r + half) ** 2 - quarter
-            dplus = (r + 1) ** 2 + quarter
-            dminus = (r + 1) ** 2 - quarter
-            conj_num *= plus * minus
-            conj_den *= dplus * dminus
-            real_num *= minus
-            real_den *= dplus
-        poch_tail = Fraction(
-            math.prod(range(k + 1, k + m + 1)), mfact
-        )
-        sign = -1 if k % 2 else 1
+    for k, bk, qk, rk in _pochhammer_pairs(p):
+        signed = -bk if k % 2 else bk  # (-1)^k binom(-1/2,k) = (1/2)_k / k!
         pairs = (
-            ("poch_shift_square", 2, Fraction(shift_num), sign * bk * bk),
-            ("poch_shift_linear", 1, sign * bk, poch_tail),
-            ("poch_conj_quartic", 4, conj_num / conj_den, bk**4),
-            ("poch_real_square", 2, real_num / real_den, bk * bk),
+            ("poch_shift_square", 2, math.comb(m + k, k) * math.comb(m, k), signed * bk),
+            ("poch_shift_linear", 1, signed, math.comb(m + k, m)),
+            ("poch_conj_quartic", 4, qk, bk**4),
+            ("poch_real_square", 2, rk, bk * bk),
         )
         for name, mm, lhs_q, rhs_q in pairs:
-            records.append(
-                _record(
-                    name,
-                    p,
-                    residue_from_rational(lhs_q, p, mm),
-                    residue_from_rational(rhs_q, p, mm),
-                )
-            )
+            lhs = residue_from_rational(lhs_q, p, mm)
+            records.append(_record(name, p, lhs, residue_from_rational(rhs_q, p, mm)))
     return records
 
 
-# ---------------------------------------------------------------------------
-# the specialized well-poised transformation instance
-
-
 def whipple_instance_terms(p: int):
-    """Per-term values of both sides of the specialized transformation.
-
-    The parameters come in complex-conjugate pairs (1/2 +- ip/2 and their
-    lower partners 1 -+ ip/2) and in real mirror pairs (1/2 +- p/2 against
-    1 -+ p/2); multiplying each pair together makes every term an exact
-    rational.  Both sides terminate at k = (p-1)/2 because (1/2 - p/2)_k
-    vanishes beyond that index.
+    """Per-term values of both sides of the specialized transformation:
+    (4k+1) binom(-1/2,k) Q_k on the 6F5 side and (1/2)_k / k! R_k on the
+    3F2 side.  (5/4)_k / (1/4)_k = 4k+1.  Both sides terminate at
+    k = (p-1)/2 because (1/2 - p/2)_k vanishes beyond that index.
     """
-    m = (p - 1) // 2
-    half = Fraction(1, 2)
-    quarter_p2 = Fraction(p * p, 4)
     lhs_terms = []
     rhs_terms = []
-    poch_half = Fraction(1)  # (1/2)_k
-    ratio_54_14 = Fraction(1)  # (5/4)_k / (1/4)_k = 4k+1, kept as a product
-    conj_cd = Fraction(1)  # (1/2+ip/2)_k (1/2-ip/2)_k
-    conj_cd_low = Fraction(1)  # (1-ip/2)_k (1+ip/2)_k
-    pair_ef = Fraction(1)  # (1/2+p/2)_k (1/2-p/2)_k
-    pair_ef_low = Fraction(1)  # (1-p/2)_k (1+p/2)_k
-    fact = 1
-    sign = 1
-    for k in range(m + 1):
-        if k:
-            r = k - 1
-            poch_half *= half + r
-            ratio_54_14 *= (Fraction(5, 4) + r) / (Fraction(1, 4) + r)
-            conj_cd *= (r + half) ** 2 + quarter_p2
-            conj_cd_low *= (r + 1) ** 2 + quarter_p2
-            pair_ef *= (r + half) ** 2 - quarter_p2
-            pair_ef_low *= (r + 1) ** 2 - quarter_p2
-            fact *= k
-            sign = -sign
-        lhs_terms.append(
-            sign * poch_half * ratio_54_14 * conj_cd * pair_ef
-            / (conj_cd_low * pair_ef_low * fact)
-        )
-        rhs_terms.append(poch_half * pair_ef / (conj_cd_low * fact))
+    for k, bk, qk, rk in _pochhammer_pairs(p):
+        lhs_terms.append((4 * k + 1) * bk * qk)
+        rhs_terms.append((-bk if k % 2 else bk) * rk)
     return lhs_terms, rhs_terms
 
 
@@ -385,11 +364,11 @@ class Statement:
 
 # The O(p^2) Gaussian series of thm_os and cor5 and the exact rationals of
 # the well-poised instance, whose cost grows like p^3, cap their statements
-# at the largest prime at which one check took about 5 s on a 2-vCPU host
-# (Python 3.11): theorem_os_check(5101) 4.9 s, whipple_instance_check(2089)
-# 4.7-5.1 s.
+# at the largest prime at which one check, alone in a fresh process, took
+# about 5 s on a 2-vCPU host (Python 3.11): theorem_os_check(5101) 4.9 s,
+# whipple_instance_check(3989) 4.7-4.8 s (4099: 5.0-5.4 s).
 FINITE_FIELD_MAX_P = 5101
-WHIPPLE_INST_MAX_P = 2089
+WHIPPLE_INST_MAX_P = 3989
 # The exact quintic sum that vanhamme_a and prop3 read also grows like p^3
 # and caps both the same way, timed alone in a fresh process with the sum
 # not yet kept: vanhamme_verify(7703) 4.3-5.1 s, prop3_check(7703)

@@ -1,6 +1,7 @@
 """Exact-rational twins of the modular truncated sums of
 `supercong.supercongruence`: the reduce-once oracle the suite holds the
-production routes against.
+production routes against, and the well-poised instance's terms built
+from its four separate Pochhammer products.
 
 Every sum here is accumulated in Fractions and reduced mod p^m once, at
 the end; every denominator in range is a p-unit.  The central-binomial
@@ -78,3 +79,34 @@ def y_sum(p: int) -> Fraction:
         dmid = h1[m + j] - h1[m - j]
         total += w * (1 + 3 * j * d1 - Fraction(3, 2) * j * dmid)
     return total
+
+
+def whipple_instance_terms(p: int):
+    """Per-term values of both sides of the specialized well-poised
+    transformation, each Pochhammer product kept on its own: (1/2)_k,
+    (5/4)_k / (1/4)_k, the conjugate pairs (1/2 +- ip/2)_k over
+    (1 -+ ip/2)_k, the mirror pairs (1/2 +- p/2)_k over (1 -+ p/2)_k, k!."""
+    half = Fraction(1, 2)
+    quarter_p2 = Fraction(p * p, 4)
+    lhs_terms = []
+    rhs_terms = []
+    poch_half = ratio_54_14 = conj_cd = conj_cd_low = pair_ef = pair_ef_low = Fraction(1)
+    fact = 1
+    sign = 1
+    for k in range((p - 1) // 2 + 1):
+        if k:
+            r = k - 1
+            poch_half *= half + r
+            ratio_54_14 *= (Fraction(5, 4) + r) / (Fraction(1, 4) + r)
+            conj_cd *= (r + half) ** 2 + quarter_p2
+            conj_cd_low *= (r + 1) ** 2 + quarter_p2
+            pair_ef *= (r + half) ** 2 - quarter_p2
+            pair_ef_low *= (r + 1) ** 2 - quarter_p2
+            fact *= k
+            sign = -sign
+        lhs_terms.append(
+            sign * poch_half * ratio_54_14 * conj_cd * pair_ef
+            / (conj_cd_low * pair_ef_low * fact)
+        )
+        rhs_terms.append(poch_half * pair_ef / (conj_cd_low * fact))
+    return lhs_terms, rhs_terms

@@ -9,7 +9,6 @@ import pytest
 
 from supercong.classical_hg import (
     MAX_SERIES_TERMS,
-    HypergeomSpec,
     LowerParamPole,
     ParameterPole,
     PoleAtNonpositiveInteger,
@@ -69,7 +68,7 @@ def test_hypergeom_terminating_zero_upper():
         upper = (Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
         lower = (Fraction(rng.randint(1, 9), rng.randint(1, 5)),)
         z = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        assert hypergeom_terminating(HypergeomSpec(upper, lower, z)) == 1
+        assert hypergeom_terminating(upper, lower, z) == 1
 
 
 def test_hypergeom_terminating_two_terms():
@@ -78,22 +77,19 @@ def test_hypergeom_terminating_two_terms():
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         c = Fraction(rng.randint(1, 9), rng.randint(1, 7))
         z = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        got = hypergeom_terminating(HypergeomSpec((Fraction(-1), b), (c,), z))
+        got = hypergeom_terminating((Fraction(-1), b), (c,), z)
         assert got == 1 - b * z / c
 
 
 def test_hypergeom_terminating_pole_detection():
+    # int parameters are normalised to Fractions inside
     with pytest.raises(LowerParamPole):
-        hypergeom_terminating(
-            HypergeomSpec((Fraction(-3), Fraction(1)), (Fraction(-1),), Fraction(1))
-        )
+        hypergeom_terminating((-3, 1), (-1,), 1)
     # a pole past the termination index is harmless
-    value = hypergeom_terminating(
-        HypergeomSpec((Fraction(-1), Fraction(1)), (Fraction(-5),), Fraction(1))
-    )
+    value = hypergeom_terminating((-1, 1), (-5,), 1)
     assert value == 1 - Fraction(1, -5)
     with pytest.raises(ValueError):
-        hypergeom_terminating(HypergeomSpec((Fraction(1, 2),), (), Fraction(1)))
+        hypergeom_terminating((Fraction(1, 2),), (), Fraction(1))
 
 
 def test_whipple_example():

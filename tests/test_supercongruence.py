@@ -17,12 +17,14 @@ from exact_oracle import (
     x_sum,
     y_sum,
 )
+from exact_oracle import whipple_instance_terms as four_product_terms
 from supercong.classical_hg import binom_half
 from supercong.exactnum import MAX_EXPONENT, is_odd_prime, residue_from_rational
 from supercong.gaussian_hg import legendre
 from supercong.supercongruence import (
     STATEMENTS,
     _central_sum,
+    _inverses,
     _xy_mod,
     cor5_check,
     lemma1_check,
@@ -115,7 +117,7 @@ def test_gamma_half_square_observed_sign():
 
     for p in (3, 5, 7, 13, 29):
         g = gamma_p_rational(Fraction(1, 2), p, 3)
-        assert (g * g).value == (-legendre(-1, p)) % p**3
+        assert g.value * g.value % p**3 == (-legendre(-1, p)) % p**3
 
 
 def test_rhs_vanhamme_b_agrees_with_full_precision_gamma():
@@ -241,6 +243,13 @@ def test_whipple_instance_small():
     assert sum(lhs_terms) == legendre(-1, 3) * 3 * sum(rhs_terms)
 
 
+def test_whipple_instance_terms_match_the_four_product_oracle():
+    # the walker's running ratios against the separate Pochhammer products,
+    # as exact Fractions, term by term
+    for p in filter(is_odd_prime, range(3, 98)):
+        assert whipple_instance_terms(p) == four_product_terms(p)
+
+
 def test_whipple_instance_matches_quintic_sum_termwise():
     # each term of the paired 6F5 side reduces to (4k+1) binom(-1/2,k)^5 mod p^4
     for p in (3, 5, 7, 13):
@@ -250,6 +259,14 @@ def test_whipple_instance_matches_quintic_sum_termwise():
             target = (4 * k + 1) * binom_half(k) ** 5
             diff = term - target
             assert residue_from_rational(diff, p, 4).value == 0
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("p", (3, 5, 7, 97, 997))
+def test_inverse_table_matches_pow(p, m):
+    # the recurrence 1/i = -(pm // i) / (pm % i) against one inversion per i
+    pm = p**m
+    assert _inverses(p - 1, pm)[1:] == [pow(i, -1, pm) for i in range(1, p)]
 
 
 def test_sine_parity_matches_quadratic_character():
@@ -301,9 +318,7 @@ def test_y_mod_p_squared_agrees_with_exact():
 
 
 def test_x_sum_random_p_integrality():
-    # the exact reduced forms are p-integral before reduction
-    from supercong.exactnum import p_valuation
-
+    # the exact reduced forms are p-integral and divisible by p: v_p >= 1
     for p in (3, 5, 7, 13, 31):
-        assert p_valuation(x_sum(p), p) >= 1
-        assert p_valuation(y_sum(p), p) >= 1
+        assert residue_from_rational(x_sum(p), p, 1).value == 0
+        assert residue_from_rational(y_sum(p), p, 1).value == 0
