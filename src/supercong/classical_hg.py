@@ -1,6 +1,7 @@
 """Classical hypergeometric side: Pochhammer symbols, half-integer binomials,
 exact terminating pFq sums, the well-poised 6F5(-1) -> 3F2(1) transformation,
-and double-precision partial sums of the two 1/pi-type series."""
+and double-precision partial sums of Ramanujan's two series, both summed by
+one float kernel over the rows that `supercongruence._central_sum` reduces."""
 
 from __future__ import annotations
 
@@ -120,16 +121,29 @@ def _check_n_terms(n_terms: int) -> None:
         raise ValueError(f"n_terms must lie in 0..{MAX_SERIES_TERMS}, got {n_terms}")
 
 
-def ramanujan_partial_sum(n_terms: int) -> float:
-    """Partial sum of sum_k (4k+1) binom(-1/2,k)^5 through k = n_terms."""
+def _central_series(n_terms: int, a: int, b: int, e: int, r: int) -> float:
+    """Float partial sum of sum_k (ak+b) C(2k,k)^e / r^k through k = n_terms.
+
+    The term ratio (2(2k-1)/k)^e / r is stepped as c = C(2k,k) / 4^k, times
+    (2k-1)/(2k) and raised to e per term, and a scale (4^e/r)^k, which is
+    exact for both rows (4^e/r is -1 and 1/4): only c carries rounding, and
+    each sum equals the per-series loops of `tests/exact_oracle.py` bit for bit.
+    """
     _check_n_terms(n_terms)
     s = 0.0
-    b = 1.0
+    c = scale = 1.0
+    step = 4**e / r
     for k in range(n_terms + 1):
         if k:
-            b *= -(2 * k - 1) / (2 * k)
-        s += (4 * k + 1) * b**5
+            c *= (2 * k - 1) / (2 * k)
+            scale *= step
+        s += (a * k + b) * scale * c**e
     return s
+
+
+def ramanujan_partial_sum(n_terms: int) -> float:
+    """Partial sum of sum_k (4k+1) binom(-1/2,k)^5 through k = n_terms."""
+    return _central_series(n_terms, 4, 1, 5, -1024)
 
 
 def ramanujan_target() -> float:
@@ -139,18 +153,7 @@ def ramanujan_target() -> float:
 
 def entry20_partial_sum(n_terms: int) -> float:
     """Partial sum of sum_k (-1)^k (6k+1) 4^-k binom(-1/2,k)^3."""
-    _check_n_terms(n_terms)
-    s = 0.0
-    b = 1.0
-    q = 1.0
-    sign = 1
-    for k in range(n_terms + 1):
-        if k:
-            b *= -(2 * k - 1) / (2 * k)
-            q *= 0.25
-            sign = -sign
-        s += sign * (6 * k + 1) * q * b**3
-    return s
+    return _central_series(n_terms, 6, 1, 3, 256)
 
 
 def entry20_target() -> float:

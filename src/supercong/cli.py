@@ -26,13 +26,13 @@ from .classical_hg import (
     ramanujan_partial_sum,
     ramanujan_target,
 )
-from .exactnum import MAX_EXPONENT, MAX_PRIME
-from .padic_gamma import NotPIntegral, gamma_p_rational
+from .exactnum import MAX_EXPONENT, MAX_PRIME, NotPIntegral
+from .padic_gamma import gamma_p_rational
 
 
 #: primes handed to a worker process at a time
 _CHUNK = 4
-#: characters of a rejected gamma-p literal quoted in its error line
+#: characters of a rejected argument quoted in its error line
 _QUOTE = 40
 
 
@@ -47,6 +47,19 @@ def _sieve_odd_primes(lo: int, hi: int) -> list:
         if flags[q]:
             flags[q * q :: q] = b"\x00" * len(range(q * q, size, q))
     return [n for n in range(max(lo, 3), size) if flags[n] and n % 2]
+
+
+def _shown(text: str) -> str:
+    """An argument as its error line quotes it: a prefix, never all of it."""
+    return repr(text[:_QUOTE] + ("..." if len(text) > _QUOTE else ""))
+
+
+def _integer(text: str) -> int:
+    """The argparse type of every integer argument."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def _prime_task(args) -> list:
@@ -80,17 +93,8 @@ def _emit(rows: list, fmt: str, out) -> None:
         writer = csv.writer(out)
         writer.writerow(["statement", "p", "lhs", "rhs", "modulus", "pass", "millis"])
         for row in rows:
-            writer.writerow(
-                [
-                    row["statement"],
-                    row["p"],
-                    row["lhs"],
-                    row["rhs"],
-                    row["modulus"],
-                    "true" if row["pass"] else "false",
-                    f"{row['millis']:.3f}",
-                ]
-            )
+            *head, passed, millis = row.values()
+            writer.writerow([*head, "true" if passed else "false", f"{millis:.3f}"])
     else:
         failures = 0
         for row in rows:
@@ -125,8 +129,7 @@ def cmd_verify(
 
 
 def cmd_gamma_p(x_literal: str, p: int, m: int, out) -> int:
-    # error lines quote a prefix of the literal, never all of it
-    shown = repr(x_literal[:_QUOTE] + ("..." if len(x_literal) > _QUOTE else ""))
+    shown = _shown(x_literal)
     # Fraction() expands an exponent literal in full before any check can
     # bound it; the int digit limit already bounds the other literal forms
     if "e" in x_literal.lower():
@@ -179,14 +182,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--primes", required=True, metavar="A..B", help="prime range")
     verify.add_argument(
         "--mod-power",
-        type=int,
+        type=_integer,
         default=None,
         help="modulus exponent override for "
         + " / ".join(s for s, entry in sc.STATEMENTS.items() if entry.default_m is not None),
     )
     verify.add_argument(
         "--workers",
-        type=int,
+        type=_integer,
         default=1,
         help="worker processes (default: 1), capped at the core count and at "
         "one per 4 primes",
@@ -200,12 +203,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gamma = sub.add_parser("gamma-p", help="p-adic Gamma at a rational argument")
     gamma.add_argument("x", help="integer, a/b or decimal literal, e.g. 3/4")
-    gamma.add_argument("p", type=int)
-    gamma.add_argument("m", type=int)
+    gamma.add_argument("p", type=_integer)
+    gamma.add_argument("m", type=_integer)
 
     series = sub.add_parser("series", help="partial sums of the two classical series")
     series.add_argument("which", choices=("ramanujan", "entry20"))
-    series.add_argument("n_terms", type=int, help=f"0..{MAX_SERIES_TERMS}")
+    series.add_argument("n_terms", type=_integer, help=f"0..{MAX_SERIES_TERMS}")
 
     return parser
 
@@ -222,26 +225,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "verify":
         try:
-            lo_str, hi_str = args.primes.split("..", 1)
-            lo, hi = int(lo_str), int(hi_str)
+            lo, hi = map(int, args.primes.split("..", 1))
         except ValueError:
-            return _usage_error(f"--primes expects A..B, got {args.primes!r}")
+            return _usage_error(f"--primes expects A..B, got {_shown(args.primes)}")
         if lo < 2 or lo > hi:
-            return _usage_error(f"invalid prime range {args.primes!r}")
+            return _usage_error(f"invalid prime range {_shown(args.primes)}")
         if hi > MAX_PRIME:
-            return _usage_error(f"prime range {args.primes!r} exceeds the {MAX_PRIME} cap")
+            return _usage_error(f"prime range {_shown(args.primes)} exceeds the {MAX_PRIME} cap")
         statements = tuple(s for s in args.statements.split(",") if s)
         if not statements:
             return _usage_error("empty statement set")
         unknown = [s for s in statements if s not in sc.STATEMENTS]
         if unknown:
             return _usage_error(
-                f"unknown statements {unknown}; choose from {list(sc.STATEMENTS)}"
+                f"unknown statements {_shown(','.join(unknown))}; "
+                f"choose from {','.join(sc.STATEMENTS)}"
             )
         capped = [s for s in statements if hi > sc.STATEMENTS[s].max_p]
         if capped:
             return _usage_error(
-                f"prime range {args.primes!r} exceeds the cap of "
+                f"prime range {_shown(args.primes)} exceeds the cap of "
                 + ", ".join(f"{s} ({sc.STATEMENTS[s].max_p})" for s in capped)
             )
         if args.mod_power is not None and not 1 <= args.mod_power <= MAX_EXPONENT:

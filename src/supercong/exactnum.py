@@ -17,7 +17,7 @@ MAX_PRIME = 10**6
 MAX_EXPONENT = 8
 
 
-class DenominatorDivisibleByP(ArithmeticError):
+class NotPIntegral(ArithmeticError):
     """The rational has no image in Z/p^m: p divides its denominator."""
 
 
@@ -45,17 +45,22 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+def _brief(n: int) -> str:
+    """n in decimal while it is short: an error line never carries a huge integer."""
+    return str(n) if abs(n) < 10**40 else f"<{n.bit_length()}-bit integer>"
+
+
+@lru_cache(maxsize=16)  # one prime touches at most six (p, m) pairs
 def check_modulus(p: int, m: int) -> int:
-    """Validate (p, m) once and return p**m."""
+    """Validate (p, m) and return p**m; recent pairs come from the cache."""
     if not isinstance(p, int) or not isinstance(m, int):
         raise TypeError("p and m must be integers")
     if not 1 <= m <= MAX_EXPONENT:
-        raise ValueError(f"exponent m={m} outside 1..{MAX_EXPONENT}")
+        raise ValueError(f"exponent m={_brief(m)} outside 1..{MAX_EXPONENT}")
     if p > MAX_PRIME:
-        raise ValueError(f"prime {p} exceeds the {MAX_PRIME} cap")
+        raise ValueError(f"prime {_brief(p)} exceeds the {MAX_PRIME} cap")
     if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+        raise ValueError(f"{_brief(p)} is not an odd prime")
     return p**m
 
 
@@ -77,9 +82,9 @@ class Residue:
 
 
 def residue_from_rational(q: Fraction | int, p: int, m: int) -> Residue:
-    """Image of a p-integral rational in Z/p^m."""
+    """Image of a p-integral rational in Z/p^m: numerator / denominator mod p^m."""
     q = Fraction(q)
     pm = check_modulus(p, m)
     if q.denominator % p == 0:
-        raise DenominatorDivisibleByP(f"denominator of {q} is divisible by {p}")
+        raise NotPIntegral(f"{q} is not p-integral at p={p}")
     return Residue(q.numerator * pow(q.denominator, -1, pm), p, m)

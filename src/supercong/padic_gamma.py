@@ -1,4 +1,5 @@
-"""The p-adic Gamma function at integers and at p-integral rationals.
+"""The p-adic Gamma function at integers and at p-integral rationals, and
+the Gamma sides -p / gamma_p(x)^k of both Van Hamme congruences.
 
 gamma_p(n) for an integer n >= 0 is (-1)^n times the product of all j < n
 coprime to p.  A p-integral rational x is handled through the least
@@ -57,11 +58,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Residue, check_modulus
-
-
-class NotPIntegral(ArithmeticError):
-    """Argument has negative p-adic valuation."""
+from .exactnum import Residue, check_modulus, residue_from_rational
 
 
 _CHUNK = 64  # factors multiplied as plain integers before each reduction
@@ -195,34 +192,33 @@ def gamma_p_int(n: int, p: int, m: int) -> Residue:
 
 
 def product_bound(x: Fraction | int, p: int, m: int) -> int:
-    """Number of factors (bound) in the defining product used for x mod p^m.
-
-    Exposed so that the block route can be checked against the plain
-    product of this length.
-    """
-    pm = check_modulus(p, m)
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise NotPIntegral(f"{x} is not p-integral at p={p}")
-    return x.numerator * pow(x.denominator, -1, pm) % pm
+    """Length of the defining product used for x mod p^m: x's residue.
+    Exposed so that the block route can be checked against the plain product."""
+    return residue_from_rational(x, p, m).value
 
 
 def gamma_p_rational(x: Fraction | int, p: int, m: int) -> Residue:
     """gamma_p at a p-integral rational (integers pass straight through)."""
-    n = product_bound(x, p, m)
-    return gamma_p_int(n, p, m)
+    return gamma_p_int(product_bound(x, p, m), p, m)
+
+
+def _minus_p_over_gamma_power(x: Fraction, k: int, p: int, m: int) -> Residue:
+    """-p / gamma_p(x)^k mod p^m, exact although the leading factor p lets
+    gamma_p(x) run at p^(m-1): the Gamma side of both Van Hamme congruences."""
+    prec = max(m - 1, 1)
+    g = gamma_p_rational(x, p, prec)
+    return Residue(-p * pow(g.value, -k, p**prec), p, m)
 
 
 def rhs_vanhamme(p: int, m: int = 3) -> Residue:
-    """-p / gamma_p(3/4)^4 mod p^m when p = 1 mod 4, else 0.
-
-    The leading factor p means gamma_p(3/4) is only needed mod p^(m-1);
-    the returned residue is exactly the full-precision value mod p^m.
-    """
+    """-p / gamma_p(3/4)^4 mod p^m when p = 1 mod 4, else 0 (the quintic)."""
     check_modulus(p, m)
     if p % 4 == 3:
         return Residue(0, p, m)
-    prec = max(m - 1, 1)
-    g = gamma_p_rational(Fraction(3, 4), p, prec)
-    u = pow(g.value, -4, p**prec)
-    return Residue(-p * u, p, m)
+    return _minus_p_over_gamma_power(Fraction(3, 4), 4, p, m)
+
+
+def rhs_vanhamme_b(p: int, m: int = 4) -> Residue:
+    """-p / gamma_p(1/2)^2 mod p^m (the mod-p^4 companion)."""
+    check_modulus(p, m)
+    return _minus_p_over_gamma_power(Fraction(1, 2), 2, p, m)

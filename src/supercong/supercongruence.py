@@ -1,6 +1,7 @@
 """Truncated Van Hamme sums, the harmonic-sum quantities X/Y/Z at
 (lambda, n) = (1, 2), the specialized well-poised transformation with
-conjugate-paired parameters, and the per-prime verification records.
+conjugate-paired parameters, and the per-prime verification records; the
+Gamma sides of both congruences come from `padic_gamma`.
 
 The truncated sums share one shape, the sum over k <= (p-1)/2 of
 (ak+b) C(2k,k)^e / r^k, and one modular kernel, `_central_sum`, evaluates
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 from .exactnum import MAX_PRIME, Residue, check_modulus, residue_from_rational
 from .gaussian_hg import gaussian_nFn_phi, legendre
-from .padic_gamma import gamma_p_rational, rhs_vanhamme
+from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,6 @@ def lhs_vanhamme_b(p: int, m: int = 4) -> Residue:
     """
     check_modulus(p, m)
     return Residue(_central_sum(p, m, 6, 1, 3, 256), p, m)
-
-
-def rhs_vanhamme_b(p: int, m: int = 4) -> Residue:
-    """-p / gamma_p(1/2)^2 mod p^m; the p factor lets gamma run at m-1."""
-    check_modulus(p, m)
-    prec = max(m - 1, 1)
-    g = gamma_p_rational(Fraction(1, 2), p, prec)
-    u = pow(g.value, -2, p**prec)
-    return Residue(-p * u, p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +328,13 @@ def whipple_instance_check(p: int) -> VerificationRecord:
     lhs_terms, rhs_terms = whipple_instance_terms(p)
     lhs = sum(lhs_terms)
     rhs = legendre(-1, p) * p * sum(rhs_terms)
-    rec = VerificationRecord(
+    return VerificationRecord(
         "whipple_inst",
         p,
         residue_from_rational(lhs, p, 4),
         residue_from_rational(rhs, p, 4),
         lhs == rhs,
     )
-    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ sums are rows (a, b, e, r) of
 with C(2k,k) from `math.comb`, not from the term ratio the production
 kernel steps by.  X and Y are the reduced binom(-1/2,j)^3 forms over
 exact harmonic prefix sums.
+
+The two float loops at the end sum Ramanujan's two series each in its own
+variables; the one float kernel of `supercong.classical_hg` must reproduce
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -110,3 +114,29 @@ def whipple_instance_terms(p: int):
         )
         rhs_terms.append(poch_half * pair_ef / (conj_cd_low * fact))
     return lhs_terms, rhs_terms
+
+
+def ramanujan_loop(n_terms: int) -> float:
+    """Float partial sum of (4k+1) binom(-1/2,k)^5 through k = n_terms."""
+    s = 0.0
+    b = 1.0
+    for k in range(n_terms + 1):
+        if k:
+            b *= -(2 * k - 1) / (2 * k)
+        s += (4 * k + 1) * b**5
+    return s
+
+
+def entry20_loop(n_terms: int) -> float:
+    """Float partial sum of (-1)^k (6k+1) 4^-k binom(-1/2,k)^3 through k = n_terms."""
+    s = 0.0
+    b = 1.0
+    q = 1.0
+    sign = 1
+    for k in range(n_terms + 1):
+        if k:
+            b *= -(2 * k - 1) / (2 * k)
+            q *= 0.25
+            sign = -sign
+        s += sign * (6 * k + 1) * q * b**3
+    return s

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from exact_oracle import entry20_loop, ramanujan_loop
 from supercong.classical_hg import (
     MAX_SERIES_TERMS,
     LowerParamPole,
@@ -160,6 +161,16 @@ def test_entry20_partial_sum_examples():
     assert entry20_partial_sum(0) == 1.0
     assert entry20_partial_sum(1) == 1.21875  # 1 + 7/32
     assert abs(entry20_partial_sum(60) - entry20_target()) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "partial_sum, loop",
+    [(ramanujan_partial_sum, ramanujan_loop), (entry20_partial_sum, entry20_loop)],
+)
+def test_partial_sums_match_the_hand_written_loops_bit_for_bit(partial_sum, loop):
+    # both rows go through one kernel; each series' own loop is its oracle
+    for n in (*range(2001), 10**5):
+        assert partial_sum(n) == loop(n), n
 
 
 def test_partial_sums_reject_n_terms_outside_the_cap():

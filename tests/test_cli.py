@@ -24,6 +24,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_exit(capsys, *argv):
+    """run_cli, with argparse's own exit taken as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def rows_without_millis(out):
     rows = [json.loads(line) for line in out.splitlines()]
     for row in rows:
@@ -416,6 +426,24 @@ def test_gamma_p_command(capsys):
         assert code == 2 and out == ""
         assert err.startswith("supercong: error: ") and err.count("\n") == 1
         assert len(err) < 200 and "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--primes", "3.." + "9" * 4400),
+        ("verify", "--primes", "3..5", "--statements", "x" * 4400),
+        ("gamma-p", "3/4", "7" * 4000, "2"),  # parsed, then above the prime cap
+        ("gamma-p", "3/4", "7" * 4400, "2"),  # past the int digit limit
+        ("verify", "--primes", "3..5", "--workers", "9" * 4400),
+    ],
+)
+def test_error_lines_quote_a_prefix_of_long_input(capsys, argv):
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("supercong") and ": error: " in last
+    assert all(len(line) < 200 for line in err.splitlines())
 
 
 def test_series_command(capsys):

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from supercong.exactnum import (
-    DenominatorDivisibleByP,
+    NotPIntegral,
     Residue,
+    check_modulus,
     is_odd_prime,
     residue_from_rational,
 )
@@ -48,8 +49,20 @@ def test_residue_from_rational_examples():
 
 
 def test_residue_from_rational_denominator_error():
-    with pytest.raises(DenominatorDivisibleByP):
+    with pytest.raises(NotPIntegral):
         residue_from_rational(Fraction(1, 3), 3, 2)
+
+
+def test_modulus_cache_stays_bounded():
+    # a long sweep validates one (p, m) pair after another; the cache must
+    # not keep them all
+    maxsize = check_modulus.cache_info().maxsize
+    assert maxsize is not None
+    primes = [n for n in range(3, 10**4) if is_odd_prime(n)][: 2 * maxsize + 1]
+    for p in primes:
+        for m in (1, 3):
+            assert check_modulus(p, m) == p**m
+    assert check_modulus.cache_info().currsize <= maxsize
 
 
 def test_modulus_mismatch():
@@ -63,7 +76,7 @@ def test_modulus_mismatch():
 def test_inverse_examples():
     assert residue_from_rational(Fraction(1, 1), 5, 3).value == 1
     assert residue_from_rational(Fraction(1, 18), 5, 3).value == inv_oracle(18, 125) == 7
-    with pytest.raises(DenominatorDivisibleByP):
+    with pytest.raises(NotPIntegral):
         residue_from_rational(Fraction(1, 5), 5, 3)
 
 

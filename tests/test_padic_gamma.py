@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from supercong.exactnum import NotPIntegral
 from supercong.padic_gamma import (
-    NotPIntegral,
     gamma_p_int,
     gamma_p_rational,
     product_bound,
