@@ -3,6 +3,13 @@ and emit machine-readable reports.
 
 Exit codes: 0 when every record passes, 1 when at least one fails,
 2 on usage errors.
+
+The argument parser is built once per process, on the first `main` call,
+and reused by every later one.  The checks read the statement registry,
+the caps and the `--mod-power` range at each call; the help text lists
+the registry as it stood when the parser was built.  Every error line,
+argparse's own included, quotes at most `_QUOTE` characters of a rejected
+argument.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import supercongruence as sc
@@ -164,8 +172,26 @@ def cmd_series(which: str, n_terms: int, out) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its own error lines quoting a prefix of the rejected
+    argument (`_shown`); the subcommand parsers are of this class too."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {_shown(value)} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
+        return parsed
+
+
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supercong",
         description="Machine verification of truncated hypergeometric congruences "
         "over ranges of odd primes.",

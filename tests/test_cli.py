@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, determinism across workers."""
 
+import argparse
 import csv
 import io
 import json
@@ -436,6 +437,11 @@ def test_gamma_p_command(capsys):
         ("gamma-p", "3/4", "7" * 4000, "2"),  # parsed, then above the prime cap
         ("gamma-p", "3/4", "7" * 4400, "2"),  # past the int digit limit
         ("verify", "--primes", "3..5", "--workers", "9" * 4400),
+        # argparse's own error lines
+        ("x" * 300,),  # an unknown subcommand
+        ("series", "x" * 300, "5"),
+        ("verify", "--primes", "3..5", "--format", "x" * 300),
+        ("verify", "--primes", "3..5", "--" + "x" * 300),  # an unknown option
     ],
 )
 def test_error_lines_quote_a_prefix_of_long_input(capsys, argv):
@@ -444,6 +450,48 @@ def test_error_lines_quote_a_prefix_of_long_input(capsys, argv):
     last = err.splitlines()[-1]
     assert last.startswith("supercong") and ": error: " in last
     assert all(len(line) < 200 for line in err.splitlines())
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    run_cli(capsys, "gamma-p", "3/4", "5", "2")
+    assert built[0] == "supercong"
+    first = list(built)
+    run_cli(capsys, "verify", "--statements", "lemma1", "--primes", "3..7")
+    run_cli_exit(capsys, "series", "euler", "5")
+    run_cli(capsys, "series", "entry20", "3")
+    assert built == first
+
+
+def test_a_reused_parser_keeps_no_state(capsys):
+    args = (
+        "verify", "--statements", "vanhamme_a,cor5", "--primes", "3..31", "--format", "json-lines",
+    )
+    cli._build_parser.cache_clear()
+    _, out, _ = run_cli(capsys, *args)
+    alone = rows_without_millis(out)
+    _, out, _ = run_cli(capsys, *args, "--mod-power", "5")
+    assert all(row["modulus"] == row["p"] ** 5 for row in rows_without_millis(out))
+    assert all(row["modulus"] != row["p"] ** 5 for row in alone)
+    _, out, _ = run_cli(capsys, *args)
+    assert rows_without_millis(out) == alone
+
+    code, out, _ = run_cli_exit(capsys, *args, "--format", "xml")
+    assert code == 2 and out == ""
+    _, out, _ = run_cli(capsys, *args)
+    assert rows_without_millis(out) == alone
+
+    first = run_cli_exit(capsys, "verify", "--help")
+    assert first[0] == 0 and first[1].startswith("usage: supercong verify")
+    assert run_cli_exit(capsys, "verify", "--help") == first
 
 
 def test_series_command(capsys):
