@@ -7,18 +7,23 @@ The paper's vanishing lemmas rest on
 where F = (z+1)(z+2)...(z+m) with m = (p-1)/2.  Every polynomial here
 has integer coefficients: `RatPoly` rejects any other coefficient type.
 
-Products (Kronecker substitution; D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
-44, 2009).  `RatPoly.__mul__` packs each signed coefficient list into one
-Python int with slot k holding the coefficient of z^k, multiplies the two
-ints once, so that CPython's Karatsuba does the work, and unpacks the
-slots with a borrow.  A product coefficient is a sum of at most
-n = min(len(a), len(b)) terms, so |c_k| <= max|a| * max|b| * n.  The slot
-width is bits(max|a| * max|b| * n) + 2 rounded up to whole bytes, which
-keeps |c_k| below a quarter of the slot: the slot bits determine c_k once
-read as signed, and the packed product fits a signed int of the full
-width.  A negative c_k borrows one from the slot above, so slot k reads
-c_k minus the borrow of slot k-1; the unpacking adds it back.
+Products (KS2, Kronecker substitution at +-2^b; D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44, 2009).  A product coefficient is a sum of at most
+n = min(len(a), len(b)) terms, so |c_k| <= max|a| * max|b| * n.  A slot
+is W bytes, bits(max|a| * max|b| * n) + 2 rounded up to an even number of
+bytes, which keeps |c_k| below a quarter of the slot.  Each factor is
+split as a(z) = a_e(z^2) + z a_o(z^2), and the even and odd coefficient
+lists are packed separately, slot k of an int holding coefficient k, so
+the ints read a_e(x^2) and a_o(x^2) at x = 2^(4W), half a slot.  Then
+a(+-x) = a_e(x^2) +- x a_o(x^2), and `RatPoly.__mul__` forms h(x) and
+h(-x) for h = a b with two big-int products, each half the length of the
+one product a single evaluation point needs (CPython's Karatsuba does the
+work; a square packs its factor once and squares).  The even coefficients
+of h are the slots of (h(x) + h(-x)) / 2 = h_e(x^2), and the odd ones
+those of (h(x) - h(-x)) / (2x) = h_o(x^2), both at the full slot width.
+A negative slot borrows one from the slot above, so slot k reads c_k
+minus the borrow of slot k-1; `_unpack` adds it back.
 
 Builds.  `pochhammer_poly` multiplies by one linear factor (z + r) at a
 time, an O(d) step.  F, F^2 and F^3 are built once per prime (a cache of
@@ -27,9 +32,24 @@ two entries, so nothing is kept across a sweep) and shared by `p_poly`,
 1/2 is an exact integer halving: k(k-1) is even, and an odd coefficient
 would raise `ArithmeticError`.
 
-The mod-p facts of `lemma_sum_checks` need only F mod p: F^3 mod p has
-coefficients below p, and P and Q mod p follow from it coefficient by
-coefficient, so the full-size P and Q are never reduced.
+Values mod p.  The facts of `lemma_sum_checks` need only F mod p: F^3 mod
+p has coefficients below p, and P and Q mod p follow from it coefficient
+by coefficient, so the full-size P and Q are never reduced.  Their values
+at every j != 0 come from one chirp-z transform (L. Bluestein, 1970) over
+a primitive root g.  With n = p - 1 and j^n = 1, exponents fold mod n, and
+ik = C(i+k,2) - C(i,2) - C(k,2) turns
+
+    f(g^i) = g^-C(i,2) * sum_k [c_k g^-C(k,2)] g^C(i+k,2)
+
+into one correlation, read off a single packed product of nonnegative
+slots of bits((p-1)^3) + 1 bits, rounded up to bytes.  The walk over g^i
+raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
+value unset.
+
+Inputs.  Every entry point takes an odd prime p at most `POLY_MAX_P`
+(`exp_sum_check`: at most `exactnum.MAX_PRIME`) and raises `ValueError`
+before any work otherwise: the vanishing lemmas and the coefficient facts
+are facts about primes, and the exact products grow like p^3.2.
 """
 
 from __future__ import annotations
@@ -38,6 +58,15 @@ import math
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
+
+from .exactnum import check_modulus
+
+#: The largest prime the polynomial entry points accept.  Together,
+#: p_identity_check and coefficient_facts_check at 997 took 5.3-8.0 s alone
+#: in a fresh process on a 2-vCPU host (Python 3.11) whose speed drifted by
+#: tens of percent: near the 5 s rule of the statement caps in
+#: `supercongruence`.
+POLY_MAX_P = 997
 
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
@@ -112,13 +141,26 @@ class RatPoly:
         return self + (-other)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
-        """Kronecker product: one big-int multiplication (module docstring)."""
+        """KS2 product: two half-length big-int multiplications, at +x and
+        at -x (module docstring).  A square packs its factor once."""
         if not self.coeffs or not other.coeffs:
             return RatPoly()
         a, b = self.coeffs, other.coeffs
         bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = (bound.bit_length() + 2 + 7) // 8
-        return RatPoly(_unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width))
+        width = (bound.bit_length() + 2 + 15) // 16 * 2
+        half = 4 * width  # x = 2^half, half a slot
+        a_even, a_odd = _pack(a[0::2], width), _pack(a[1::2], width) << half
+        plus_a, minus_a = a_even + a_odd, a_even - a_odd
+        if other is self:
+            plus, minus = plus_a * plus_a, minus_a * minus_a
+        else:
+            b_even, b_odd = _pack(b[0::2], width), _pack(b[1::2], width) << half
+            plus, minus = plus_a * (b_even + b_odd), minus_a * (b_even - b_odd)
+        n = len(a) + len(b) - 1
+        out = [0] * n
+        out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)
+        out[1::2] = _unpack((plus - minus) >> (half + 1), n // 2, width)
+        return RatPoly(out)
 
     def scaled(self, c: int) -> "RatPoly":
         return RatPoly(tuple(c * x for x in self.coeffs))
@@ -177,6 +219,14 @@ def pochhammer_poly(m: int) -> RatPoly:
     return RatPoly(_rising_coeffs(m))
 
 
+def _check_prime(p: int) -> None:
+    """Raise ValueError, before any work, unless p is an odd prime at most
+    POLY_MAX_P."""
+    check_modulus(p, 1)
+    if p > POLY_MAX_P:
+        raise ValueError(f"prime {p} exceeds the polynomial cap {POLY_MAX_P}")
+
+
 @lru_cache(maxsize=2)
 def _powers(m: int) -> tuple[RatPoly, RatPoly, RatPoly]:
     """F, F^2 and F^3 for F = pochhammer_poly(m)."""
@@ -187,6 +237,7 @@ def _powers(m: int) -> tuple[RatPoly, RatPoly, RatPoly]:
 
 def p_poly(p: int) -> RatPoly:
     """d/dz [ z * pochhammer_poly((p-1)/2)^3 ]; integer coefficients."""
+    _check_prime(p)
     return _powers((p - 1) // 2)[2].shifted(1).derivative()
 
 
@@ -206,12 +257,14 @@ def q_poly(p: int) -> RatPoly:
 
     Divisible by z with integer coefficients (k(k-1) is always even).
     """
+    _check_prime(p)
     return _halved(_powers((p - 1) // 2)[2].shifted(1).derivative(2).shifted(1))
 
 
 def p_identity_check(p: int) -> bool:
     """True iff P(z) factors as F^3 * [1 + 3z * sum_r 1/(z+r)] with F the
     rising-factorial polynomial, i.e. P = F^3 + 3z F^2 sum_r prod_{s!=r}(z+s)."""
+    _check_prime(p)
     m = (p - 1) // 2
     big_p = p_poly(p)  # builds F, F^2 and F^3 for this prime
     f, f2, f3 = _powers(m)
@@ -226,6 +279,7 @@ def coefficient_facts_check(p: int) -> bool:
     """Coefficient facts tying P, Q and the cube of the rising factorial:
     p | a_{p-1} for both, a_0(P) = ((p-1)/2)!^3, a_0(Q) = 0, and the z^{p-1}
     coefficient of F^3 equals a_{p-1}(P)/p and 2 a_{p-1}(Q)/(p(p-1))."""
+    _check_prime(p)
     m = (p - 1) // 2
     big_p = p_poly(p)
     big_q = q_poly(p)
@@ -244,6 +298,7 @@ def coefficient_facts_check(p: int) -> bool:
 
 def exp_sum_check(p: int, k: int) -> bool:
     """True iff sum_{j=1}^{p-1} j^k is -1 mod p when (p-1) | k, else 0 mod p."""
+    check_modulus(p, 1)
     if k < 1:
         raise ValueError("k must be >= 1")
     total = sum(pow(j, k, p) for j in range(1, p)) % p
@@ -251,11 +306,59 @@ def exp_sum_check(p: int, k: int) -> bool:
     return total == expected
 
 
-def _eval_mod(coeffs_mod: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs_mod):
-        acc = (acc * x + c) % p
-    return acc
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the odd prime p."""
+    n = rest = p - 1
+    factors = []
+    q = 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    g = 2
+    while any(pow(g, n // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+def _values_mod(coeffs: list[int], p: int) -> list[int]:
+    """[f(j) mod p for 0 <= j < p] for f = sum_k coeffs[k] z^k: one chirp-z
+    correlation over a primitive root g (module docstring)."""
+    n = p - 1
+    g = _primitive_root(p)
+    g_inv = pow(g, -1, p)
+    folded = [0] * n
+    for k, c in enumerate(coeffs):
+        folded[k % n] += c  # j^n = 1 for every j != 0
+    chirp = []  # g^C(t,2) for t < 2n - 1
+    unchirp = []  # g^-C(t,2) for t < n
+    c = c_inv = step = step_inv = 1
+    for t in range(2 * n - 1):
+        chirp.append(c)
+        c, step = c * step % p, step * g % p
+        if t < n:
+            unchirp.append(c_inv)
+            c_inv, step_inv = c_inv * step_inv % p, step_inv * g_inv % p
+    # sum_k u_k chirp[i + k] is the z^(n-1+i) coefficient of U V, with U the
+    # reversed u; every slot sum is at most n (p-1)^2 = (p-1)^3
+    width = ((p - 1) ** 3).bit_length() // 8 + 1
+    u = b"".join((folded[k] * unchirp[k] % p).to_bytes(width, "little") for k in reversed(range(n)))
+    v = b"".join(x.to_bytes(width, "little") for x in chirp)
+    product = (int.from_bytes(u, "little") * int.from_bytes(v, "little")).to_bytes((3 * n - 1) * width, "little")
+    vals = [0] * p
+    vals[0] = coeffs[0] % p if coeffs else 0
+    j = 1
+    for i in range(n):
+        if i and j == 1:
+            raise ArithmeticError(f"{g} is not a primitive root mod {p}")
+        start = (n - 1 + i) * width
+        vals[j] = int.from_bytes(product[start : start + width], "little") * unchirp[i] % p
+        j = j * g % p
+    return vals
 
 
 def lemma_sum_checks(p: int) -> bool:
@@ -265,16 +368,17 @@ def lemma_sum_checks(p: int) -> bool:
 
     P and Q mod p come from c_k = [z^k] F^3 mod p: [z^k] P = (k+1) c_k and
     [z^k] Q = k(k+1)/2 c_k."""
+    _check_prime(p)
     m = (p - 1) // 2
     f = RatPoly(_rising_coeffs(m, p))
     cube = [c % p for c in (f * f * f).coeffs]
     pc = [(k + 1) * c % p for k, c in enumerate(cube)]
     qc = [k * (k + 1) // 2 * c % p for k, c in enumerate(cube)]
     mf3 = pow(math.factorial(m) % p, 3, p)
-    vals = [_eval_mod(pc, j, p) for j in range(1, p)]
+    vals = _values_mod(pc, p)[1:]
     return (
         sum(vals) % p == (-mf3) % p
         and (mf3 + sum(vals[:m])) % p == 0
         and all(v == 0 for v in vals[m:])
-        and sum(_eval_mod(qc, j, p) for j in range(1, p)) % p == 0
+        and sum(_values_mod(qc, p)[1:]) % p == 0
     )

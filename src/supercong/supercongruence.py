@@ -257,6 +257,10 @@ def cor5_check(p: int, m: int = 3) -> VerificationRecord:
 # over their lower partners 1 -+ ip/2, and in real mirror pairs, 1/2 +- p/2
 # over 1 -+ p/2.  Each pair multiplies to a rational, so every term is
 # exact; the congruences and the instance read the same running ratios.
+# The instance sums the exact Fractions and compares them exactly.  The
+# congruences need each ratio only at a fixed precision, so they reduce
+# binom(-1/2,k) and Q_k mod p^4 and R_k mod p^2 once per k and form their
+# eight sides from those residues as integers.
 
 
 def _pochhammer_pairs(p: int):
@@ -287,21 +291,23 @@ def poch_congruence_checks(p: int) -> list:
     so the residue reductions are well defined at the stated precisions.
     The shifted sides are the binomials C(m+k,k) C(m,k) and
     C(m+k,m) = (k+1)_m / m! with m = (p-1)/2; the conjugate and real sides
-    are Q_k and R_k.
+    are Q_k and R_k.  Per k, binom(-1/2,k) and Q_k are reduced mod p^4 and
+    R_k mod p^2, once each; the eight sides are integers from those three
+    residues, and each `Residue` reduces its side at its own modulus.
     """
     m = (p - 1) // 2
     records = []
     for k, bk, qk, rk in _pochhammer_pairs(p):
-        signed = -bk if k % 2 else bk  # (-1)^k binom(-1/2,k) = (1/2)_k / k!
-        pairs = (
-            ("poch_shift_square", 2, math.comb(m + k, k) * math.comb(m, k), signed * bk),
+        b = residue_from_rational(bk, p, 4).value
+        signed = -b if k % 2 else b  # (-1)^k binom(-1/2,k) = (1/2)_k / k!
+        sides = (
+            ("poch_shift_square", 2, math.comb(m + k, k) * math.comb(m, k), signed * b),
             ("poch_shift_linear", 1, signed, math.comb(m + k, m)),
-            ("poch_conj_quartic", 4, qk, bk**4),
-            ("poch_real_square", 2, rk, bk * bk),
+            ("poch_conj_quartic", 4, residue_from_rational(qk, p, 4).value, b**4),
+            ("poch_real_square", 2, residue_from_rational(rk, p, 2).value, b * b),
         )
-        for name, mm, lhs_q, rhs_q in pairs:
-            lhs = residue_from_rational(lhs_q, p, mm)
-            records.append(_record(name, p, lhs, residue_from_rational(rhs_q, p, mm)))
+        for name, mm, lhs, rhs in sides:
+            records.append(_record(name, p, Residue(lhs, p, mm), Residue(rhs, p, mm)))
     return records
 
 

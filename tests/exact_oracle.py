@@ -1,7 +1,9 @@
 """Exact-rational twins of the modular truncated sums of
 `supercong.supercongruence`: the reduce-once oracle the suite holds the
 production routes against, and the well-poised instance's terms built
-from its four separate Pochhammer products.
+from its four separate Pochhammer products, plus the Pochhammer-pair
+congruences with each of their eight sides formed as a Fraction and
+reduced on its own.
 
 Every sum here is accumulated in Fractions and reduced mod p^m once, at
 the end; every denominator in range is a p-unit.  The central-binomial
@@ -24,6 +26,7 @@ import math
 from fractions import Fraction
 
 from supercong.exactnum import Residue, residue_from_rational
+from supercong.supercongruence import VerificationRecord, _pochhammer_pairs
 
 #: (4k+1) binom(-1/2,k)^5 = (4k+1) C(2k,k)^5 / (-1024)^k: vanhamme_a, prop3
 QUINTIC = (4, 1, 5, -1024)
@@ -114,6 +117,26 @@ def whipple_instance_terms(p: int):
         )
         rhs_terms.append(poch_half * pair_ef / (conj_cd_low * fact))
     return lhs_terms, rhs_terms
+
+
+def poch_congruence_records(p: int) -> list:
+    """The Pochhammer-pair congruence records, each side an exact Fraction
+    reduced on its own: three Fraction products and eight reductions per k."""
+    m = (p - 1) // 2
+    records = []
+    for k, bk, qk, rk in _pochhammer_pairs(p):
+        signed = -bk if k % 2 else bk
+        pairs = (
+            ("poch_shift_square", 2, math.comb(m + k, k) * math.comb(m, k), signed * bk),
+            ("poch_shift_linear", 1, signed, math.comb(m + k, m)),
+            ("poch_conj_quartic", 4, qk, bk**4),
+            ("poch_real_square", 2, rk, bk * bk),
+        )
+        for name, mm, lhs_q, rhs_q in pairs:
+            lhs = residue_from_rational(lhs_q, p, mm)
+            rhs = residue_from_rational(rhs_q, p, mm)
+            records.append(VerificationRecord(name, p, lhs, rhs, lhs == rhs))
+    return records
 
 
 def ramanujan_loop(n_terms: int) -> float:

@@ -1,18 +1,23 @@
 """Polynomial engine: rising-factorial polynomials, the P/Q machinery,
-exponential sums, the mod-p sum facts, and the Kronecker product against a
-schoolbook oracle."""
+exponential sums, the mod-p sum facts, the input checks, the KS2 product
+against a schoolbook oracle and the chirp-z values against Horner's rule."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supercong import polyengine
+from supercong.exactnum import is_odd_prime
 from supercong.polyengine import (
+    POLY_MAX_P,
     RatPoly,
     _halved,
+    _values_mod,
     coefficient_facts_check,
     exp_sum_check,
     lemma_sum_checks,
@@ -190,9 +195,15 @@ _polys = st.lists(_coefficients, max_size=12).map(RatPoly)
 @example(RatPoly((-1, 1)), RatPoly((1, 1)))  # z^2 - 1: slot 0 holds -1
 @example(RatPoly((-1,)), RatPoly((1, 1, 1)))  # every slot negative, a borrow chain
 @example(RatPoly((-(2**5000), 2**5000)), RatPoly((2**5000, 2**5000)))
+@example(RatPoly((7,)), RatPoly((-3,)))  # 1 x 1: no odd half in either factor
+@example(RatPoly((2,)), RatPoly((5,)))  # a single-slot product
+@example(RatPoly((1, -2, 3)), RatPoly((4, 5)))  # odd x even lengths
+@example(RatPoly((-1, -1, -1, -1, -1)), RatPoly((1, 1, 1, 1)))  # every slot of both halves borrows
+@example(RatPoly((-1, 1, -1, 1, -1, 1)), RatPoly((1, 1, 1)))  # mixed signs in both halves
 def test_product_matches_schoolbook(f, g):
     assert f * g == _schoolbook_mul(f, g)
     assert g * f == f * g
+    assert f * f == _schoolbook_mul(f, f)  # the squaring branch
 
 
 def _schoolbook_cube(m):
@@ -225,3 +236,56 @@ def test_halving_rejects_odd_coefficients():
 def test_facts_at_larger_primes(p):
     assert coefficient_facts_check(p)
     assert lemma_sum_checks(p)
+
+
+def _horner_mod(coeffs, x, p):
+    """Horner's rule mod p: the oracle for the chirp-z values."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _p_and_q_mod(p):
+    """The coefficients of P and Q mod p, from F mod p by schoolbook products
+    and the same derivatives p_poly and q_poly take."""
+    f = RatPoly(c % p for c in pochhammer_poly((p - 1) // 2).coeffs)
+    lifted = _schoolbook_mul(_schoolbook_mul(f, f), f).shifted(1)
+    big_p = lifted.derivative()
+    big_q = _halved(lifted.derivative(2).shifted(1))
+    return [c % p for c in big_p.coeffs], [c % p for c in big_q.coeffs]
+
+
+@pytest.mark.parametrize("p", [n for n in range(3, 200, 2) if is_odd_prime(n)] + [499, 997])
+def test_chirp_z_values_match_horner(p):
+    for coeffs in _p_and_q_mod(p):
+        assert _values_mod(coeffs, p) == [_horner_mod(coeffs, j, p) for j in range(p)]
+
+
+def test_chirp_z_rejects_a_root_that_is_not_primitive(monkeypatch):
+    monkeypatch.setattr(polyengine, "_primitive_root", lambda p: 4)  # a square
+    for p in (5, 13, 199):
+        with pytest.raises(ArithmeticError):
+            lemma_sum_checks(p)
+
+
+_ENTRY_POINTS = (p_poly, q_poly, p_identity_check, coefficient_facts_check, lemma_sum_checks)
+
+
+@pytest.mark.parametrize("p", (1, 9, 15, 561, 1000001))
+def test_entry_points_reject_a_p_that_is_not_an_odd_prime(p):
+    for fn in _ENTRY_POINTS:
+        with pytest.raises(ValueError):
+            fn(p)
+    with pytest.raises(ValueError):
+        exp_sum_check(p, 4)
+
+
+def test_entry_points_reject_a_prime_above_the_cap_promptly():
+    above = next(n for n in range(POLY_MAX_P + 2, 2 * POLY_MAX_P, 2) if is_odd_prime(n))
+    start = time.perf_counter()
+    for fn in _ENTRY_POINTS:
+        with pytest.raises(ValueError, match="polynomial cap"):
+            fn(above)
+    assert time.perf_counter() - start < 0.5
+    assert POLY_MAX_P >= 499

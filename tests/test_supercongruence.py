@@ -14,6 +14,7 @@ from exact_oracle import (
     central_residue,
     central_sum,
     harmonic_prefix,
+    poch_congruence_records,
     x_sum,
     y_sum,
 )
@@ -224,6 +225,11 @@ def test_poch_congruences_small():
     # k = 0 rows are all 1 = 1
     for rec in poch_congruence_checks(5)[:4]:
         assert rec.lhs.value == 1 and rec.rhs.value == 1
+
+
+@pytest.mark.parametrize("p", [n for n in range(3, 200, 2) if is_odd_prime(n)] + [307])
+def test_poch_congruences_match_the_eight_reduction_oracle(p):
+    assert poch_congruence_checks(p) == poch_congruence_records(p)
 
 
 def test_poch_congruence_shift_square_spot_value():
