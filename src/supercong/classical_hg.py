@@ -1,7 +1,7 @@
-"""Classical hypergeometric side: Pochhammer symbols, half-integer binomials,
-exact terminating pFq sums, the well-poised 6F5(-1) -> 3F2(1) transformation,
-and double-precision partial sums of Ramanujan's two series, both summed by
-one float kernel over the rows that `supercongruence._central_sum` reduces."""
+"""Classical hypergeometric side: Pochhammer symbols, exact terminating pFq
+sums, the well-poised 6F5(-1) -> 3F2(1) transformation, and double-precision
+partial sums of Ramanujan's two series, both summed by one float kernel over
+the rows that `supercongruence._central_sum` reduces."""
 
 from __future__ import annotations
 
@@ -20,10 +20,6 @@ class ParameterPole(ArithmeticError):
     """Excluded parameter configuration for the well-poised transformation."""
 
 
-class PoleAtNonpositiveInteger(ArithmeticError):
-    """Gamma limit requested at a nonpositive integer."""
-
-
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1), with (a)_0 = 1."""
     if n < 0:
@@ -33,21 +29,6 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     for i in range(n):
         out *= a + i
     return out
-
-
-def binom_half(k: int) -> Fraction:
-    """Binomial coefficient with top -1/2: (-1)^k (1/2)_k / k!."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = Fraction(1)
-    for j in range(1, k + 1):
-        out *= Fraction(-(2 * j - 1), 2 * j)
-    return out
-
-
-def central_binom_identity_check(j: int) -> bool:
-    """True iff C(2j, j) = 2^(2j) (-1)^j * binom(-1/2, j) exactly."""
-    return math.comb(2 * j, j) == 2 ** (2 * j) * (-1) ** j * binom_half(j)
 
 
 def _poch_hits_zero(b: Fraction, n_terms: int) -> bool:
@@ -159,26 +140,3 @@ def entry20_partial_sum(n_terms: int) -> float:
 def entry20_target() -> float:
     """4/pi, the limit of the alternating series above."""
     return 4.0 / math.pi
-
-
-def gamma_limit_approx(x: Fraction | int, n_steps: int) -> float:
-    """K-th term of the limit K! K^(x-1) / (x)_K defining Gamma(x)."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    x = Fraction(x)
-    if x.denominator == 1 and x <= 0:
-        raise PoleAtNonpositiveInteger(f"Gamma has a pole at {x}")
-    xf = float(x)
-    acc = float(n_steps) ** (xf - 1.0)
-    for j in range(1, n_steps + 1):
-        acc *= j / (xf + j - 1)
-    return acc
-
-
-def reflection_check(x: float, rel_tol: float = 1e-10) -> bool:
-    """True iff Gamma(x)Gamma(1-x) matches pi/sin(pi*x) to rel_tol."""
-    if float(x).is_integer():
-        raise ValueError("x must not be an integer")
-    lhs = math.gamma(x) * math.gamma(1.0 - x)
-    rhs = math.pi / math.sin(math.pi * x)
-    return abs(lhs - rhs) / abs(rhs) < rel_tol

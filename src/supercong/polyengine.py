@@ -47,9 +47,10 @@ raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
 value unset.
 
 Inputs.  Every entry point takes an odd prime p at most `POLY_MAX_P`
-(`exp_sum_check`: at most `exactnum.MAX_PRIME`) and raises `ValueError`
-before any work otherwise: the vanishing lemmas and the coefficient facts
-are facts about primes, and the exact products grow like p^3.2.
+(`exp_sum_check`: at most `exactnum.MAX_PRIME`, its exponent folded mod
+p - 1 first) and raises `ValueError` before any work otherwise: the
+vanishing lemmas and the coefficient facts are facts about primes, and the
+exact products grow like p^3.2.
 """
 
 from __future__ import annotations
@@ -297,12 +298,17 @@ def coefficient_facts_check(p: int) -> bool:
 
 
 def exp_sum_check(p: int, k: int) -> bool:
-    """True iff sum_{j=1}^{p-1} j^k is -1 mod p when (p-1) | k, else 0 mod p."""
+    """True iff sum_{j=1}^{p-1} j^k is -1 mod p when (p-1) | k, else 0 mod p.
+
+    k is folded to 1 + (k - 1) mod (p - 1) first (Fermat: j^(p-1) = 1 for
+    every j in range), so the time does not grow with the digits of k.
+    """
     check_modulus(p, 1)
     if k < 1:
         raise ValueError("k must be >= 1")
+    k = 1 + (k - 1) % (p - 1)
     total = sum(pow(j, k, p) for j in range(1, p)) % p
-    expected = (p - 1) if k % (p - 1) == 0 else 0
+    expected = (p - 1) if k == p - 1 else 0
     return total == expected
 
 

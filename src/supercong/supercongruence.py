@@ -8,16 +8,17 @@ The truncated sums share one shape, the sum over k <= (p-1)/2 of
 it mod p^m (every denominator in range is a p-unit).  Production runs two
 routes: the kernel, for the mod-p^4 companion and Z, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
-X and Y are per-term residue sums over harmonic prefix tables.  One
-walker, `_pochhammer_pairs`, carries the paired Pochhammer ratios that
-both the Pochhammer-pair congruences and the well-poised instance read.
-The exact twins of the modular sums and the instance's four separate
-Pochhammer products live in `tests/exact_oracle.py`, which the suite
-holds production against.  Two layers are kept for the last prime
-asked, so the statements that share them compute them once per prime:
-the exact quintic sum (vanhamme_a, prop3), reduced at each caller's
-modulus, and p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact
-integer equality throughout, never approximate.
+X and Y are per-term residue sums from one pass over j.  One walker,
+`_pochhammer_pairs`, carries the paired Pochhammer ratios that both the
+Pochhammer-pair congruences and the well-poised instance read.  The exact
+twins of the modular sums and the instance's four separate Pochhammer
+products live in `tests/exact_oracle.py`, which the suite holds
+production against.  Three layers are kept for the last prime asked, so
+the statements that share them compute them once per prime: the exact
+quintic sum (vanhamme_a, prop3), reduced at each caller's modulus, the
+pair (X, Y) mod p (lemma1, lemma2; thm_os asks mod p^2), and
+p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact integer
+equality throughout, never approximate.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .exactnum import MAX_PRIME, Residue, check_modulus, residue_from_rational
@@ -123,59 +125,52 @@ def lhs_vanhamme_b(p: int, m: int = 4) -> Residue:
 
 # ---------------------------------------------------------------------------
 # the X / Y / Z quantities at (lambda, n) = (1, 2)
-#
-# X and Y are carried in their reduced binom(-1/2,j)^3 form, which determines
-# them at the precision they are consumed at (mod p as lemma statements, and
-# mod p^2 for the pY term of the decomposition check).  The common weight is
-# binom(-1/2,j)^3 (-1)^{3j} = C(2j,j)^3 / 64^j.
 
 
-def _harmonic_tables_mod(p: int, pm: int, need_second: bool):
+def _harmonic_tables_mod(p: int, pm: int):
+    """(inv, h1, h2): the inverses of 1..p-1 mod pm and the prefix sums of
+    inv[n] and of inv[n]^2 mod pm, left unreduced (each below p * pm)."""
     inv = _inverses(p - 1, pm)
-    h1 = [0] * p
-    for n in range(1, p):
-        h1[n] = (h1[n - 1] + inv[n]) % pm
-    h2 = None
-    if need_second:
-        h2 = [0] * p
-        for n in range(1, p):
-            h2[n] = (h2[n - 1] + inv[n] * inv[n]) % pm
+    h1 = list(accumulate(inv))
+    h2 = list(accumulate([i * i % pm for i in inv]))
     return inv, h1, h2
 
 
-def _xy_mod(p: int, pm: int, want_x: bool) -> int:
-    """Per-term residue accumulation of the reduced X or Y sum mod pm."""
+@lru_cache(maxsize=1)
+def _xy_mod(p: int, pm: int) -> tuple:
+    """(X, Y) mod pm from one pass over j, kept for the last (p, pm) asked.
+    The reduced binom(-1/2,j)^3 form determines them at the precision they
+    are read at: mod p in the lemmas, mod p^2 in the decomposition check.
+
+    The weight C(2j,j)^3 / 64^j = binom(-1/2,j)^3 (-1)^j steps by t^3,
+    t = (2j-1) / (2j).  With b = 3j (H_{m+j} - H_j) the doubled brackets
+    are b^2 + 2b - 3j^2 (H2_{m+j} - H2_j) for X and 2 + 2b - 3j (H_{m+j} -
+    H_{m-j}) for Y (0 and 2 at j = 0); each sum is halved once at the end.
+    """
     m = (p - 1) // 2
-    inv, h1, h2 = _harmonic_tables_mod(p, pm, want_x)
-    inv8 = pow(8, -1, pm)
-    half3 = 3 * pow(2, -1, pm) % pm  # 3/2
-    half9 = 9 * pow(2, -1, pm) % pm  # 9/2
-    w = 1
-    total = 0
-    for j in range(m + 1):
-        if j:
-            w = w * pow((2 * j - 1) * inv[j] % pm, 3, pm) % pm * inv8 % pm
-        d1 = (h1[m + j] - h1[j]) % pm
-        if want_x:
-            d2 = (h2[m + j] - h2[j]) % pm
-            bracket = (3 * j * d1 + half9 * j * j * d1 * d1 - half3 * j * j * d2) % pm
-        else:
-            dmid = (h1[m + j] - h1[m - j]) % pm
-            bracket = (1 + 3 * j * d1 - half3 * j * dmid) % pm
-        total = (total + w * bracket) % pm
-    return total
+    inv, h1, h2 = _harmonic_tables_mod(p, pm)
+    w, x2, y2 = 1, 0, 2
+    for j in range(1, m + 1):
+        t = (2 * j - 1) * inv[2 * j] % pm
+        w = w * t * t * t % pm
+        hm = h1[m + j]
+        b = 3 * j * (hm - h1[j]) % pm
+        x2 += w * (b * (b + 2) - 3 * j * j * (h2[m + j] - h2[j]))
+        y2 += w * (2 + 2 * b - 3 * j * (hm - h1[m - j]))
+    half = (pm + 1) // 2
+    return x2 * half % pm, y2 * half % pm
 
 
 def x_quantity(p: int) -> Residue:
     """The reduced X quantity mod p (expected 0 at every odd prime)."""
     check_modulus(p, 1)
-    return Residue(_xy_mod(p, p, True), p, 1)
+    return Residue(_xy_mod(p, p)[0], p, 1)
 
 
 def y_quantity(p: int) -> Residue:
     """The reduced Y quantity mod p (expected 0 at every odd prime)."""
     check_modulus(p, 1)
-    return Residue(_xy_mod(p, p, False), p, 1)
+    return Residue(_xy_mod(p, p)[1], p, 1)
 
 
 def z_quantity(p: int, m: int = 3) -> Residue:
@@ -233,14 +228,13 @@ def theorem_os_check(p: int) -> VerificationRecord:
     """p^2 * 3F2(1) against phi(-1) [p^2 X + p Y + Z] mod p^3.
 
     The p-power prefactors set the precision each reduced quantity is
-    needed at: X mod p, Y mod p^2, Z mod p^3.
+    needed at: X mod p (from the pass mod p^2), Y mod p^2, Z mod p^3.
     """
     check_modulus(p, 3)
     lhs = Residue(_gaussian_3f2(p), p, 3)
-    x1 = _xy_mod(p, p, True)
-    y2 = _xy_mod(p, p * p, False)
-    z3 = z_quantity(p, 3).value
-    rhs = Residue(legendre(-1, p) * (p * p * x1 + p * y2 + z3), p, 3)
+    x, y = _xy_mod(p, p * p)
+    z = z_quantity(p, 3).value
+    rhs = Residue(legendre(-1, p) * (p * p * (x % p) + p * y + z), p, 3)
     return _record("thm_os", p, lhs, rhs)
 
 
@@ -272,7 +266,12 @@ def _pochhammer_pairs(p: int):
 
     With r = k-1 the factors scale by 4 to (2k-1)^2 +- p^2 over (2k)^2 +- p^2,
     so each step is one integer ratio; (2k)^2 - p^2 never vanishes for odd p.
+    A p that is not an odd prime at most WHIPPLE_INST_MAX_P raises
+    ValueError before the first step.
     """
+    check_modulus(p, 1)
+    if p > WHIPPLE_INST_MAX_P:
+        raise ValueError(f"prime {p} exceeds the Pochhammer-walker cap {WHIPPLE_INST_MAX_P}")
     p2 = p * p
     bk = qk = rk = Fraction(1)
     for k in range((p - 1) // 2 + 1):
@@ -360,10 +359,10 @@ class Statement:
 
 
 # The O(p^2) Gaussian series of thm_os and cor5 and the exact rationals of
-# the well-poised instance, whose cost grows like p^3, cap their statements
-# at the largest prime at which one check, alone in a fresh process, took
-# about 5 s on a 2-vCPU host (Python 3.11): theorem_os_check(5101) 4.9 s,
-# whipple_instance_check(3989) 4.7-4.8 s (4099: 5.0-5.4 s).
+# the Pochhammer-pair walker (whipple_inst), whose cost grows like p^3, cap
+# them at the largest prime at which one check, alone in a fresh process,
+# took about 5 s on a 2-vCPU host (Python 3.11): theorem_os_check(5101)
+# 4.9 s, whipple_instance_check(3989) 4.7-4.8 s (4099: 5.0-5.4 s).
 FINITE_FIELD_MAX_P = 5101
 WHIPPLE_INST_MAX_P = 3989
 # The exact quintic sum that vanhamme_a and prop3 read also grows like p^3

@@ -15,9 +15,14 @@ with C(2k,k) from `math.comb`, not from the term ratio the production
 kernel steps by.  X and Y are the reduced binom(-1/2,j)^3 forms over
 exact harmonic prefix sums.
 
-The two float loops at the end sum Ramanujan's two series each in its own
-variables; the one float kernel of `supercong.classical_hg` must reproduce
-them bit for bit.
+The two float loops sum Ramanujan's two series each in its own variables;
+the one float kernel of `supercong.classical_hg` must reproduce them bit
+for bit.
+
+The last section holds the classical facts that no production route
+reads: binom(-1/2,k) as its own product, the central-binomial identity,
+the limit K! K^(x-1) / (x)_K that defines Gamma(x), and the reflection
+formula in floats.
 """
 
 from __future__ import annotations
@@ -163,3 +168,49 @@ def entry20_loop(n_terms: int) -> float:
             sign = -sign
         s += sign * (6 * k + 1) * q * b**3
     return s
+
+
+# ---------------------------------------------------------------------------
+# classical facts with no production counterpart
+
+
+class PoleAtNonpositiveInteger(ArithmeticError):
+    """Gamma limit requested at a nonpositive integer."""
+
+
+def binom_half(k: int) -> Fraction:
+    """Binomial coefficient with top -1/2: (-1)^k (1/2)_k / k!."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    out = Fraction(1)
+    for j in range(1, k + 1):
+        out *= Fraction(-(2 * j - 1), 2 * j)
+    return out
+
+
+def central_binom_identity_check(j: int) -> bool:
+    """True iff C(2j, j) = 2^(2j) (-1)^j * binom(-1/2, j) exactly."""
+    return math.comb(2 * j, j) == 2 ** (2 * j) * (-1) ** j * binom_half(j)
+
+
+def gamma_limit_approx(x: Fraction | int, n_steps: int) -> float:
+    """K-th term of the limit K! K^(x-1) / (x)_K defining Gamma(x)."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    x = Fraction(x)
+    if x.denominator == 1 and x <= 0:
+        raise PoleAtNonpositiveInteger(f"Gamma has a pole at {x}")
+    xf = float(x)
+    acc = float(n_steps) ** (xf - 1.0)
+    for j in range(1, n_steps + 1):
+        acc *= j / (xf + j - 1)
+    return acc
+
+
+def reflection_check(x: float, rel_tol: float = 1e-10) -> bool:
+    """True iff Gamma(x)Gamma(1-x) matches pi/sin(pi*x) to rel_tol."""
+    if float(x).is_integer():
+        raise ValueError("x must not be an integer")
+    lhs = math.gamma(x) * math.gamma(1.0 - x)
+    rhs = math.pi / math.sin(math.pi * x)
+    return abs(lhs - rhs) / abs(rhs) < rel_tol

@@ -7,22 +7,25 @@ from fractions import Fraction
 
 import pytest
 
-from exact_oracle import entry20_loop, ramanujan_loop
+from exact_oracle import (
+    PoleAtNonpositiveInteger,
+    binom_half,
+    central_binom_identity_check,
+    entry20_loop,
+    gamma_limit_approx,
+    ramanujan_loop,
+    reflection_check,
+)
 from supercong.classical_hg import (
     MAX_SERIES_TERMS,
     LowerParamPole,
     ParameterPole,
-    PoleAtNonpositiveInteger,
-    binom_half,
-    central_binom_identity_check,
     entry20_partial_sum,
     entry20_target,
-    gamma_limit_approx,
     hypergeom_terminating,
     pochhammer,
     ramanujan_partial_sum,
     ramanujan_target,
-    reflection_check,
     whipple_check,
 )
 

@@ -125,6 +125,22 @@ def test_exp_sum_examples():
         exp_sum_check(5, 0)
 
 
+def _exp_sum_unfolded(p, k):
+    # the sum with k as given, no Fermat fold
+    total = sum(pow(j, k, p) for j in range(1, p)) % p
+    return total == ((p - 1) if k % (p - 1) == 0 else 0)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 101))
+def test_exp_sum_fold_agrees_with_the_unfolded_sum(p):
+    for k in range(1, 3 * (p - 1) + 1):
+        assert exp_sum_check(p, k) == _exp_sum_unfolded(p, k)
+    if p > 3:
+        # 30000-digit exponents, divisible by p - 1 and not
+        for k in (10**30000, 10**30000 + 1, (p - 1) * 10**29999):
+            assert exp_sum_check(p, k) == _exp_sum_unfolded(p, k)
+
+
 def test_lemma_sums_p3_recomputed_oracle():
     # direct evaluation oracle: P = 4z^3 + 9z^2 + 6z + 1 gives P(1) = 20 and
     # P(2) = 81, so the full sum is 101, congruent to -1!^3 = -1 = 2 mod 3

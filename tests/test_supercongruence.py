@@ -2,6 +2,7 @@
 the specialized well-poised instance, and the Pochhammer-pair congruences."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from exact_oracle import (
     QUINTIC,
     ROWS,
     Z,
+    binom_half,
     central_residue,
     central_sum,
     harmonic_prefix,
@@ -19,11 +21,12 @@ from exact_oracle import (
     y_sum,
 )
 from exact_oracle import whipple_instance_terms as four_product_terms
-from supercong.classical_hg import binom_half
+from supercong import supercongruence as sc
 from supercong.exactnum import MAX_EXPONENT, is_odd_prime, residue_from_rational
 from supercong.gaussian_hg import legendre
 from supercong.supercongruence import (
     STATEMENTS,
+    WHIPPLE_INST_MAX_P,
     _central_sum,
     _inverses,
     _xy_mod,
@@ -232,6 +235,23 @@ def test_poch_congruences_match_the_eight_reduction_oracle(p):
     assert poch_congruence_checks(p) == poch_congruence_records(p)
 
 
+@pytest.mark.parametrize(
+    "walker", (poch_congruence_checks, whipple_instance_terms, whipple_instance_check)
+)
+def test_pochhammer_walkers_reject_a_prime_above_the_cap_promptly(walker):
+    # 4001 is the first prime above the cap; poch_congruence_checks alone
+    # took 5.7 s at 7703 and grows like p^3.  3987 = 3 * 1329 lies below
+    # the cap, where the exact walk takes seconds before any reduction.
+    assert WHIPPLE_INST_MAX_P < 4001 and is_odd_prime(4001)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Pochhammer-walker cap"):
+        walker(4001)
+    for p in (1, 9, 3987):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            walker(p)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_poch_congruence_shift_square_spot_value():
     # p = 5, k = 2: C(4,2) C(2,2) = 6 against (3/8)^2 mod 25 - both reduce to 6
     lhs = residue_from_rational(Fraction(math.comb(4, 2) * math.comb(2, 2)), 5, 2)
@@ -317,10 +337,39 @@ def test_kept_quintic_sum_reduces_at_every_modulus(p):
 
 
 def test_y_mod_p_squared_agrees_with_exact():
-    # theorem_os_check consumes Y at precision p^2; validate that path
-    for p in (3, 5, 7, 13, 29):
-        assert _xy_mod(p, p * p, False) == residue_from_rational(y_sum(p), p, 2).value
-        assert _xy_mod(p, p, True) == residue_from_rational(x_sum(p), p, 1).value
+    # theorem_os_check consumes X and Y from one pass mod p^2; validate both
+    # against the exact sums there
+    for p in filter(is_odd_prime, range(3, 200)):
+        assert _xy_mod(p, p * p) == (
+            residue_from_rational(x_sum(p), p, 2).value,
+            residue_from_rational(y_sum(p), p, 2).value,
+        )
+
+
+def test_xy_mod_p_is_the_mod_p_squared_pass_reduced():
+    # the lemmas' pass mod p and thm_os's pass mod p^2 agree mod p
+    for p in filter(is_odd_prime, range(3, 998)):
+        x, y = _xy_mod(p, p * p)
+        assert _xy_mod(p, p) == (x % p, y % p)
+
+
+@pytest.mark.parametrize("statements, m", [(("lemma1", "lemma2"), 1), (("thm_os",), 2)])
+def test_harmonic_tables_are_built_once_per_prime(monkeypatch, statements, m):
+    # lemma1 and lemma2 share one pass mod p; thm_os reads X and Y from one
+    # pass mod p^2: either way one table build per prime
+    builds = []
+    build = sc._harmonic_tables_mod
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sc, "_harmonic_tables_mod", spy)
+    sc._xy_mod.cache_clear()
+    p = 101
+    for name in statements:
+        assert STATEMENTS[name].check(p, None).passed
+    assert builds == [(p, p**m)]
 
 
 def test_x_sum_random_p_integrality():
