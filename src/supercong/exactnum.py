@@ -4,6 +4,11 @@
 odd prime p, compared by value and modulus.  Production does its modular
 arithmetic on plain ints with `pow` and `%` and wraps only the results.
 Exact rationals are the stdlib `fractions.Fraction`.
+
+This is the one module that validates a prime.  `check_modulus` holds the
+API-wide caps, and `check_prime` is the gate of a costly layer: the layer
+names its own cap, defined beside the work it bounds, and the gate refuses
+a larger p before any of that work starts.
 """
 
 from __future__ import annotations
@@ -21,8 +26,18 @@ class NotPIntegral(ArithmeticError):
     """The rational has no image in Z/p^m: p divides its denominator."""
 
 
+#: The bases (2, 3, 5, 7) decide primality for every n below this bound
+#: (C. Pomerance, J. L. Selfridge and S. S. Wagstaff, "The pseudoprimes to
+#: 25 * 10^9", Math. Comp. 35, 1980): 3215031751 = 151 * 751 * 28351 is the
+#: least strong pseudoprime to all four.
+MILLER_RABIN_BOUND = 3_215_031_751
+
+
 def is_odd_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set covers all n < 3_215_031_751."""
+    """Deterministic Miller-Rabin, proved for n < MILLER_RABIN_BOUND; from
+    that bound up it raises ValueError instead of answering."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{_brief(n)} is beyond the proved Miller-Rabin range")
     if n < 3 or n % 2 == 0:
         return False
     d = n - 1
@@ -64,6 +79,14 @@ def check_modulus(p: int, m: int) -> int:
     return p**m
 
 
+def check_prime(p: int, cap: int, layer: str) -> None:
+    """Raise ValueError unless p is an odd prime at most `cap`, the cap of
+    the named layer: the gate a costly entry point passes before any work."""
+    check_modulus(p, 1)
+    if p > cap:
+        raise ValueError(f"prime {p} exceeds the {layer} cap {cap}")
+
+
 @dataclass(frozen=True)
 class Residue:
     """Canonical element of Z/p^m: 0 <= value < p**m, p an odd prime."""
@@ -73,6 +96,11 @@ class Residue:
     m: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.value, int):
+            raise TypeError(
+                f"Residue value must be an int, got {type(self.value).__name__};"
+                " reduce a rational with residue_from_rational"
+            )
         pm = check_modulus(self.p, self.m)
         object.__setattr__(self, "value", self.value % pm)
 

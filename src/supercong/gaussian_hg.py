@@ -13,7 +13,9 @@ w(y) = phi(y) phi(1-y) and T_n(x) = p^n * (n+1)Fn(x),
 so T_1(x) = p * 2F1(x) = phi(-1) sum_y phi(y) phi(1-y) phi(1-x*y).  Every
 step is an integer sum: no character table, no floating point and no
 rounding.  The tables T_1 .. T_(n-1) cost O(p^2) each and the last level is
-evaluated at lambda alone in O(p).
+evaluated at lambda alone in O(p), so the series refuses, before any work,
+a (p, n) with (n-1) p^2 > FINITE_FIELD_MAX_P^2; n = 1 costs O(p) and is
+never refused below the API-wide prime cap.
 
 The series factor chi(lambda) counts 0 at lambda = 0 for every character,
 the trivial one included, so the series vanishes at lambda = 0 (mod p); the
@@ -22,13 +24,20 @@ recursion by itself would give (-1)^n there, so that case is answered first.
 
 from __future__ import annotations
 
-from .exactnum import is_odd_prime
+import math
+
+from .exactnum import MAX_PRIME, check_modulus, check_prime
+
+#: The largest p at which the O(p^2) work of n = 2, p^2 * 3F2(1), is done:
+#: theorem_os_check(5101), whose cost is almost all this series, took 4.9 s
+#: alone in a fresh process on a 2-vCPU host (Python 3.11), the 5 s rule
+#: of the statement caps in `supercongruence`.
+FINITE_FIELD_MAX_P = 5101
 
 
 def legendre(a: int, p: int) -> int:
     """Quadratic character of a mod p via Euler's criterion: one of -1, 0, 1."""
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    check_modulus(p, 1)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -46,8 +55,9 @@ def gaussian_nFn_phi(p: int, n: int, lam: int) -> int:
     """The exact integer p^n * (n+1)Fn(lam) for the all-quadratic series."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    # (n-1) p^2 > FINITE_FIELD_MAX_P^2 iff p exceeds this cap
+    cap = MAX_PRIME if n == 1 else math.isqrt(FINITE_FIELD_MAX_P**2 // (n - 1))
+    check_prime(p, cap, "finite-field")
     lam %= p
     if lam == 0:
         return 0

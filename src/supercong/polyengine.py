@@ -46,11 +46,13 @@ slots of bits((p-1)^3) + 1 bits, rounded up to bytes.  The walk over g^i
 raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
 value unset.
 
-Inputs.  Every entry point takes an odd prime p at most `POLY_MAX_P`
-(`exp_sum_check`: at most `exactnum.MAX_PRIME`, its exponent folded mod
-p - 1 first) and raises `ValueError` before any work otherwise: the
-vanishing lemmas and the coefficient facts are facts about primes, and the
-exact products grow like p^3.2.
+Inputs.  Every entry point passes `exactnum.check_prime` with the cap
+`POLY_MAX_P` (`exp_sum_check`: `exactnum.check_modulus`, so at most
+`exactnum.MAX_PRIME`, its exponent folded mod p - 1 first), so a p that
+is not an odd prime within the cap raises `ValueError` before any work:
+the vanishing lemmas and the coefficient facts are facts about primes, and
+the exact products grow like p^3.2.  `pochhammer_poly(m)` takes m up to
+(POLY_MAX_P - 1)/2, the largest F any entry point builds.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .exactnum import check_modulus
+from .exactnum import check_modulus, check_prime
 
 #: The largest prime the polynomial entry points accept.  Together,
 #: p_identity_check and coefficient_facts_check at 997 took 5.3-8.0 s alone
@@ -214,18 +216,12 @@ def _rising_coeffs(m: int, modulus: Optional[int] = None) -> list[int]:
 
 
 def pochhammer_poly(m: int) -> RatPoly:
-    """(z+1)(z+2)...(z+m), the rising factorial of z+1 as a polynomial."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    """(z+1)(z+2)...(z+m), the rising factorial of z+1 as a polynomial, for
+    m up to (POLY_MAX_P - 1)/2, the largest m any entry point builds."""
+    top = (POLY_MAX_P - 1) // 2
+    if not 0 <= m <= top:
+        raise ValueError(f"m must lie in 0..{top}")
     return RatPoly(_rising_coeffs(m))
-
-
-def _check_prime(p: int) -> None:
-    """Raise ValueError, before any work, unless p is an odd prime at most
-    POLY_MAX_P."""
-    check_modulus(p, 1)
-    if p > POLY_MAX_P:
-        raise ValueError(f"prime {p} exceeds the polynomial cap {POLY_MAX_P}")
 
 
 @lru_cache(maxsize=2)
@@ -238,7 +234,7 @@ def _powers(m: int) -> tuple[RatPoly, RatPoly, RatPoly]:
 
 def p_poly(p: int) -> RatPoly:
     """d/dz [ z * pochhammer_poly((p-1)/2)^3 ]; integer coefficients."""
-    _check_prime(p)
+    check_prime(p, POLY_MAX_P, "polynomial")
     return _powers((p - 1) // 2)[2].shifted(1).derivative()
 
 
@@ -258,14 +254,14 @@ def q_poly(p: int) -> RatPoly:
 
     Divisible by z with integer coefficients (k(k-1) is always even).
     """
-    _check_prime(p)
+    check_prime(p, POLY_MAX_P, "polynomial")
     return _halved(_powers((p - 1) // 2)[2].shifted(1).derivative(2).shifted(1))
 
 
 def p_identity_check(p: int) -> bool:
     """True iff P(z) factors as F^3 * [1 + 3z * sum_r 1/(z+r)] with F the
     rising-factorial polynomial, i.e. P = F^3 + 3z F^2 sum_r prod_{s!=r}(z+s)."""
-    _check_prime(p)
+    check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
     big_p = p_poly(p)  # builds F, F^2 and F^3 for this prime
     f, f2, f3 = _powers(m)
@@ -280,7 +276,7 @@ def coefficient_facts_check(p: int) -> bool:
     """Coefficient facts tying P, Q and the cube of the rising factorial:
     p | a_{p-1} for both, a_0(P) = ((p-1)/2)!^3, a_0(Q) = 0, and the z^{p-1}
     coefficient of F^3 equals a_{p-1}(P)/p and 2 a_{p-1}(Q)/(p(p-1))."""
-    _check_prime(p)
+    check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
     big_p = p_poly(p)
     big_q = q_poly(p)
@@ -374,7 +370,7 @@ def lemma_sum_checks(p: int) -> bool:
 
     P and Q mod p come from c_k = [z^k] F^3 mod p: [z^k] P = (k+1) c_k and
     [z^k] Q = k(k+1)/2 c_k."""
-    _check_prime(p)
+    check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
     f = RatPoly(_rising_coeffs(m, p))
     cube = [c % p for c in (f * f * f).coeffs]

@@ -18,7 +18,9 @@ the statements that share them compute them once per prime: the exact
 quintic sum (vanhamme_a, prop3), reduced at each caller's modulus, the
 pair (X, Y) mod p (lemma1, lemma2; thm_os asks mod p^2), and
 p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact integer
-equality throughout, never approximate.
+equality throughout, never approximate.  The exact quintic sum and the
+Pochhammer-pair walker refuse a prime above their caps before any work,
+through `exactnum.check_prime`; the statement registry reads those caps.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Optional
 
-from .exactnum import MAX_PRIME, Residue, check_modulus, residue_from_rational
-from .gaussian_hg import gaussian_nFn_phi, legendre
+from .exactnum import MAX_PRIME, Residue, check_modulus, check_prime, residue_from_rational
+from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_nFn_phi, legendre
 from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
 
@@ -103,12 +105,20 @@ def _quintic_sum(p: int) -> Fraction:
     return total
 
 
+#: The exact quintic sum grows like p^3: timed alone in a fresh process on
+#: a 2-vCPU host (Python 3.11) with the sum not yet kept,
+#: vanhamme_verify(7703) took 4.3-5.1 s and prop3_check(7703) 4.2-4.8 s.
+QUINTIC_SUM_MAX_P = 7703
+
+
 def lhs_vanhamme(p: int, m: int = 3) -> Residue:
     """Sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, reduced mod p^m.
 
-    Every denominator is a power of 2, a p-unit for odd p.
+    Every denominator is a power of 2, a p-unit for odd p.  A p above
+    QUINTIC_SUM_MAX_P raises ValueError before the sum starts.
     """
     check_modulus(p, m)
+    check_prime(p, QUINTIC_SUM_MAX_P, "quintic-sum")
     # the kernel row (4, 1, 5, -1024) is equal; moving to it waits on the
     # benchmark's peak-RSS metric (ROADMAP item 1)
     return residue_from_rational(_quintic_sum(p), p, m)
@@ -256,6 +266,11 @@ def cor5_check(p: int, m: int = 3) -> VerificationRecord:
 # binom(-1/2,k) and Q_k mod p^4 and R_k mod p^2 once per k and form their
 # eight sides from those residues as integers.
 
+#: The walker's exact rationals grow like p^3: whipple_instance_check(3989)
+#: took 4.7-4.8 s alone in a fresh process on a 2-vCPU host (Python 3.11),
+#: and 4099 took 5.0-5.4 s.
+WHIPPLE_INST_MAX_P = 3989
+
 
 def _pochhammer_pairs(p: int):
     """Yield (k, binom(-1/2,k), Q_k, R_k) for 0 <= k <= (p-1)/2, where
@@ -269,9 +284,7 @@ def _pochhammer_pairs(p: int):
     A p that is not an odd prime at most WHIPPLE_INST_MAX_P raises
     ValueError before the first step.
     """
-    check_modulus(p, 1)
-    if p > WHIPPLE_INST_MAX_P:
-        raise ValueError(f"prime {p} exceeds the Pochhammer-walker cap {WHIPPLE_INST_MAX_P}")
+    check_prime(p, WHIPPLE_INST_MAX_P, "Pochhammer-walker")
     p2 = p * p
     bk = qk = rk = Fraction(1)
     for k in range((p - 1) // 2 + 1):
@@ -358,19 +371,14 @@ class Statement:
     max_p: int = MAX_PRIME
 
 
-# The O(p^2) Gaussian series of thm_os and cor5 and the exact rationals of
-# the Pochhammer-pair walker (whipple_inst), whose cost grows like p^3, cap
-# them at the largest prime at which one check, alone in a fresh process,
-# took about 5 s on a 2-vCPU host (Python 3.11): theorem_os_check(5101)
-# 4.9 s, whipple_instance_check(3989) 4.7-4.8 s (4099: 5.0-5.4 s).
-FINITE_FIELD_MAX_P = 5101
-WHIPPLE_INST_MAX_P = 3989
-# The exact quintic sum that vanhamme_a and prop3 read also grows like p^3
-# and caps both the same way, timed alone in a fresh process with the sum
-# not yet kept: vanhamme_verify(7703) 4.3-5.1 s, prop3_check(7703)
-# 4.2-4.8 s.  The modular kernel of vanhamme_b and Z needs no cap below
-# MAX_PRIME: vanhamme_b_verify(999983, 8) takes about 2 s.
-QUINTIC_SUM_MAX_P = 7703
+# A statement's cap is the largest prime at which one check, alone in a
+# fresh process, took about 5 s on a 2-vCPU host (Python 3.11).  Each cap
+# is defined and enforced by the layer whose cost it bounds, so the API
+# refuses what a sweep refuses: QUINTIC_SUM_MAX_P by lhs_vanhamme (the
+# exact quintic sum), gaussian_hg.FINITE_FIELD_MAX_P by gaussian_nFn_phi
+# (the O(p^2) series) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
+# The modular kernel of vanhamme_b and Z and the X/Y pass of the lemmas
+# need no cap below MAX_PRIME: vanhamme_b_verify(999983, 8) takes about 2 s.
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.

@@ -3,6 +3,7 @@ terminating sums, the well-poised transformation, and float series."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from exact_oracle import (
     ramanujan_loop,
     reflection_check,
 )
+from supercong import classical_hg
 from supercong.classical_hg import (
     MAX_SERIES_TERMS,
     LowerParamPole,
@@ -94,6 +96,59 @@ def test_hypergeom_terminating_pole_detection():
     assert value == 1 - Fraction(1, -5)
     with pytest.raises(ValueError):
         hypergeom_terminating((Fraction(1, 2),), (), Fraction(1))
+
+
+def test_hypergeom_terminating_matches_the_pochhammer_term_sum():
+    # stepping one term ratio gives the defining sum's exact rationals:
+    # sum_k prod (a)_k / prod (b)_k z^k / k!, where (a)_k = 0 past -a
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        upper = [Fraction(-n)] + [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 3))
+        ]
+        lower = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 3))]
+        z = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        expected = sum(
+            math.prod(pochhammer(a, k) for a in upper)
+            / math.prod(pochhammer(b, k) for b in lower)
+            * z**k
+            / math.factorial(k)
+            for k in range(n + 1)
+        )
+        assert hypergeom_terminating(upper, lower, z) == expected
+
+
+def test_exact_counts_refuse_a_count_above_the_cap(monkeypatch):
+    # shrunk caps: the largest count still runs, the next one raises
+    monkeypatch.setattr(classical_hg, "MAX_POCHHAMMER_N", 3)
+    monkeypatch.setattr(classical_hg, "MAX_HYPERGEOM_TERMS", 2)
+    monkeypatch.setattr(classical_hg, "MAX_WHIPPLE_M", 2)
+    assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
+    assert hypergeom_terminating((-2, 1), (1,), -1) == 4  # (1 - z)^2 at z = -1
+    assert whipple_check(1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 2)
+    for call in (
+        lambda: pochhammer(Fraction(1, 2), 4),
+        lambda: hypergeom_terminating((-3, 1), (1,), -1),
+        lambda: whipple_check(1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 3),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_exact_counts_refuse_a_huge_count_promptly():
+    # at 10**12 each of these never returned: the loop ran the count given
+    params = (1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    start = time.perf_counter()
+    for huge in (False, True):
+        for call, cap in (
+            (lambda n: pochhammer(Fraction(1, 2), n), classical_hg.MAX_POCHHAMMER_N),
+            (lambda n: hypergeom_terminating((-n,), (), 1), classical_hg.MAX_HYPERGEOM_TERMS),
+            (lambda n: whipple_check(*params, n), classical_hg.MAX_WHIPPLE_M),
+        ):
+            with pytest.raises(ValueError):
+                call(10**12 if huge else cap + 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_whipple_example():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import exactnum
 from supercong.exactnum import (
     NotPIntegral,
     Residue,
@@ -188,3 +189,35 @@ def test_is_odd_prime_against_trial_division():
 
     for n in range(1, 2000):
         assert is_odd_prime(n) == trial(n)
+
+
+def test_is_odd_prime_refuses_beyond_its_proved_range():
+    # 3215031751 = 151 * 751 * 28351 is the least strong pseudoprime to the
+    # bases 2, 3, 5 and 7: from there on they could call a composite prime
+    n = 3215031751
+    assert 151 * 751 * 28351 == n
+    for big in (n, n + 2, 10**40 + 1):
+        with pytest.raises(ValueError, match="proved Miller-Rabin range"):
+            is_odd_prime(big)
+    assert exactnum.MILLER_RABIN_BOUND == n
+    # just below the bound the answer still stands (trial division: 3215031749
+    # is prime, 3215031747 is not)
+    assert is_odd_prime(n - 2) and not is_odd_prime(n - 4)
+
+
+def test_residue_takes_only_an_int_value():
+    # a rational or a float value was stored as given: Residue(Fraction(1, 2),
+    # 5, 1) held 1/2 and compared unequal to its image 3
+    for value in (Fraction(1, 2), Fraction(3), 2.5, 3.0):
+        with pytest.raises(TypeError, match="residue_from_rational"):
+            Residue(value, 5, 1)
+    assert residue_from_rational(Fraction(1, 2), 5, 1) == Residue(3, 5, 1)
+
+
+def test_prime_gate_refuses_before_the_caller_works():
+    assert exactnum.check_prime(7, 7, "test") is None
+    with pytest.raises(ValueError, match="prime 11 exceeds the test cap 7"):
+        exactnum.check_prime(11, 7, "test")
+    for p in (1, 9, 10**6 + 3):  # not an odd prime, or above the API cap
+        with pytest.raises(ValueError):
+            exactnum.check_prime(p, 10**7, "test")

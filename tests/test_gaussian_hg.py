@@ -17,9 +17,10 @@ from charsum_oracle import (
     greene_binom,
     jacobi_sum,
 )
+from supercong import gaussian_hg, supercongruence
 from supercong.exactnum import is_odd_prime
 from supercong.gaussian_hg import gaussian_nFn_phi, legendre
-from supercong.supercongruence import cor5_check
+from supercong.supercongruence import cor5_check, theorem_os_check
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -218,6 +219,39 @@ def test_gaussian_series_rejects_bad_arguments():
     for p in (1, 2, 9):
         with pytest.raises(ValueError):
             gaussian_nFn_phi(p, 2, 1)
+
+
+def test_prime_checks_refuse_a_strong_pseudoprime_to_bases_2_3_5_7():
+    # 3215031751 = 151 * 751 * 28351 passed Miller-Rabin with the bases
+    # 2, 3, 5 and 7: legendre answered 1 for it, and the series tried to
+    # build a 3.2-billion-entry table.  is_odd_prime goes first, so no
+    # later call runs where it still answers.
+    n = 3215031751
+    with pytest.raises(ValueError):
+        is_odd_prime(n)
+    with pytest.raises(ValueError):
+        legendre(2, n)
+    with pytest.raises(ValueError):
+        gaussian_nFn_phi(n, 2, 1)
+
+
+def test_series_refuses_a_p_above_its_cost_cap(monkeypatch):
+    # (n-1) p^2 <= FINITE_FIELD_MAX_P^2 bounds the O(n p^2) recursion; with
+    # the cap shrunk to 7, n = 2 stops at 7, n = 3 at isqrt(49 // 2) = 4, and
+    # n = 1, which costs O(p), is never refused
+    at_eleven = gaussian_nFn_phi(11, 1, 1)
+    assert gaussian_hg.FINITE_FIELD_MAX_P == 5101
+    monkeypatch.setattr(gaussian_hg, "FINITE_FIELD_MAX_P", 7)
+    supercongruence._gaussian_3f2.cache_clear()  # a kept value would skip the series
+    assert gaussian_nFn_phi(7, 2, 1) == charsum_nFn_phi(7, 2, 1, tol=1e-6)
+    assert gaussian_nFn_phi(11, 1, 1) == at_eleven
+    assert gaussian_nFn_phi(3, 3, 1) == charsum_nFn_phi(3, 3, 1, tol=1e-6)
+    for p, n, cap in ((11, 2, 7), (5, 3, 4), (3, 50, 1)):
+        with pytest.raises(ValueError, match=f"finite-field cap {cap}$"):
+            gaussian_nFn_phi(p, n, 1)
+    for check in (theorem_os_check, cor5_check):
+        with pytest.raises(ValueError, match="finite-field cap 7$"):
+            check(11)
 
 
 def test_rounding_residual_guard():

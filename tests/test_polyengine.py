@@ -17,6 +17,7 @@ from supercong.polyengine import (
     POLY_MAX_P,
     RatPoly,
     _halved,
+    _rising_coeffs,
     _values_mod,
     coefficient_facts_check,
     exp_sum_check,
@@ -303,5 +304,19 @@ def test_entry_points_reject_a_prime_above_the_cap_promptly():
     for fn in _ENTRY_POINTS:
         with pytest.raises(ValueError, match="polynomial cap"):
             fn(above)
+    for m in ((above - 1) // 2, 10**12):
+        with pytest.raises(ValueError):
+            pochhammer_poly(m)
     assert time.perf_counter() - start < 0.5
     assert POLY_MAX_P >= 499
+
+
+def test_pochhammer_poly_refuses_m_above_the_largest_entry_point_build(monkeypatch):
+    # m = (p - 1)/2 at POLY_MAX_P is the largest F any entry point builds
+    assert len(pochhammer_poly((POLY_MAX_P - 1) // 2).coeffs) == (POLY_MAX_P + 1) // 2
+    monkeypatch.setattr(polyengine, "POLY_MAX_P", 11)
+    assert pochhammer_poly(5) == RatPoly(_rising_coeffs(5))
+    with pytest.raises(ValueError, match="0..5"):
+        pochhammer_poly(6)
+    with pytest.raises(ValueError):
+        pochhammer_poly(-1)

@@ -21,9 +21,10 @@ from exact_oracle import (
     y_sum,
 )
 from exact_oracle import whipple_instance_terms as four_product_terms
+from supercong import gaussian_hg
 from supercong import supercongruence as sc
-from supercong.exactnum import MAX_EXPONENT, is_odd_prime, residue_from_rational
-from supercong.gaussian_hg import legendre
+from supercong.exactnum import MAX_EXPONENT, MAX_PRIME, is_odd_prime, residue_from_rational
+from supercong.gaussian_hg import gaussian_nFn_phi, legendre
 from supercong.supercongruence import (
     STATEMENTS,
     WHIPPLE_INST_MAX_P,
@@ -250,6 +251,53 @@ def test_pochhammer_walkers_reject_a_prime_above_the_cap_promptly(walker):
         with pytest.raises(ValueError, match="not an odd prime"):
             walker(p)
     assert time.perf_counter() - start < 0.5
+
+
+# statement -> (module, name) of the cap constant its costliest layer
+# enforces; every other statement runs to the API-wide MAX_PRIME
+_LAYER_CAPS = {
+    "vanhamme_a": (sc, "QUINTIC_SUM_MAX_P"),
+    "prop3": (sc, "QUINTIC_SUM_MAX_P"),
+    "thm_os": (gaussian_hg, "FINITE_FIELD_MAX_P"),
+    "cor5": (gaussian_hg, "FINITE_FIELD_MAX_P"),
+    "whipple_inst": (sc, "WHIPPLE_INST_MAX_P"),
+}
+
+
+def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch):
+    # shrink each layer constant to 7: the check itself, not the sweep's
+    # registry, then stops above it
+    for statement, entry in STATEMENTS.items():
+        if statement not in _LAYER_CAPS:
+            assert entry.max_p == MAX_PRIME, statement
+            continue
+        module, name = _LAYER_CAPS[statement]
+        assert entry.max_p == getattr(module, name), statement
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, 7)
+            sc._gaussian_3f2.cache_clear()
+            assert entry.check(7, entry.default_m).passed, statement
+            with pytest.raises(ValueError, match="cap 7$"):
+                entry.check(11, entry.default_m)
+
+
+def test_entry_points_refuse_the_first_prime_above_their_cap_promptly():
+    # below these caps one call takes up to about 5 s, and the cost grows
+    # like p^2 (the series) or p^3 (the exact sum); the walker's cap is
+    # checked at 4001 above
+    groups = (
+        (5107, gaussian_hg.FINITE_FIELD_MAX_P,
+         (lambda p: gaussian_nFn_phi(p, 2, 1), theorem_os_check, cor5_check)),
+        (7717, sc.QUINTIC_SUM_MAX_P,
+         (lambda p: lhs_vanhamme(p, 3), vanhamme_verify, prop3_check)),
+    )
+    start = time.perf_counter()
+    for p, cap, calls in groups:
+        assert is_odd_prime(p) and not any(map(is_odd_prime, range(cap + 1, p)))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"prime {p} exceeds the .* cap {cap}$"):
+                call(p)
+    assert time.perf_counter() - start < 1
 
 
 def test_poch_congruence_shift_square_spot_value():
