@@ -11,19 +11,27 @@ from fractions import Fraction
 #: Largest n_terms of the float partial sums (about 5 s of work).
 MAX_SERIES_TERMS = 10**7
 
-# The exact counts are capped the same way, at about 5 s alone in a fresh
-# process on a 2-vCPU host (Python 3.11), the rule of the statement caps in
-# `supercongruence`.  Their cost grows like n^2 to n^3 and with the sizes
-# of the parameters, and was timed at small ones: pochhammer(1/2, 40000)
-# took 4.2-4.4 s, and at (a, c, d, e) = (7/11, -5/7, 3/8, 9/5) the 6F5 of
-# whipple_check with m = 2200 took 4.4 s and whipple_check with m = 1800
-# 4.5 s (m = 2300: 5.0 s; m = 1900: 4.9 s).
+# The exact counts are capped, and so is their size: the count times the
+# bits of the parameters (`_size`), which bounds the bit length of the one
+# unreduced fraction each exact route builds.  The cost follows that size,
+# not the count: pochhammer(1/10^100, 4000), at a tenth of the count cap,
+# took 11.3 s when each step reduced a Fraction.  The size bound follows
+# the rule of the statement caps in `supercongruence`, about 5 s alone in a
+# fresh process on a 2-vCPU host (Python 3.11): at sizes up to 10^6 the
+# slowest shapes timed were hypergeom_terminating((-296, 1/10^1000),
+# (1/3,), 1) at 3.9 s and pochhammer(1/10^1000, 300) at 3.0 s.  The count
+# caps were timed at 4.2-4.5 s on the per-step routes; at small parameters
+# they now take far less (pochhammer(1/2, 40000) 0.6 s, whipple_check at
+# m = 1800 0.2 s).
 #: Largest n of `pochhammer`.
 MAX_POCHHAMMER_N = 40_000
 #: Largest termination index of `hypergeom_terminating`.
 MAX_HYPERGEOM_TERMS = 2_200
 #: Largest m of `whipple_check`.
 MAX_WHIPPLE_M = 1_800
+#: Largest `_size` of an exact count, for `whipple_check` the sum over the
+#: four counts it runs.
+MAX_EXACT_SIZE = 1_000_000
 
 
 class LowerParamPole(ArithmeticError):
@@ -34,15 +42,32 @@ class ParameterPole(ArithmeticError):
     """Excluded parameter configuration for the well-poised transformation."""
 
 
+def _size(n: int, params) -> int:
+    """n times the summed bits of the parameters shifted by up to n: a bound
+    on the bit length of an exact route's unreduced fraction."""
+    w = n.bit_length()
+    return n * sum(x.numerator.bit_length() + x.denominator.bit_length() + w for x in params)
+
+
+def _check_size(n: int, params, what: str) -> None:
+    """Raise ValueError before any step when `_size` exceeds MAX_EXACT_SIZE."""
+    size = _size(n, params)
+    if size > MAX_EXACT_SIZE:
+        raise ValueError(
+            f"{what}: size {size} (term count times parameter bits) "
+            f"exceeds the bound {MAX_EXACT_SIZE}"
+        )
+
+
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+n-1), with (a)_0 = 1."""
+    """Rising factorial a(a+1)...(a+n-1), with (a)_0 = 1: for a = u/v, the
+    integer product of u + iv over v^n, reduced once."""
     if not 0 <= n <= MAX_POCHHAMMER_N:
         raise ValueError(f"n must lie in 0..{MAX_POCHHAMMER_N}")
     a = Fraction(a)
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
+    _check_size(n, (a,), "pochhammer")
+    u, v = a.numerator, a.denominator
+    return Fraction(math.prod(range(u, u + n * v, v)), v**n)
 
 
 def _poch_hits_zero(b: Fraction, n_terms: int) -> bool:
@@ -55,8 +80,12 @@ def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
     lower parameters `lower` and argument z, as a finite rational sum.
 
     Some upper parameter must be a nonpositive integer; the sum runs to the
-    smallest such termination index, at most MAX_HYPERGEOM_TERMS.  Each term
-    is the one before times the term ratio prod(a+k) z / (prod(b+k) (k+1)).
+    smallest such termination index n, at most MAX_HYPERGEOM_TERMS, and n
+    times the parameters' bits stays within MAX_EXACT_SIZE.  With the term
+    ratio r_k = prod(a+k) z / (prod(b+k) (k+1)) the sum is
+    1 + r_0 (1 + r_1 (1 + ... r_(n-1))), nested from the inside out over
+    integers: r_k = P_k / Q_k over the parameters' denominators, and the
+    partial value stays one unreduced fraction, reduced once at the end.
     """
     upper = [Fraction(a) for a in upper]
     lower = [Fraction(b) for b in lower]
@@ -67,19 +96,18 @@ def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
     n_stop = min(stops)
     if n_stop > MAX_HYPERGEOM_TERMS:
         raise ValueError(f"termination index exceeds the cap {MAX_HYPERGEOM_TERMS}")
+    _check_size(n_stop, (*upper, *lower, z), "hypergeom_terminating")
     for b in lower:
         if _poch_hits_zero(b, n_stop):
             raise LowerParamPole(f"lower parameter {b} is a pole within k<={n_stop}")
-    total = term = Fraction(1)
-    for k in range(n_stop):
-        ratio = z / (k + 1)
-        for a in upper:
-            ratio *= a + k
-        for b in lower:
-            ratio /= b + k
-        term *= ratio
-        total += term
-    return total
+    p_const = z.numerator * math.prod(b.denominator for b in lower)
+    q_const = z.denominator * math.prod(a.denominator for a in upper)
+    num = den = 1
+    for k in reversed(range(n_stop)):
+        pk = p_const * math.prod(a.numerator + k * a.denominator for a in upper)
+        qk = q_const * (k + 1) * math.prod(b.numerator + k * b.denominator for b in lower)
+        num, den = qk * den + pk * num, qk * den
+    return Fraction(num, den)
 
 
 def whipple_check(a, c, d, e, m: int) -> bool:
@@ -90,12 +118,15 @@ def whipple_check(a, c, d, e, m: int) -> bool:
     (1+a)_m / (1+a-e)_m times the 3F2 at 1 with upper row (1+a-c-d, e, -m).
     The Gamma-factor prefactor has been rewritten as that Pochhammer ratio
     via Gamma(x+1) = x*Gamma(x), which is what keeps both sides rational.
+    The four counts together stay within MAX_EXACT_SIZE.
     """
     if not 1 <= m <= MAX_WHIPPLE_M:
         raise ValueError(f"m must lie in 1..{MAX_WHIPPLE_M}")
     a, c, d, e = Fraction(a), Fraction(c), Fraction(d), Fraction(e)
     f = Fraction(-m)
+    lhs_upper = (a, 1 + a / 2, c, d, e, f)
     lhs_lower = (a / 2, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f)
+    rhs_upper = (1 + a - c - d, e, f)
     rhs_lower = (1 + a - c, 1 + a - d)
     for b in lhs_lower + rhs_lower:
         if _poch_hits_zero(b, m):
@@ -103,9 +134,12 @@ def whipple_check(a, c, d, e, m: int) -> bool:
     for g in (1 + a, 1 + a - e + m):
         if g.denominator == 1 and g <= 0:
             raise ParameterPole(f"{g} is a nonpositive integer")
-    lhs = hypergeom_terminating((a, 1 + a / 2, c, d, e, f), lhs_lower, -1)
+    # its two rows (with their arguments) and its two Pochhammer symbols
+    rows = (*lhs_upper, *lhs_lower, -1, *rhs_upper, *rhs_lower, 1, 1 + a, 1 + a - e)
+    _check_size(m, rows, "whipple_check")
+    lhs = hypergeom_terminating(lhs_upper, lhs_lower, -1)
     prefactor = pochhammer(1 + a, m) / pochhammer(1 + a - e, m)
-    rhs = prefactor * hypergeom_terminating((1 + a - c - d, e, f), rhs_lower, 1)
+    rhs = prefactor * hypergeom_terminating(rhs_upper, rhs_lower, 1)
     return lhs == rhs
 
 

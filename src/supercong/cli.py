@@ -123,8 +123,10 @@ def cmd_verify(
 ) -> int:
     tasks = [(p, statements, mod_power) for p in _sieve_odd_primes(lo, hi)]
     # the pool forks all its workers at the first submit: never more than
-    # the cores, nor than the chunks there are to hand out
-    workers = min(workers, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
+    # the cores, nor than the chunks there are to hand out; a serial run
+    # asks for neither
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
     if workers <= 1:
         chunks = map(_prime_task, tasks)
     else:

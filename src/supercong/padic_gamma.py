@@ -1,5 +1,7 @@
 """The p-adic Gamma function at integers and at p-integral rationals, and
-the Gamma sides -p / gamma_p(x)^k of both Van Hamme congruences.
+the Gamma sides of both Van Hamme congruences: -p / gamma_p(3/4)^4 for the
+quintic through gamma_p, and -p / gamma_p(1/2)^2 = p (-1/p) for the
+mod-p^4 companion in closed form, by the reflection formula.
 
 gamma_p(n) for an integer n >= 0 is (-1)^n times the product of all j < n
 coprime to p.  A p-integral rational x is handled through the least
@@ -202,23 +204,27 @@ def gamma_p_rational(x: Fraction | int, p: int, m: int) -> Residue:
     return gamma_p_int(product_bound(x, p, m), p, m)
 
 
-def _minus_p_over_gamma_power(x: Fraction, k: int, p: int, m: int) -> Residue:
-    """-p / gamma_p(x)^k mod p^m, exact although the leading factor p lets
-    gamma_p(x) run at p^(m-1): the Gamma side of both Van Hamme congruences."""
-    prec = max(m - 1, 1)
-    g = gamma_p_rational(x, p, prec)
-    return Residue(-p * pow(g.value, -k, p**prec), p, m)
-
-
 def rhs_vanhamme(p: int, m: int = 3) -> Residue:
-    """-p / gamma_p(3/4)^4 mod p^m when p = 1 mod 4, else 0 (the quintic)."""
+    """-p / gamma_p(3/4)^4 mod p^m when p = 1 mod 4, else 0 (the quintic).
+
+    The leading factor p makes gamma_p(3/4) mod p^(m-1) enough: the value
+    is exact although gamma_p runs one digit short.
+    """
     check_modulus(p, m)
     if p % 4 == 3:
         return Residue(0, p, m)
-    return _minus_p_over_gamma_power(Fraction(3, 4), 4, p, m)
+    prec = max(m - 1, 1)
+    g = gamma_p_rational(Fraction(3, 4), p, prec)
+    return Residue(-p * pow(g.value, -4, p**prec), p, m)
 
 
 def rhs_vanhamme_b(p: int, m: int = 4) -> Residue:
-    """-p / gamma_p(1/2)^2 mod p^m (the mod-p^4 companion)."""
+    """-p / gamma_p(1/2)^2 mod p^m (the mod-p^4 companion), in closed form.
+
+    The reflection formula gamma_p(x) gamma_p(1-x) = (-1)^l(x), l(x) the
+    least positive residue of x mod p, gives gamma_p(1/2)^2 = (-1)^((p+1)/2)
+    exactly, so the side is p (-1/p): p when p = 1 mod 4, else -p.  The
+    tests hold it against the block route.
+    """
     check_modulus(p, m)
-    return _minus_p_over_gamma_power(Fraction(1, 2), 2, p, m)
+    return Residue(p if p % 4 == 1 else -p, p, m)

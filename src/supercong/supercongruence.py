@@ -1,7 +1,8 @@
 """Truncated Van Hamme sums, the harmonic-sum quantities X/Y/Z at
 (lambda, n) = (1, 2), the specialized well-poised transformation with
 conjugate-paired parameters, and the per-prime verification records; the
-Gamma sides of both congruences come from `padic_gamma`.
+Gamma sides of both congruences come from `padic_gamma`, the quintic's
+through gamma_p and the companion's in closed form, p (-1/p).
 
 The truncated sums share one shape, the sum over k <= (p-1)/2 of
 (ak+b) C(2k,k)^e / r^k, and one modular kernel, `_central_sum`, evaluates
@@ -378,7 +379,7 @@ class Statement:
 # exact quintic sum), gaussian_hg.FINITE_FIELD_MAX_P by gaussian_nFn_phi
 # (the O(p^2) series) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
 # The modular kernel of vanhamme_b and Z and the X/Y pass of the lemmas
-# need no cap below MAX_PRIME: vanhamme_b_verify(999983, 8) takes about 2 s.
+# need no cap below MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s.
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.

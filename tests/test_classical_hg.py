@@ -151,6 +151,61 @@ def test_exact_counts_refuse_a_huge_count_promptly():
     assert time.perf_counter() - start < 1
 
 
+def _whipple_size(a, c, d, e, m):
+    """The size whipple_check books: its 6F5 and 3F2 rows and its two
+    Pochhammer symbols, recounted from the transformation."""
+    f = Fraction(-m)
+    six = (a, 1 + a / 2, c, d, e, f, a / 2, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f, -1)
+    three = (1 + a - c - d, e, f, 1 + a - c, 1 + a - d, 1)
+    return sum(classical_hg._size(m, row) for row in (six, three, (1 + a,), (1 + a - e,)))
+
+
+def test_exact_sizes_refuse_one_past_the_bound(monkeypatch):
+    # term count × parameter bits: with the bound at a call's size the call
+    # runs; one below, it raises before any step and names the bound
+    tiny = Fraction(1, 10**100)
+    third = Fraction(1, 3)
+    whipple = (Fraction(1), tiny, third, Fraction(1, 4), 3)
+    cases = (
+        (lambda: pochhammer(tiny, 3), classical_hg._size(3, (tiny,))),
+        (
+            lambda: hypergeom_terminating((-3, tiny), (third,), 1),
+            classical_hg._size(3, (Fraction(-3), tiny, third, Fraction(1))),
+        ),
+        (lambda: whipple_check(*whipple), _whipple_size(*whipple)),
+    )
+    for call, size in cases:
+        monkeypatch.setattr(classical_hg, "MAX_EXACT_SIZE", size)
+        call()
+        monkeypatch.setattr(classical_hg, "MAX_EXACT_SIZE", size - 1)
+        with pytest.raises(ValueError, match=f"size {size} .* exceeds the bound {size - 1}$"):
+            call()
+
+
+def test_exact_sizes_refuse_large_parameters_promptly():
+    # pochhammer(1/10^100, 4000) took 11.3 s at a tenth of the count cap,
+    # when each step reduced a Fraction; counts inside their caps with
+    # parameters this large are refused before the first step
+    tiny = Fraction(1, 10**1000)
+    start = time.perf_counter()
+    for call in (
+        lambda: pochhammer(Fraction(1, 10**100), 4000),
+        lambda: hypergeom_terminating((-2200, tiny), (Fraction(1, 3),), 1),
+        lambda: whipple_check(tiny, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 1800),
+    ):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            call()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_small_whipple_tuples_stay_far_inside_the_size_bound(monkeypatch):
+    # parameters with |numerator|, denominator <= 12 and m <= 8 (the
+    # machinery benchmark's tuples) pass under a hundredth of the bound
+    monkeypatch.setattr(classical_hg, "MAX_EXACT_SIZE", classical_hg.MAX_EXACT_SIZE // 100)
+    for a, c, d, e, m in _random_whipple_tuples(7, 40):
+        assert whipple_check(a, c, d, e, m)
+
+
 def test_whipple_example():
     assert whipple_check(1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 2)
 

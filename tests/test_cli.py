@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from supercong import cli, supercongruence
+from supercong import cli, padic_gamma, supercongruence
 from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME
@@ -193,9 +193,8 @@ def test_companion_at_the_prime_cap_reports_its_row(capsys):
 
 
 def test_companion_at_mod_p6_reports_its_row(capsys):
-    # Gamma_p(1/2) mod p^5 is a 5 * 10^9-factor product; the companion is
-    # false mod p^6 and that finding must stay reported.  Gamma_p(1/2)^2 =
-    # (-1)^51 at p = 101, so the right-hand side -p / Gamma_p(1/2)^2 is p.
+    # the companion is false mod p^6 and that finding must stay reported;
+    # 101 = 1 (mod 4), so the right-hand side p (-1/p) is p
     code, out, _ = run_cli(
         capsys, "verify", "--statements", "vanhamme_b", "--mod-power", "6",
         "--primes", "101..101", "--format", "json-lines",
@@ -204,6 +203,26 @@ def test_companion_at_mod_p6_reports_its_row(capsys):
     (row,) = [json.loads(line) for line in out.splitlines()]
     assert row["modulus"] == 101**6 and row["rhs"] == 101
     assert row["pass"] is False
+
+
+def test_companion_sweep_makes_no_gamma_p_call(capsys, monkeypatch):
+    # the companion's Gamma side is the closed form p (-1/p): a sweep calls
+    # neither gamma_p entry point
+    calls = []
+    for name in ("gamma_p_rational", "gamma_p_int"):
+
+        def spy(*args, _name=name, _real=getattr(padic_gamma, name)):
+            calls.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(padic_gamma, name, spy)
+    code, out, _ = run_cli(
+        capsys, "verify", "--statements", "vanhamme_b", "--primes", "3..97",
+        "--format", "json-lines",
+    )
+    assert code == 1  # the p = 3 finding
+    assert len(out.splitlines()) == 24
+    assert calls == []
 
 
 def test_unknown_statement_exits_2(capsys):
@@ -293,6 +312,19 @@ def test_workers_bounded_by_cores_and_chunks(capsys, monkeypatch, primes, cores,
     assert [(r["p"], r["lhs"]) for r in rows] == [
         (r["p"], r["lhs"]) for r in map(json.loads, serial.splitlines())
     ]
+
+
+def test_serial_run_reads_no_core_count(capsys, monkeypatch):
+    # the core count only clamps a pool; one worker never starts one
+    def never():
+        raise AssertionError("os.cpu_count read by a serial run")
+
+    monkeypatch.setattr(cli.os, "cpu_count", never)
+    code, out, _ = run_cli(
+        capsys, "verify", "--statements", "lemma1", "--primes", "3..97",
+        "--workers", "1", "--format", "json-lines",
+    )
+    assert code == 0 and len(out.splitlines()) == 24
 
 
 def test_mod_power_override(capsys):

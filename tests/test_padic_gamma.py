@@ -11,6 +11,7 @@ from supercong.padic_gamma import (
     gamma_p_rational,
     product_bound,
     rhs_vanhamme,
+    rhs_vanhamme_b,
 )
 
 
@@ -92,8 +93,8 @@ def test_block_route_tail_prefixes_against_oracle():
 
 def test_block_route_on_long_products():
     # n = 70000 at p = 101 crosses hundreds of full blocks and wraps past
-    # p^2; 515151 is the Gamma_p(1/2) mod p^3 product of the mod-p^4
-    # companion at p = 101
+    # p^2; 515151 is the length of the Gamma_p(1/2) mod p^3 product at
+    # p = 101
     assert gamma_p_int(70000, 101, 2).value == gamma_oracle(70000, 101, 101**2)
     n = product_bound(Fraction(1, 2), 101, 3)
     assert n == 515151
@@ -125,6 +126,19 @@ def test_rhs_at_the_prime_cap():
     p = 999961
     g = gamma_p_rational(Fraction(1, 4), p, 2).value
     assert rhs_vanhamme(p, 3).value == -p * pow(g, 4, p**2) % p**3
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 997, 999961, 999983])
+def test_companion_closed_form_against_the_block_route(p):
+    # rhs_vanhamme_b is p (-1/p) by reflection; the block route gives
+    # -p / gamma_p(1/2)^2 at precision max(m-1, 1), exact thanks to the
+    # leading p.  One gamma_p mod p^7 serves every m: reduced mod p^k it is
+    # gamma_p mod p^k (test_precision_coherence)
+    g = gamma_p_rational(Fraction(1, 2), p, 7).value
+    for m in range(1, 9):
+        pk = p ** max(m - 1, 1)
+        expect = -p * pow(g % pk, -2, pk) % p**m
+        assert rhs_vanhamme_b(p, m).value == expect, (p, m)
 
 
 def test_gamma_p_rational_examples():

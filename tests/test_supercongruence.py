@@ -116,8 +116,8 @@ def test_rhs_vanhamme_b_and_the_p3_finding():
 
 
 def test_gamma_half_square_observed_sign():
-    # the implementation never assumes a sign for gamma_p(1/2)^2; this pins
-    # the computed one for the record
+    # rhs_vanhamme_b relies on this sign: gamma_p(1/2)^2 = (-1)^((p+1)/2)
+    # = -(-1/p) by the reflection formula; the block route pins it here
     from supercong.padic_gamma import gamma_p_rational
 
     for p in (3, 5, 7, 13, 29):
@@ -126,8 +126,8 @@ def test_gamma_half_square_observed_sign():
 
 
 def test_rhs_vanhamme_b_agrees_with_full_precision_gamma():
-    # the shipped path runs gamma at precision m-1; the leading p factor
-    # makes that exact, which this full-precision oracle pins down
+    # the shipped path is the closed form p (-1/p); the plain product at
+    # full precision pins it down
     for p in (3, 5, 13):
         pm = p**4
         n = (pm + 1) // 2  # representative of 1/2 mod p^4
