@@ -11,24 +11,19 @@ from fractions import Fraction
 #: Largest n_terms of the float partial sums (about 5 s of work).
 MAX_SERIES_TERMS = 10**7
 
-# The exact counts are capped, and so is their size: the count times the
-# bits of the parameters (`_size`), which bounds the bit length of the one
-# unreduced fraction each exact route builds.  The cost follows that size,
-# not the count: pochhammer(1/10^100, 4000), at a tenth of the count cap,
-# took 11.3 s when each step reduced a Fraction.  The size bound follows
-# the rule of the statement caps in `supercongruence`, about 5 s alone in a
-# fresh process on a 2-vCPU host (Python 3.11): at sizes up to 10^6 the
-# slowest shapes timed were hypergeom_terminating((-296, 1/10^1000),
-# (1/3,), 1) at 3.9 s and pochhammer(1/10^1000, 300) at 3.0 s.  The count
-# caps were timed at 4.2-4.5 s on the per-step routes; at small parameters
-# they now take far less (pochhammer(1/2, 40000) 0.6 s, whipple_check at
-# m = 1800 0.2 s).
-#: Largest n of `pochhammer`.
-MAX_POCHHAMMER_N = 40_000
-#: Largest termination index of `hypergeom_terminating`.
-MAX_HYPERGEOM_TERMS = 2_200
-#: Largest m of `whipple_check`.
-MAX_WHIPPLE_M = 1_800
+# The exact routes have one bound, on their size: the count times the bits
+# of the parameters (`_size`), which bounds the bit length of the one
+# unreduced fraction each exact route builds.  Each parameter adds at least
+# bits(n) >= 1 per step, so the size bounds the count too.  The cost follows
+# the size, not the count: pochhammer(1/10^100, 4000) took 11.3 s when each
+# step reduced a Fraction.  The bound follows the rule of the statement caps
+# in `supercongruence`, about 5 s alone in a fresh process on a 2-vCPU host
+# (Python 3.11).  At sizes up to 10^6 the slowest shapes timed were
+# hypergeom_terminating((-296, 1/10^1000), (1/3,), 1) at 3.9 s and
+# pochhammer(1/10^1000, 300) at 3.0 s; at the largest counts the bound
+# admits, none took 2 s (pochhammer(1/10^10, 20000) 1.6 s,
+# hypergeom_terminating((-12500,), (1/10^6,), 1) 1.6 s,
+# whipple_check(1, 1/2, 1/3, 1/4, 2898) 0.4 s).
 #: Largest `_size` of an exact count, for `whipple_check` the sum over the
 #: four counts it runs.
 MAX_EXACT_SIZE = 1_000_000
@@ -62,8 +57,8 @@ def _check_size(n: int, params, what: str) -> None:
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1), with (a)_0 = 1: for a = u/v, the
     integer product of u + iv over v^n, reduced once."""
-    if not 0 <= n <= MAX_POCHHAMMER_N:
-        raise ValueError(f"n must lie in 0..{MAX_POCHHAMMER_N}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     a = Fraction(a)
     _check_size(n, (a,), "pochhammer")
     u, v = a.numerator, a.denominator
@@ -80,9 +75,9 @@ def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
     lower parameters `lower` and argument z, as a finite rational sum.
 
     Some upper parameter must be a nonpositive integer; the sum runs to the
-    smallest such termination index n, at most MAX_HYPERGEOM_TERMS, and n
-    times the parameters' bits stays within MAX_EXACT_SIZE.  With the term
-    ratio r_k = prod(a+k) z / (prod(b+k) (k+1)) the sum is
+    smallest such termination index n, and n times the parameters' bits
+    stays within MAX_EXACT_SIZE.  With the term ratio
+    r_k = prod(a+k) z / (prod(b+k) (k+1)) the sum is
     1 + r_0 (1 + r_1 (1 + ... r_(n-1))), nested from the inside out over
     integers: r_k = P_k / Q_k over the parameters' denominators, and the
     partial value stays one unreduced fraction, reduced once at the end.
@@ -94,8 +89,6 @@ def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
     if not stops:
         raise ValueError("no upper parameter terminates the series")
     n_stop = min(stops)
-    if n_stop > MAX_HYPERGEOM_TERMS:
-        raise ValueError(f"termination index exceeds the cap {MAX_HYPERGEOM_TERMS}")
     _check_size(n_stop, (*upper, *lower, z), "hypergeom_terminating")
     for b in lower:
         if _poch_hits_zero(b, n_stop):
@@ -120,8 +113,8 @@ def whipple_check(a, c, d, e, m: int) -> bool:
     via Gamma(x+1) = x*Gamma(x), which is what keeps both sides rational.
     The four counts together stay within MAX_EXACT_SIZE.
     """
-    if not 1 <= m <= MAX_WHIPPLE_M:
-        raise ValueError(f"m must lie in 1..{MAX_WHIPPLE_M}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     a, c, d, e = Fraction(a), Fraction(c), Fraction(d), Fraction(e)
     f = Fraction(-m)
     lhs_upper = (a, 1 + a / 2, c, d, e, f)

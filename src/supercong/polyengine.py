@@ -7,30 +7,41 @@ The paper's vanishing lemmas rest on
 where F = (z+1)(z+2)...(z+m) with m = (p-1)/2.  Every polynomial here
 has integer coefficients: `RatPoly` rejects any other coefficient type.
 
-Products (KS2, Kronecker substitution at +-2^b; D. Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44, 2009).  A product coefficient is a sum of at most
-n = min(len(a), len(b)) terms, so |c_k| <= max|a| * max|b| * n.  A slot
-is W bytes, bits(max|a| * max|b| * n) + 2 rounded up to an even number of
-bytes, which keeps |c_k| below a quarter of the slot.  Each factor is
-split as a(z) = a_e(z^2) + z a_o(z^2), and the even and odd coefficient
-lists are packed separately, slot k of an int holding coefficient k, so
-the ints read a_e(x^2) and a_o(x^2) at x = 2^(4W), half a slot.  Then
-a(+-x) = a_e(x^2) +- x a_o(x^2), and `RatPoly.__mul__` forms h(x) and
-h(-x) for h = a b with two big-int products, each half the length of the
-one product a single evaluation point needs (CPython's Karatsuba does the
-work; a square packs its factor once and squares).  The even coefficients
-of h are the slots of (h(x) + h(-x)) / 2 = h_e(x^2), and the odd ones
-those of (h(x) - h(-x)) / (2x) = h_o(x^2), both at the full slot width.
-A negative slot borrows one from the slot above, so slot k reads c_k
-minus the borrow of slot k-1; `_unpack` adds it back.
+Products (KS4, multipoint Kronecker substitution at +-2^b for both factors
+and for their reversals; D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009, sections
+4-5).  A product coefficient is a sum of at most n = min(len(a), len(b))
+terms, so |c_k| <= B = max|a| * max|b| * n.  A digit is W bytes, with
+X = 2^(8W) and bits(B) + 3 <= 16W, so |c_k| < X^2/8: each coefficient spans
+two digits.  At x = 2^(4W), a(+-x) = a_e(X) +- x a_o(X) for the even and
+odd coefficient lists, each packed as two byte-aligned lists of every
+other coefficient at 2W bytes.  `RatPoly.__mul__` forms h(x) and h(-x) for
+h = a b, and h~(x) and h~(-x) for the reversal h~(z) = z^(n-1) h(1/z) =
+a~(z) b~(z): four big-int products, each about half as long as one of the
+two products of KS2 at the same bound (CPython's Karatsuba does the work;
+a square packs its factor once and squares).  (h(x) + h(-x)) / 2 and
+(h(x) - h(-x)) / (2x) are h_e(X) and h_o(X); the reversal gives each
+parity class read backwards, its even and odd halves swapped when
+len(h) is even.
+
+Recovery, per parity class c_0 .. c_(N-1), from F = sum c_i X^i and
+R = sum c_i X^(N-1-i), in one O(N) pass over digits.  Write
+c_i = u_i + X v_i with 0 <= u_i < X.  The low digit u_i comes from F: with
+the borrow b_i = floor(sum_(j<i) c_j X^(j-i)), u_i = (digit i of F - b_i)
+mod X and b_(i+1) = v_i + floor((b_i + u_i) / X).  The high digit v_i comes
+from R: digits N-1-i and N-i of R read c_i + e_i + X c_(i-1) mod X^2, where
+the tail e_i = floor(sum_(j>i) c_j X^(i-j)) lies within X/4 + 1 of 0, so
+v_i = digit N-i of R - u_(i-1) + round((digit N-1-i of R - u_i) / X),
+lifted to the residue mod X nearest 0.  Signed coefficients need nothing
+more: digits are read in two's complement, and |v_i| < X/8 + 1.
 
 Builds.  `pochhammer_poly` multiplies by one linear factor (z + r) at a
-time, an O(d) step.  F, F^2 and F^3 are built once per prime (a cache of
-two entries, so nothing is kept across a sweep) and shared by `p_poly`,
-`q_poly`, `p_identity_check` and `coefficient_facts_check`.  Q's factor
-1/2 is an exact integer halving: k(k-1) is even, and an odd coefficient
-would raise `ArithmeticError`.
+time, an O(d) step, and `_quotient_sum` divides F by every (z + r) into
+one coefficient list for `p_identity_check`.  F, F^2 and F^3 are built
+once per prime (a cache of two entries, so nothing is kept across a
+sweep) and shared by `p_poly`, `q_poly`, `p_identity_check` and
+`coefficient_facts_check`.  Q's factor 1/2 is an exact integer halving:
+k(k-1) is even, and an odd coefficient would raise `ArithmeticError`.
 
 Values mod p.  The facts of `lemma_sum_checks` need only F mod p: F^3 mod
 p has coefficients below p, and P and Q mod p follow from it coefficient
@@ -74,24 +85,47 @@ POLY_MAX_P = 997
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
     """sum_k coeffs[k] * 2^(8 width k) for signed integers below 2^(8 width)
-    in absolute value: the positive and negative parts, byte-packed."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    in absolute value, byte-packed: a list with a negative coefficient as
+    its positive part minus its negated negative part."""
+
+    def packed(values) -> int:
+        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little")
+
+    if min(coeffs, default=0) >= 0:
+        return packed(coeffs)
+    return packed([c if c > 0 else 0 for c in coeffs]) - packed([-c if c < 0 else 0 for c in coeffs])
 
 
-def _unpack(value: int, count: int, width: int) -> list[int]:
-    """The `count` signed slot values of `value`, each below a quarter of
-    the 8*width-bit slot in absolute value."""
-    raw = value.to_bytes(count * width, "little", signed=True)
-    half = 1 << (8 * width - 1)
-    full = half << 1
+def _evaluations(coeffs: tuple[int, ...], width: int) -> tuple[int, int]:
+    """(a(x), a(-x)) at x = 2^(4 width) for |a_k| < x^4: a(x) is the sum over
+    r < 4 of x^r times the pack of a[r::4] at x^4 = 2^(16 width), so each
+    coefficient fits its slot however far it overlaps the next power of x."""
+    wide, shift = 2 * width, 8 * width
+    even = _pack(coeffs[0::4], wide) + (_pack(coeffs[2::4], wide) << shift)
+    odd = (_pack(coeffs[1::4], wide) + (_pack(coeffs[3::4], wide) << shift)) << (shift // 2)
+    return even + odd, even - odd
+
+
+def _digits(value: int, count: int, width: int) -> list[int]:
+    """The `count` lowest base-2^(8 width) digits of value (two's complement)."""
+    raw = (value & ((1 << (8 * width * count)) - 1)).to_bytes(count * width, "little")
+    return [int.from_bytes(raw[s : s + width], "little") for s in range(0, count * width, width)]
+
+
+def _recover(forward: int, reverse: int, count: int, width: int) -> list[int]:
+    """c_0 .. c_(count-1) from forward = sum c_i X^i and reverse =
+    sum c_i X^(count-1-i), X = 2^(8 width), |c_i| < X^2/8 (module docstring)."""
+    w = 8 * width
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    rev = _digits(reverse, count + 1, width)
     out = []
-    borrow = 0
-    for start in range(0, count * width, width):
-        digit = int.from_bytes(raw[start : start + width], "little") + borrow
-        borrow = digit >= half
-        out.append(digit - full if borrow else digit)
+    borrow = low = 0
+    for digit, lo, hi in zip(_digits(forward, count, width), reversed(rev[:count]), reversed(rev[1:])):
+        prev, low = low, (digit - borrow) & mask
+        high = ((hi - prev + ((lo - low + half) >> w) + half) & mask) - half
+        borrow = high + ((borrow + low) >> w)
+        out.append(low + (high << w))
     return out
 
 
@@ -144,25 +178,32 @@ class RatPoly:
         return self + (-other)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
-        """KS2 product: two half-length big-int multiplications, at +x and
-        at -x (module docstring).  A square packs its factor once."""
+        """KS4 product: four quarter-slot big-int multiplications, at +-x for
+        both factors and for their reversals (module docstring).  A square
+        packs its factor once."""
         if not self.coeffs or not other.coeffs:
             return RatPoly()
         a, b = self.coeffs, other.coeffs
         bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = (bound.bit_length() + 2 + 15) // 16 * 2
-        half = 4 * width  # x = 2^half, half a slot
-        a_even, a_odd = _pack(a[0::2], width), _pack(a[1::2], width) << half
-        plus_a, minus_a = a_even + a_odd, a_even - a_odd
+        width = (bound.bit_length() + 3 + 15) // 16  # bound < X^2/8, X = 2^(8 width)
+        plus_a, minus_a = _evaluations(a, width)
+        rplus_a, rminus_a = _evaluations(a[::-1], width)
         if other is self:
             plus, minus = plus_a * plus_a, minus_a * minus_a
+            rplus, rminus = rplus_a * rplus_a, rminus_a * rminus_a
         else:
-            b_even, b_odd = _pack(b[0::2], width), _pack(b[1::2], width) << half
-            plus, minus = plus_a * (b_even + b_odd), minus_a * (b_even - b_odd)
+            plus_b, minus_b = _evaluations(b, width)
+            rplus_b, rminus_b = _evaluations(b[::-1], width)
+            plus, minus = plus_a * plus_b, minus_a * minus_b
+            rplus, rminus = rplus_a * rplus_b, rminus_a * rminus_b
         n = len(a) + len(b) - 1
+        shift = 4 * width + 1
+        reverse = ((rplus + rminus) >> 1, (rplus - rminus) >> shift)
+        if n % 2 == 0:  # the reversal swaps the parity classes
+            reverse = reverse[::-1]
         out = [0] * n
-        out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)
-        out[1::2] = _unpack((plus - minus) >> (half + 1), n // 2, width)
+        out[0::2] = _recover((plus + minus) >> 1, reverse[0], (n + 1) // 2, width)
+        out[1::2] = _recover((plus - minus) >> shift, reverse[1], n // 2, width)
         return RatPoly(out)
 
     def scaled(self, c: int) -> "RatPoly":
@@ -183,25 +224,21 @@ class RatPoly:
             cs = tuple(k * cs[k] for k in range(1, len(cs)))
         return RatPoly(cs)
 
-    def div_linear(self, r: int) -> "RatPoly":
-        """Exact quotient by (z + r); the remainder must vanish."""
-        if not self.coeffs:
-            return RatPoly()
-        out = [0] * (len(self.coeffs) - 1)
-        carry = self.coeffs[-1]
-        for k in range(len(self.coeffs) - 2, -1, -1):
-            out[k] = carry
-            carry = self.coeffs[k] - r * carry
-        if carry != 0:
-            raise ArithmeticError(f"(z + {r}) does not divide this polynomial")
-        return RatPoly(out)
 
-    def __call__(self, x):
-        """The value at x (an int or a Fraction), by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+def _quotient_sum(coeffs: tuple[int, ...], roots: Iterable[int]) -> list[int]:
+    """The coefficients of sum_r f / (z + r) over `roots`, each exact quotient
+    formed by synthetic division straight into one list; raises
+    ArithmeticError when some (z + r) does not divide f."""
+    top = len(coeffs) - 1
+    acc = [0] * top
+    for r in roots:
+        carry = coeffs[top]
+        for k in range(top - 1, -1, -1):
+            acc[k] += carry
+            carry = coeffs[k] - r * carry
+        if carry:
+            raise ArithmeticError(f"(z + {r}) does not divide this polynomial")
+    return acc
 
 
 def _rising_coeffs(m: int, modulus: Optional[int] = None) -> list[int]:
@@ -265,9 +302,7 @@ def p_identity_check(p: int) -> bool:
     m = (p - 1) // 2
     big_p = p_poly(p)  # builds F, F^2 and F^3 for this prime
     f, f2, f3 = _powers(m)
-    partial = RatPoly()
-    for r in range(1, m + 1):
-        partial = partial + f.div_linear(r)
+    partial = RatPoly(_quotient_sum(f.coeffs, range(1, m + 1)))
     rhs = f3 + (f2 * partial).shifted(1).scaled(3)
     return big_p == rhs
 
@@ -303,7 +338,7 @@ def exp_sum_check(p: int, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
     k = 1 + (k - 1) % (p - 1)
-    total = sum(pow(j, k, p) for j in range(1, p)) % p
+    total = sum(map(pow, range(1, p), repeat(k), repeat(p))) % p
     expected = (p - 1) if k == p - 1 else 0
     return total == expected
 

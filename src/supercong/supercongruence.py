@@ -9,24 +9,26 @@ The truncated sums share one shape, the sum over k <= (p-1)/2 of
 it mod p^m (every denominator in range is a p-unit).  Production runs two
 routes: the kernel, for the mod-p^4 companion and Z, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
-X and Y are per-term residue sums from one pass over j.  One walker,
-`_pochhammer_pairs`, carries the paired Pochhammer ratios that both the
-Pochhammer-pair congruences and the well-poised instance read.  The exact
-twins of the modular sums and the instance's four separate Pochhammer
-products live in `tests/exact_oracle.py`, which the suite holds
+X and Y are per-term residue sums from one pass over j.  The paired
+Pochhammer ratios are one list of integer ratios, `_pair_ratios`, walked
+two ways: exactly by `_pochhammer_pairs` for the well-poised instance,
+which decides by rational equality, and as residues by
+`_pochhammer_residues` for the Pochhammer-pair congruences, which need
+each value only mod p^4 or p^2.  The exact twins of the modular sums, the
+instance's four separate Pochhammer products and the congruences reduced
+from the exact walk live in `tests/exact_oracle.py`, which the suite holds
 production against.  Three layers are kept for the last prime asked, so
 the statements that share them compute them once per prime: the exact
 quintic sum (vanhamme_a, prop3), reduced at each caller's modulus, the
 pair (X, Y) mod p (lemma1, lemma2; thm_os asks mod p^2), and
 p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact integer
 equality throughout, never approximate.  The exact quintic sum and the
-Pochhammer-pair walker refuse a prime above their caps before any work,
+Pochhammer-pair walkers refuse a prime above their caps before any work,
 through `exactnum.check_prime`; the statement registry reads those caps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -261,11 +263,11 @@ def cor5_check(p: int, m: int = 3) -> VerificationRecord:
 # The instance's parameters come in complex-conjugate pairs, 1/2 +- ip/2
 # over their lower partners 1 -+ ip/2, and in real mirror pairs, 1/2 +- p/2
 # over 1 -+ p/2.  Each pair multiplies to a rational, so every term is
-# exact; the congruences and the instance read the same running ratios.
+# exact; the congruences and the instance step by the same integer ratios.
 # The instance sums the exact Fractions and compares them exactly.  The
-# congruences need each ratio only at a fixed precision, so they reduce
-# binom(-1/2,k) and Q_k mod p^4 and R_k mod p^2 once per k and form their
-# eight sides from those residues as integers.
+# congruences need each ratio only at a fixed precision, so they walk the
+# ratios as residues: binom(-1/2,k) and Q_k mod p^4 and R_k mod p^2, each
+# kept as a numerator and a denominator, with one inverse per value read.
 
 #: The walker's exact rationals grow like p^3: whipple_instance_check(3989)
 #: took 4.7-4.8 s alone in a fresh process on a 2-vCPU host (Python 3.11),
@@ -273,51 +275,90 @@ def cor5_check(p: int, m: int = 3) -> VerificationRecord:
 WHIPPLE_INST_MAX_P = 3989
 
 
+def _pair_ratios(p: int) -> list:
+    """The integer ratios (numerator, denominator) that step binom(-1/2,k),
+    Q_k and R_k from k-1 to k, for 1 <= k <= (p-1)/2.
+
+    With r = k-1 the factors of Q_k and R_k (see `_pochhammer_pairs`) scale
+    by 4 to (2k-1)^2 +- p^2 over (2k)^2 +- p^2; (2k)^2 - p^2 never vanishes
+    for odd p.  A p that is not an odd prime at most WHIPPLE_INST_MAX_P
+    raises ValueError before the first step.
+    """
+    check_prime(p, WHIPPLE_INST_MAX_P, "Pochhammer-walker")
+    p2 = p * p
+    ratios = []
+    for k in range(1, (p - 1) // 2 + 1):
+        odd, even = (2 * k - 1) ** 2, (2 * k) ** 2
+        ratios.append(
+            ((1 - 2 * k, 2 * k), ((odd + p2) * (odd - p2), (even + p2) * (even - p2)), (odd - p2, even + p2))
+        )
+    return ratios
+
+
 def _pochhammer_pairs(p: int):
-    """Yield (k, binom(-1/2,k), Q_k, R_k) for 0 <= k <= (p-1)/2, where
+    """Yield (k, binom(-1/2,k), Q_k, R_k) for 0 <= k <= (p-1)/2, exactly, where
 
         Q_k = prod_{r<k} ((r+1/2)^2 + p^2/4)((r+1/2)^2 - p^2/4)
                          / (((r+1)^2 + p^2/4)((r+1)^2 - p^2/4)),
         R_k = prod_{r<k} ((r+1/2)^2 - p^2/4) / ((r+1)^2 + p^2/4).
-
-    With r = k-1 the factors scale by 4 to (2k-1)^2 +- p^2 over (2k)^2 +- p^2,
-    so each step is one integer ratio; (2k)^2 - p^2 never vanishes for odd p.
-    A p that is not an odd prime at most WHIPPLE_INST_MAX_P raises
-    ValueError before the first step.
     """
-    check_prime(p, WHIPPLE_INST_MAX_P, "Pochhammer-walker")
-    p2 = p * p
+    ratios = _pair_ratios(p)
     bk = qk = rk = Fraction(1)
-    for k in range((p - 1) // 2 + 1):
-        if k:
-            odd, even = (2 * k - 1) ** 2, (2 * k) ** 2
-            bk *= Fraction(1 - 2 * k, 2 * k)
-            qk *= Fraction((odd + p2) * (odd - p2), (even + p2) * (even - p2))
-            rk *= Fraction(odd - p2, even + p2)
+    yield 0, bk, qk, rk
+    for k, (b, q, r) in enumerate(ratios, 1):
+        bk *= Fraction(*b)
+        qk *= Fraction(*q)
+        rk *= Fraction(*r)
         yield k, bk, qk, rk
+
+
+def _pochhammer_residues(p: int):
+    """Yield (k, binom(-1/2,k) mod p^4, Q_k mod p^4, R_k mod p^2) for
+    0 <= k <= (p-1)/2: the ratios of `_pochhammer_pairs`, walked as residues.
+    Every denominator is a p-unit, so each value read costs one inverse."""
+    ratios = _pair_ratios(p)
+    p2, p4 = p * p, p**4
+    b_num = b_den = q_num = q_den = r_num = r_den = 1
+    yield 0, 1, 1, 1
+    for k, (b, q, r) in enumerate(ratios, 1):
+        b_num, b_den = b_num * b[0] % p4, b_den * b[1] % p4
+        q_num, q_den = q_num * q[0] % p4, q_den * q[1] % p4
+        r_num, r_den = r_num * r[0] % p2, r_den * r[1] % p2
+        yield (
+            k,
+            b_num * pow(b_den, -1, p4) % p4,
+            q_num * pow(q_den, -1, p4) % p4,
+            r_num * pow(r_den, -1, p2) % p2,
+        )
 
 
 def poch_congruence_checks(p: int) -> list:
     """All four Pochhammer-pair congruences for 0 <= k <= (p-1)/2.
 
     Returns one record per (identity, k); every ratio in sight is a p-unit,
-    so the residue reductions are well defined at the stated precisions.
-    The shifted sides are the binomials C(m+k,k) C(m,k) and
-    C(m+k,m) = (k+1)_m / m! with m = (p-1)/2; the conjugate and real sides
-    are Q_k and R_k.  Per k, binom(-1/2,k) and Q_k are reduced mod p^4 and
-    R_k mod p^2, once each; the eight sides are integers from those three
-    residues, and each `Residue` reduces its side at its own modulus.
+    so the residues are well defined at the stated precisions.  The shifted
+    sides are the binomials C(m+k,k) C(m,k) and C(m+k,m) = (k+1)_m / m!
+    with m = (p-1)/2, walked mod p^2 as (m+1)_k and m!/(m-k)! over k!, one
+    inverse per k; the conjugate and real sides are Q_k and R_k.  The eight
+    sides are integers from these residues and those of
+    `_pochhammer_residues`, and each `Residue` reduces its side at its own
+    modulus.
     """
     m = (p - 1) // 2
+    p2 = p * p
+    rising = falling = fact = 1
     records = []
-    for k, bk, qk, rk in _pochhammer_pairs(p):
-        b = residue_from_rational(bk, p, 4).value
+    for k, b, qk, rk in _pochhammer_residues(p):
+        if k:
+            rising, falling, fact = rising * (m + k) % p2, falling * (m + 1 - k) % p2, fact * k % p2
+        inv = pow(fact, -1, p2)
+        wide = rising * inv  # C(m+k,k) = C(m+k,m)
         signed = -b if k % 2 else b  # (-1)^k binom(-1/2,k) = (1/2)_k / k!
         sides = (
-            ("poch_shift_square", 2, math.comb(m + k, k) * math.comb(m, k), signed * b),
-            ("poch_shift_linear", 1, signed, math.comb(m + k, m)),
-            ("poch_conj_quartic", 4, residue_from_rational(qk, p, 4).value, b**4),
-            ("poch_real_square", 2, residue_from_rational(rk, p, 2).value, b * b),
+            ("poch_shift_square", 2, wide * falling * inv, signed * b),
+            ("poch_shift_linear", 1, signed, wide),
+            ("poch_conj_quartic", 4, qk, b**4),
+            ("poch_real_square", 2, rk, b * b),
         )
         for name, mm, lhs, rhs in sides:
             records.append(_record(name, p, Residue(lhs, p, mm), Residue(rhs, p, mm)))

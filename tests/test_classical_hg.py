@@ -120,35 +120,57 @@ def test_hypergeom_terminating_matches_the_pochhammer_term_sum():
 
 
 def test_exact_counts_refuse_a_count_above_the_cap(monkeypatch):
-    # shrunk caps: the largest count still runs, the next one raises
-    monkeypatch.setattr(classical_hg, "MAX_POCHHAMMER_N", 3)
-    monkeypatch.setattr(classical_hg, "MAX_HYPERGEOM_TERMS", 2)
-    monkeypatch.setattr(classical_hg, "MAX_WHIPPLE_M", 2)
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
+    # the size bound caps each count: with the bound at the size of the
+    # largest count, that count runs and the next one raises
+    half = Fraction(1, 2)
+    whipple = (Fraction(1), half, Fraction(1, 3), Fraction(1, 4))
+    monkeypatch.setattr(classical_hg, "MAX_EXACT_SIZE", classical_hg._size(3, (half,)))
+    assert pochhammer(half, 3) == Fraction(15, 8)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        pochhammer(half, 4)
+    monkeypatch.setattr(classical_hg, "MAX_EXACT_SIZE", _hypergeom_size((-2, 1), (1,), -1))
     assert hypergeom_terminating((-2, 1), (1,), -1) == 4  # (1 - z)^2 at z = -1
-    assert whipple_check(1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 2)
-    for call in (
-        lambda: pochhammer(Fraction(1, 2), 4),
-        lambda: hypergeom_terminating((-3, 1), (1,), -1),
-        lambda: whipple_check(1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 3),
-    ):
-        with pytest.raises(ValueError):
-            call()
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        hypergeom_terminating((-3, 1), (1,), -1)
+    monkeypatch.setattr(classical_hg, "MAX_EXACT_SIZE", _whipple_size(*whipple, 2))
+    assert whipple_check(*whipple, 2)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        whipple_check(*whipple, 3)
+
+
+def _first_count_past_the_bound(size_of) -> int:
+    """The least count n whose size exceeds MAX_EXACT_SIZE (size_of grows with n)."""
+    lo, hi = 0, classical_hg.MAX_EXACT_SIZE + 1  # a size is at least its count
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if size_of(mid) <= classical_hg.MAX_EXACT_SIZE else (lo, mid)
+    return hi
 
 
 def test_exact_counts_refuse_a_huge_count_promptly():
-    # at 10**12 each of these never returned: the loop ran the count given
-    params = (1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    # at 10**12 each of these never returned: the loop ran the count given;
+    # the first count past the size bound is refused before any step too
+    half = Fraction(1, 2)
+    params = (Fraction(1), half, Fraction(1, 3), Fraction(1, 4))
+    cases = (
+        (lambda n: pochhammer(half, n), lambda n: classical_hg._size(n, (half,))),
+        (lambda n: hypergeom_terminating((-n,), (), 1), lambda n: _hypergeom_size((-n,), (), 1)),
+        (lambda n: whipple_check(*params, n), lambda n: _whipple_size(*params, n)),
+    )
     start = time.perf_counter()
-    for huge in (False, True):
-        for call, cap in (
-            (lambda n: pochhammer(Fraction(1, 2), n), classical_hg.MAX_POCHHAMMER_N),
-            (lambda n: hypergeom_terminating((-n,), (), 1), classical_hg.MAX_HYPERGEOM_TERMS),
-            (lambda n: whipple_check(*params, n), classical_hg.MAX_WHIPPLE_M),
-        ):
-            with pytest.raises(ValueError):
-                call(10**12 if huge else cap + 1)
+    for call, size_of in cases:
+        for n in (_first_count_past_the_bound(size_of), 10**12):
+            with pytest.raises(ValueError, match="exceeds the bound"):
+                call(n)
     assert time.perf_counter() - start < 1
+
+
+def _hypergeom_size(upper, lower, z):
+    """The size hypergeom_terminating books: its termination index times
+    the bits of its parameters and argument."""
+    row = [Fraction(x) for x in (*upper, *lower, z)]
+    n = min(-int(a) for a in map(Fraction, upper) if a.denominator == 1 and a <= 0)
+    return classical_hg._size(n, row)
 
 
 def _whipple_size(a, c, d, e, m):
@@ -168,10 +190,7 @@ def test_exact_sizes_refuse_one_past_the_bound(monkeypatch):
     whipple = (Fraction(1), tiny, third, Fraction(1, 4), 3)
     cases = (
         (lambda: pochhammer(tiny, 3), classical_hg._size(3, (tiny,))),
-        (
-            lambda: hypergeom_terminating((-3, tiny), (third,), 1),
-            classical_hg._size(3, (Fraction(-3), tiny, third, Fraction(1))),
-        ),
+        (lambda: hypergeom_terminating((-3, tiny), (third,), 1), _hypergeom_size((-3, tiny), (third,), 1)),
         (lambda: whipple_check(*whipple), _whipple_size(*whipple)),
     )
     for call, size in cases:
@@ -183,9 +202,9 @@ def test_exact_sizes_refuse_one_past_the_bound(monkeypatch):
 
 
 def test_exact_sizes_refuse_large_parameters_promptly():
-    # pochhammer(1/10^100, 4000) took 11.3 s at a tenth of the count cap,
-    # when each step reduced a Fraction; counts inside their caps with
-    # parameters this large are refused before the first step
+    # pochhammer(1/10^100, 4000) took 11.3 s when each step reduced a
+    # Fraction; modest counts with parameters this large are refused before
+    # the first step
     tiny = Fraction(1, 10**1000)
     start = time.perf_counter()
     for call in (

@@ -1,5 +1,5 @@
 """Polynomial engine: rising-factorial polynomials, the P/Q machinery,
-exponential sums, the mod-p sum facts, the input checks, the KS2 product
+exponential sums, the mod-p sum facts, the input checks, the KS4 product
 against a schoolbook oracle and the chirp-z values against Horner's rule."""
 
 import math
@@ -17,6 +17,7 @@ from supercong.polyengine import (
     POLY_MAX_P,
     RatPoly,
     _halved,
+    _quotient_sum,
     _rising_coeffs,
     _values_mod,
     coefficient_facts_check,
@@ -31,6 +32,14 @@ from supercong.polyengine import (
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
+def _horner(poly, x):
+    """The value of poly at x (an int or a Fraction), by Horner's rule."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def test_pochhammer_poly_examples():
     assert pochhammer_poly(0) == RatPoly((1,))
     assert pochhammer_poly(2) == RatPoly((2, 3, 1))  # z^2 + 3z + 2
@@ -38,7 +47,7 @@ def test_pochhammer_poly_examples():
         poly = pochhammer_poly(m)
         assert poly.coefficient(0) == math.factorial(m)
         assert poly.degree == m
-        assert poly(0) == math.factorial(m)
+        assert _horner(poly, 0) == math.factorial(m)
 
 
 def test_derivative_examples():
@@ -69,15 +78,19 @@ def test_horner_matches_termwise_evaluation():
         f = _random_poly(rng)
         x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         termwise = sum(c * x**k for k, c in enumerate(f.coeffs))
-        assert f(x) == termwise
+        assert _horner(f, x) == termwise
 
 
 def test_div_linear():
-    f = RatPoly((2, 3, 1))  # (z+1)(z+2)
-    assert f.div_linear(1) == RatPoly((2, 1))
-    assert f.div_linear(2) == RatPoly((1, 1))
+    f = (2, 3, 1)  # (z+1)(z+2)
+    assert _quotient_sum(f, [1]) == [2, 1]
+    assert _quotient_sum(f, [2]) == [1, 1]
     with pytest.raises(ArithmeticError):
-        f.div_linear(3)
+        _quotient_sum(f, [1, 3])
+    # sum_r F/(z+r) over every root of F is F' (the product rule)
+    for m in range(1, 30):
+        f = pochhammer_poly(m)
+        assert _quotient_sum(f.coeffs, range(1, m + 1)) == list(f.derivative().coeffs)
 
 
 def test_p_poly_example():
@@ -146,11 +159,11 @@ def test_lemma_sums_p3_recomputed_oracle():
     # direct evaluation oracle: P = 4z^3 + 9z^2 + 6z + 1 gives P(1) = 20 and
     # P(2) = 81, so the full sum is 101, congruent to -1!^3 = -1 = 2 mod 3
     big_p = p_poly(3)
-    assert big_p(1) == 20 and big_p(2) == 81
-    assert (big_p(1) + big_p(2)) % 3 == 2 == (-1) % 3
+    assert _horner(big_p, 1) == 20 and _horner(big_p, 2) == 81
+    assert (_horner(big_p, 1) + _horner(big_p, 2)) % 3 == 2 == (-1) % 3
     big_q = q_poly(3)
-    assert big_q(1) == 18 and big_q(2) == 90
-    assert (big_q(1) + big_q(2)) % 3 == 0
+    assert _horner(big_q, 1) == 18 and _horner(big_q, 2) == 90
+    assert (_horner(big_q, 1) + _horner(big_q, 2)) % 3 == 0
     assert lemma_sum_checks(3)
 
 
@@ -164,7 +177,7 @@ def test_upper_range_vanishing():
     for p in (5, 7, 11):
         big_p = p_poly(p)
         for j in range((p - 1) // 2 + 1, p):
-            assert big_p(j) % p == 0
+            assert _horner(big_p, j) % p == 0
 
 
 def test_ratpoly_trimming_and_zero():
@@ -205,6 +218,11 @@ _coefficients = st.one_of(
 _polys = st.lists(_coefficients, max_size=12).map(RatPoly)
 
 
+# _AT_BOUND * 31 = 2^125 - 1, the largest product bound of an 8-byte digit
+# (bits(bound) + 3 = 16 * 8): a coefficient exactly at the slot bound
+_AT_BOUND = (2**125 - 1) // 31
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_polys, _polys)
 @example(RatPoly(()), RatPoly((1, 2)))
@@ -217,6 +235,21 @@ _polys = st.lists(_coefficients, max_size=12).map(RatPoly)
 @example(RatPoly((1, -2, 3)), RatPoly((4, 5)))  # odd x even lengths
 @example(RatPoly((-1, -1, -1, -1, -1)), RatPoly((1, 1, 1, 1)))  # every slot of both halves borrows
 @example(RatPoly((-1, 1, -1, 1, -1, 1)), RatPoly((1, 1, 1)))  # mixed signs in both halves
+@example(RatPoly((31,)), RatPoly((_AT_BOUND,)))  # c_0 = bound, the top of its slot
+@example(RatPoly((-31,)), RatPoly((_AT_BOUND,)))  # c_0 = -bound
+@example(RatPoly((_AT_BOUND,) * 31), RatPoly((-1,) * 31))  # c_30 = -bound, among 61
+@example(RatPoly((-_AT_BOUND,) * 31), RatPoly((-1,) * 31))  # c_30 = +bound
+@example(RatPoly((3, -1, 4)), RatPoly((1, -5, 9)))  # length 5: the reversal keeps the classes
+@example(RatPoly((3, -1, 4)), RatPoly((1, -5, 9, -2)))  # length 6: the reversal swaps them
+@example(RatPoly((2, 7)), RatPoly((-1, 8)))  # length 3, two-coefficient factors
+@example(RatPoly((-6,)), RatPoly((1, -2, 3, -4, 5, -6, 7, -8)))  # 1 x n
+@example(RatPoly((1, 2, 3, 4, 5, 6, 7)), RatPoly((-9,)))  # n x 1
+@example(RatPoly((-(2**300),) * 9), RatPoly((-(2**200),) * 10))  # all-negative rows
+@example(RatPoly((1, -1) * 6), RatPoly((-1, 1) * 5))  # alternating rows
+@example(RatPoly((2**200, 1)), RatPoly((1, 1)))  # a factor coefficient spans two digits
+# a 127-bit bound takes 9-byte digits; 8 (bound < X^2/2, one guard bit)
+# would let the tails of these long equal rows carry past half a digit
+@example(RatPoly(((2**127 - 1) // 5,) * 5), RatPoly((1,) * 5))
 def test_product_matches_schoolbook(f, g):
     assert f * g == _schoolbook_mul(f, g)
     assert g * f == f * g

@@ -231,8 +231,12 @@ def test_poch_congruences_small():
         assert rec.lhs.value == 1 and rec.rhs.value == 1
 
 
-@pytest.mark.parametrize("p", [n for n in range(3, 200, 2) if is_odd_prime(n)] + [307])
+@pytest.mark.parametrize(
+    "p", [n for n in range(3, 200, 2) if is_odd_prime(n)] + [307, 499, 997, WHIPPLE_INST_MAX_P]
+)
 def test_poch_congruences_match_the_eight_reduction_oracle(p):
+    # the residue walk against the exact walk, each side reduced on its own:
+    # equal (statement, lhs, rhs, modulus, passed) records, in order
     assert poch_congruence_checks(p) == poch_congruence_records(p)
 
 
@@ -240,9 +244,9 @@ def test_poch_congruences_match_the_eight_reduction_oracle(p):
     "walker", (poch_congruence_checks, whipple_instance_terms, whipple_instance_check)
 )
 def test_pochhammer_walkers_reject_a_prime_above_the_cap_promptly(walker):
-    # 4001 is the first prime above the cap; poch_congruence_checks alone
-    # took 5.7 s at 7703 and grows like p^3.  3987 = 3 * 1329 lies below
-    # the cap, where the exact walk takes seconds before any reduction.
+    # 4001 is the first prime above the cap; the exact walk grows like p^3,
+    # and the residue walk of poch_congruence_checks keeps the same gate.
+    # 3987 = 3 * 1329 lies below the cap, where the exact walk takes seconds.
     assert WHIPPLE_INST_MAX_P < 4001 and is_odd_prime(4001)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="Pochhammer-walker cap"):
