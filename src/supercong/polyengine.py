@@ -37,18 +37,23 @@ more: digits are read in two's complement, and |v_i| < X/8 + 1.
 
 Builds.  `pochhammer_poly` multiplies by one linear factor (z + r) at a
 time, an O(d) step, and `_quotient_sum` divides F by every (z + r) into
-one coefficient list for `p_identity_check`.  F, F^2 and F^3 are built
-once per prime (a cache of two entries, so nothing is kept across a
-sweep) and shared by `p_poly`, `q_poly`, `p_identity_check` and
-`coefficient_facts_check`.  Q's factor 1/2 is an exact integer halving:
-k(k-1) is even, and an odd coefficient would raise `ArithmeticError`.
+one coefficient list for `p_identity_check`.  The exact F of a prime is one
+cached layer (`_layer`, two entries, so nothing is kept across a sweep),
+and F^2, F^3, P and Q sit beside it, each built on first use: `p_poly`,
+`q_poly`, `p_identity_check`, `coefficient_facts_check` and
+`lemma_sum_checks` share them, so P is built once per prime.  Q's factor
+1/2 is an exact integer halving: k(k-1) is even, and an odd coefficient
+would raise `ArithmeticError`.
 
-Values mod p.  The facts of `lemma_sum_checks` need only F mod p: F^3 mod
-p has coefficients below p, and P and Q mod p follow from it coefficient
-by coefficient, so the full-size P and Q are never reduced.  Their values
-at every j != 0 come from one chirp-z transform (L. Bluestein, 1970) over
-a primitive root g.  With n = p - 1 and j^n = 1, exponents fold mod n, and
-ik = C(i+k,2) - C(i,2) - C(k,2) turns
+Values mod p.  The facts of `lemma_sum_checks` need only F mod p: the
+layer's F reduced mod p is cubed by one nonnegative one-point Kronecker
+product (`_cube_mod`: slots of bits(n^2 (p-1)^3) bits, rounded up to
+bytes, for n coefficients below p; one square, one product, one slice),
+and P and Q mod p follow from F^3 mod p coefficient by coefficient, so the
+full-size P and Q are never reduced.  Their values at every j != 0 come
+from one chirp-z transform (L. Bluestein, 1970) each, over one primitive
+root g and one chirp table.  With n = p - 1 and j^n = 1, exponents fold
+mod n, and ik = C(i+k,2) - C(i,2) - C(k,2) turns
 
     f(g^i) = g^-C(i,2) * sum_k [c_k g^-C(k,2)] g^C(i+k,2)
 
@@ -69,17 +74,17 @@ the exact products grow like p^3.2.  `pochhammer_poly(m)` takes m up to
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .exactnum import check_modulus, check_prime
 
 #: The largest prime the polynomial entry points accept.  Together,
-#: p_identity_check and coefficient_facts_check at 997 took 5.3-8.0 s alone
+#: p_identity_check and coefficient_facts_check at 997 took 2.8-4.9 s alone
 #: in a fresh process on a 2-vCPU host (Python 3.11) whose speed drifted by
-#: tens of percent: near the 5 s rule of the statement caps in
-#: `supercongruence`.
+#: tens of percent, almost all of it in the KS4 products of the identity:
+#: within the 5 s rule of the statement caps in `supercongruence`.
 POLY_MAX_P = 997
 
 
@@ -171,12 +176,6 @@ class RatPoly:
             out[i] += c
         return RatPoly(out)
 
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         """KS4 product: four quarter-slot big-int multiplications, at +-x for
         both factors and for their reversals (module docstring).  A square
@@ -241,14 +240,12 @@ def _quotient_sum(coeffs: tuple[int, ...], roots: Iterable[int]) -> list[int]:
     return acc
 
 
-def _rising_coeffs(m: int, modulus: Optional[int] = None) -> list[int]:
-    """Coefficients of (z+1)...(z+m), optionally reduced mod `modulus`:
-    one O(d) step c_k <- r c_k + c_{k-1} per linear factor (z + r)."""
+def _rising_coeffs(m: int) -> list[int]:
+    """Coefficients of (z+1)...(z+m): one O(d) step c_k <- r c_k + c_{k-1}
+    per linear factor (z + r)."""
     cs = [1]
     for r in range(1, m + 1):
         cs = [r * c + lower for c, lower in zip(cs + [0], [0] + cs)]
-        if modulus is not None:
-            cs = [c % modulus for c in cs]
     return cs
 
 
@@ -261,18 +258,45 @@ def pochhammer_poly(m: int) -> RatPoly:
     return RatPoly(_rising_coeffs(m))
 
 
+class _PrimeLayer:
+    """The exact polynomials of one prime p, each built on first use and
+    kept: F = pochhammer_poly((p-1)/2), F^2, F^3, P and Q."""
+
+    def __init__(self, p: int):
+        self.m = (p - 1) // 2
+
+    @cached_property
+    def f(self) -> RatPoly:
+        return pochhammer_poly(self.m)
+
+    @cached_property
+    def f2(self) -> RatPoly:
+        return self.f * self.f
+
+    @cached_property
+    def f3(self) -> RatPoly:
+        return self.f2 * self.f
+
+    @cached_property
+    def big_p(self) -> RatPoly:
+        return self.f3.shifted(1).derivative()
+
+    @cached_property
+    def big_q(self) -> RatPoly:
+        return _halved(self.f3.shifted(1).derivative(2).shifted(1))
+
+
 @lru_cache(maxsize=2)
-def _powers(m: int) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """F, F^2 and F^3 for F = pochhammer_poly(m)."""
-    f = pochhammer_poly(m)
-    f2 = f * f
-    return f, f2, f2 * f
+def _layer(p: int) -> _PrimeLayer:
+    """The polynomial layer of p, kept for the last two primes asked (so
+    nothing is kept across a sweep); callers pass the prime gate first."""
+    return _PrimeLayer(p)
 
 
 def p_poly(p: int) -> RatPoly:
     """d/dz [ z * pochhammer_poly((p-1)/2)^3 ]; integer coefficients."""
     check_prime(p, POLY_MAX_P, "polynomial")
-    return _powers((p - 1) // 2)[2].shifted(1).derivative()
+    return _layer(p).big_p
 
 
 def _halved(poly: RatPoly) -> RatPoly:
@@ -292,18 +316,16 @@ def q_poly(p: int) -> RatPoly:
     Divisible by z with integer coefficients (k(k-1) is always even).
     """
     check_prime(p, POLY_MAX_P, "polynomial")
-    return _halved(_powers((p - 1) // 2)[2].shifted(1).derivative(2).shifted(1))
+    return _layer(p).big_q
 
 
 def p_identity_check(p: int) -> bool:
     """True iff P(z) factors as F^3 * [1 + 3z * sum_r 1/(z+r)] with F the
     rising-factorial polynomial, i.e. P = F^3 + 3z F^2 sum_r prod_{s!=r}(z+s)."""
-    check_prime(p, POLY_MAX_P, "polynomial")
-    m = (p - 1) // 2
-    big_p = p_poly(p)  # builds F, F^2 and F^3 for this prime
-    f, f2, f3 = _powers(m)
-    partial = RatPoly(_quotient_sum(f.coeffs, range(1, m + 1)))
-    rhs = f3 + (f2 * partial).shifted(1).scaled(3)
+    big_p = p_poly(p)  # builds F, F^2, F^3 and P for this prime
+    layer = _layer(p)
+    partial = RatPoly(_quotient_sum(layer.f.coeffs, range(1, layer.m + 1)))
+    rhs = layer.f3 + (layer.f2 * partial).shifted(1).scaled(3)
     return big_p == rhs
 
 
@@ -315,7 +337,7 @@ def coefficient_facts_check(p: int) -> bool:
     m = (p - 1) // 2
     big_p = p_poly(p)
     big_q = q_poly(p)
-    cube_coeff = _powers(m)[2].coefficient(p - 1)
+    cube_coeff = _layer(p).f3.coefficient(p - 1)
     ap1_p = big_p.coefficient(p - 1)
     ap1_q = big_q.coefficient(p - 1)
     return (
@@ -362,15 +384,13 @@ def _primitive_root(p: int) -> int:
     return g
 
 
-def _values_mod(coeffs: list[int], p: int) -> list[int]:
-    """[f(j) mod p for 0 <= j < p] for f = sum_k coeffs[k] z^k: one chirp-z
-    correlation over a primitive root g (module docstring)."""
+def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
+    """[[f(j) mod p for 0 <= j < p] for each f = sum_k coeffs[k] z^k in
+    polys]: one primitive root g and one chirp table, and one chirp-z
+    correlation per polynomial (module docstring)."""
     n = p - 1
     g = _primitive_root(p)
     g_inv = pow(g, -1, p)
-    folded = [0] * n
-    for k, c in enumerate(coeffs):
-        folded[k % n] += c  # j^n = 1 for every j != 0
     chirp = []  # g^C(t,2) for t < 2n - 1
     unchirp = []  # g^-C(t,2) for t < n
     c = c_inv = step = step_inv = 1
@@ -380,22 +400,41 @@ def _values_mod(coeffs: list[int], p: int) -> list[int]:
         if t < n:
             unchirp.append(c_inv)
             c_inv, step_inv = c_inv * step_inv % p, step_inv * g_inv % p
+    points = [1] * n  # g^i for i < n
+    for i in range(1, n):
+        points[i] = points[i - 1] * g % p
+        if points[i] == 1:
+            raise ArithmeticError(f"{g} is not a primitive root mod {p}")
     # sum_k u_k chirp[i + k] is the z^(n-1+i) coefficient of U V, with U the
     # reversed u; every slot sum is at most n (p-1)^2 = (p-1)^3
     width = ((p - 1) ** 3).bit_length() // 8 + 1
-    u = b"".join((folded[k] * unchirp[k] % p).to_bytes(width, "little") for k in reversed(range(n)))
-    v = b"".join(x.to_bytes(width, "little") for x in chirp)
-    product = (int.from_bytes(u, "little") * int.from_bytes(v, "little")).to_bytes((3 * n - 1) * width, "little")
-    vals = [0] * p
-    vals[0] = coeffs[0] % p if coeffs else 0
-    j = 1
-    for i in range(n):
-        if i and j == 1:
-            raise ArithmeticError(f"{g} is not a primitive root mod {p}")
-        start = (n - 1 + i) * width
-        vals[j] = int.from_bytes(product[start : start + width], "little") * unchirp[i] % p
-        j = j * g % p
-    return vals
+    v = _pack(chirp, width)
+    out = []
+    for coeffs in polys:
+        folded = [0] * n
+        for k, c in enumerate(coeffs):
+            folded[k % n] += c  # j^n = 1 for every j != 0
+        u = _pack([folded[k] * unchirp[k] % p for k in reversed(range(n))], width)
+        product = (u * v).to_bytes((3 * n - 1) * width, "little")
+        vals = [0] * p
+        vals[0] = coeffs[0] % p if coeffs else 0
+        for i, j in enumerate(points):
+            start = (n - 1 + i) * width
+            vals[j] = int.from_bytes(product[start : start + width], "little") * unchirp[i] % p
+        out.append(vals)
+    return out
+
+
+def _cube_mod(coeffs: list[int], p: int) -> list[int]:
+    """The coefficients of f^3 mod p for f = sum_k coeffs[k] z^k with
+    0 <= coeffs[k] < p: one nonnegative one-point Kronecker product.  A
+    coefficient of f^3 sums at most n^2 products below p^3, n = len(coeffs),
+    so slots of bits(n^2 (p-1)^3) bits, rounded up to bytes, never carry."""
+    n = len(coeffs)
+    width = ((n * n * (p - 1) ** 3).bit_length() + 7) // 8
+    x = _pack(coeffs, width)
+    raw = (x * x * x).to_bytes((3 * n - 2) * width, "little")
+    return [int.from_bytes(raw[s : s + width], "little") % p for s in range(0, len(raw), width)]
 
 
 def lemma_sum_checks(p: int) -> bool:
@@ -403,19 +442,18 @@ def lemma_sum_checks(p: int) -> bool:
     sum P(j) over 1..p-1 is -((p-1)/2)!^3; the head ((p-1)/2)!^3 + sum over
     1..(p-1)/2 vanishes; P(j) = 0 for (p-1)/2 < j < p; and sum Q(j) = 0.
 
-    P and Q mod p come from c_k = [z^k] F^3 mod p: [z^k] P = (k+1) c_k and
-    [z^k] Q = k(k+1)/2 c_k."""
+    P and Q mod p come from c_k = [z^k] F^3 mod p, the cube of the layer's
+    exact F reduced mod p: [z^k] P = (k+1) c_k and [z^k] Q = k(k+1)/2 c_k."""
     check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
-    f = RatPoly(_rising_coeffs(m, p))
-    cube = [c % p for c in (f * f * f).coeffs]
+    cube = _cube_mod([c % p for c in _layer(p).f.coeffs], p)
     pc = [(k + 1) * c % p for k, c in enumerate(cube)]
     qc = [k * (k + 1) // 2 * c % p for k, c in enumerate(cube)]
     mf3 = pow(math.factorial(m) % p, 3, p)
-    vals = _values_mod(pc, p)[1:]
+    p_vals, q_vals = (vals[1:] for vals in _values_mod([pc, qc], p))
     return (
-        sum(vals) % p == (-mf3) % p
-        and (mf3 + sum(vals[:m])) % p == 0
-        and all(v == 0 for v in vals[m:])
-        and sum(_values_mod(qc, p)[1:]) % p == 0
+        sum(p_vals) % p == (-mf3) % p
+        and (mf3 + sum(p_vals[:m])) % p == 0
+        and all(v == 0 for v in p_vals[m:])
+        and sum(q_vals) % p == 0
     )

@@ -10,21 +10,25 @@ it mod p^m (every denominator in range is a p-unit).  Production runs two
 routes: the kernel, for the mod-p^4 companion and Z, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
 X and Y are per-term residue sums from one pass over j.  The paired
-Pochhammer ratios are one list of integer ratios, `_pair_ratios`, walked
-two ways: exactly by `_pochhammer_pairs` for the well-poised instance,
-which decides by rational equality, and as residues by
-`_pochhammer_residues` for the Pochhammer-pair congruences, which need
-each value only mod p^4 or p^2.  The exact twins of the modular sums, the
-instance's four separate Pochhammer products and the congruences reduced
-from the exact walk live in `tests/exact_oracle.py`, which the suite holds
-production against.  Three layers are kept for the last prime asked, so
-the statements that share them compute them once per prime: the exact
-quintic sum (vanhamme_a, prop3), reduced at each caller's modulus, the
-pair (X, Y) mod p (lemma1, lemma2; thm_os asks mod p^2), and
-p^2 * 3F2(1) (thm_os, cor5).  Residue comparisons are exact integer
-equality throughout, never approximate.  The exact quintic sum and the
-Pochhammer-pair walkers refuse a prime above their caps before any work,
-through `exactnum.check_prime`; the statement registry reads those caps.
+Pochhammer ratios are one list of integer ratios, `_pair_ratios`, read two
+ways.  The well-poised instance, which decides by rational equality, sums
+each side as one unreduced integer fraction nested from the last term
+inward (`_nested_sum`) and reduces it once.  The Pochhammer-pair
+congruences, which need each value only mod p^4 or p^2, walk the ratios as
+residues (`_pochhammer_residues`): prefix quotients with one inverse per
+sequence.  `tests/exact_oracle.py` holds what the suite checks production
+against: the exact twins of the modular sums, the exact walk of the ratios
+in Fractions (the oracle of both routes: its terms summed for the
+instance, its values reduced side by side for the congruences), and the
+instance's four separate Pochhammer products (the oracle of that walk).
+Three layers are kept for the last prime asked, so the statements that
+share them compute them once per prime: the exact quintic sum (vanhamme_a,
+prop3), reduced at each caller's modulus, the pair (X, Y) mod p (lemma1,
+lemma2; thm_os asks mod p^2), and p^2 * 3F2(1) (thm_os, cor5).  Residue
+comparisons are exact integer equality throughout, never approximate.  The
+exact quintic sum and the Pochhammer-pair routes refuse a prime above
+their caps before any work, through `exactnum.check_prime`; the statement
+registry reads those caps.
 """
 
 from __future__ import annotations
@@ -264,14 +268,18 @@ def cor5_check(p: int, m: int = 3) -> VerificationRecord:
 # over their lower partners 1 -+ ip/2, and in real mirror pairs, 1/2 +- p/2
 # over 1 -+ p/2.  Each pair multiplies to a rational, so every term is
 # exact; the congruences and the instance step by the same integer ratios.
-# The instance sums the exact Fractions and compares them exactly.  The
+# The instance sums each side as one unreduced integer fraction, nested from
+# the last term inward, and compares the two rationals exactly.  The
 # congruences need each ratio only at a fixed precision, so they walk the
-# ratios as residues: binom(-1/2,k) and Q_k mod p^4 and R_k mod p^2, each
-# kept as a numerator and a denominator, with one inverse per value read.
+# ratios as residues: binom(-1/2,k) and Q_k mod p^4 and R_k mod p^2, each a
+# prefix quotient with one inverse per sequence.
 
-#: The walker's exact rationals grow like p^3: whipple_instance_check(3989)
-#: took 4.7-4.8 s alone in a fresh process on a 2-vCPU host (Python 3.11),
-#: and 4099 took 5.0-5.4 s.
+#: Set by the exact walk in Fractions, which the suite runs at this cap as
+#: the oracle of both routes and whose cost grows like p^3: there it took
+#: 4.7-5.1 s alone in a fresh process on a 2-vCPU host (Python 3.11).  On
+#: that host whipple_instance_check(3989), the nested sums, took
+#: 0.06-0.11 s, and 4099 (the cap lifted) 0.10 s; re-measuring the cap is
+#: ROADMAP item 8.
 WHIPPLE_INST_MAX_P = 3989
 
 
@@ -279,7 +287,7 @@ def _pair_ratios(p: int) -> list:
     """The integer ratios (numerator, denominator) that step binom(-1/2,k),
     Q_k and R_k from k-1 to k, for 1 <= k <= (p-1)/2.
 
-    With r = k-1 the factors of Q_k and R_k (see `_pochhammer_pairs`) scale
+    With r = k-1 the factors of Q_k and R_k (see `_pochhammer_residues`) scale
     by 4 to (2k-1)^2 +- p^2 over (2k)^2 +- p^2; (2k)^2 - p^2 never vanishes
     for odd p.  A p that is not an odd prime at most WHIPPLE_INST_MAX_P
     raises ValueError before the first step.
@@ -295,41 +303,44 @@ def _pair_ratios(p: int) -> list:
     return ratios
 
 
-def _pochhammer_pairs(p: int):
-    """Yield (k, binom(-1/2,k), Q_k, R_k) for 0 <= k <= (p-1)/2, exactly, where
+def _prefix_quotients(steps: list, modulus: int) -> list:
+    """[prod_{i<=k} n_i / d_i mod modulus for 0 <= k <= len(steps)] for the
+    integer steps (n_i, d_i), every d_i a unit mod modulus.
+
+    The numerators and denominators are multiplied up as prefix products;
+    the last denominator is inverted once, and the sweep back to k = 0
+    multiplies it by d_k to invert each shorter prefix in turn.
+    """
+    nums = [1]
+    dens = [1]
+    for n, d in steps:
+        nums.append(nums[-1] * n % modulus)
+        dens.append(dens[-1] * d % modulus)
+    inv = pow(dens[-1], -1, modulus)
+    out = [1] * len(nums)
+    for k in range(len(steps), 0, -1):
+        out[k] = nums[k] * inv % modulus
+        inv = inv * steps[k - 1][1] % modulus
+    return out
+
+
+def _pochhammer_residues(p: int) -> tuple:
+    """The lists of binom(-1/2,k) mod p^4, Q_k mod p^4 and R_k mod p^2 for
+    0 <= k <= (p-1)/2, where
 
         Q_k = prod_{r<k} ((r+1/2)^2 + p^2/4)((r+1/2)^2 - p^2/4)
                          / (((r+1)^2 + p^2/4)((r+1)^2 - p^2/4)),
-        R_k = prod_{r<k} ((r+1/2)^2 - p^2/4) / ((r+1)^2 + p^2/4).
-    """
-    ratios = _pair_ratios(p)
-    bk = qk = rk = Fraction(1)
-    yield 0, bk, qk, rk
-    for k, (b, q, r) in enumerate(ratios, 1):
-        bk *= Fraction(*b)
-        qk *= Fraction(*q)
-        rk *= Fraction(*r)
-        yield k, bk, qk, rk
+        R_k = prod_{r<k} ((r+1/2)^2 - p^2/4) / ((r+1)^2 + p^2/4):
 
-
-def _pochhammer_residues(p: int):
-    """Yield (k, binom(-1/2,k) mod p^4, Q_k mod p^4, R_k mod p^2) for
-    0 <= k <= (p-1)/2: the ratios of `_pochhammer_pairs`, walked as residues.
-    Every denominator is a p-unit, so each value read costs one inverse."""
+    the ratios of `_pair_ratios` as prefix quotients, one inverse per
+    sequence."""
     ratios = _pair_ratios(p)
     p2, p4 = p * p, p**4
-    b_num = b_den = q_num = q_den = r_num = r_den = 1
-    yield 0, 1, 1, 1
-    for k, (b, q, r) in enumerate(ratios, 1):
-        b_num, b_den = b_num * b[0] % p4, b_den * b[1] % p4
-        q_num, q_den = q_num * q[0] % p4, q_den * q[1] % p4
-        r_num, r_den = r_num * r[0] % p2, r_den * r[1] % p2
-        yield (
-            k,
-            b_num * pow(b_den, -1, p4) % p4,
-            q_num * pow(q_den, -1, p4) % p4,
-            r_num * pow(r_den, -1, p2) % p2,
-        )
+    return (
+        _prefix_quotients([b for b, _, _ in ratios], p4),
+        _prefix_quotients([q for _, q, _ in ratios], p4),
+        _prefix_quotients([r for _, _, r in ratios], p2),
+    )
 
 
 def poch_congruence_checks(p: int) -> list:
@@ -338,25 +349,23 @@ def poch_congruence_checks(p: int) -> list:
     Returns one record per (identity, k); every ratio in sight is a p-unit,
     so the residues are well defined at the stated precisions.  The shifted
     sides are the binomials C(m+k,k) C(m,k) and C(m+k,m) = (k+1)_m / m!
-    with m = (p-1)/2, walked mod p^2 as (m+1)_k and m!/(m-k)! over k!, one
-    inverse per k; the conjugate and real sides are Q_k and R_k.  The eight
-    sides are integers from these residues and those of
+    with m = (p-1)/2, the prefix quotients mod p^2 of (m+i)/i and
+    (m+1-i)/i, one inverse each; the conjugate and real sides are Q_k and
+    R_k.  The eight sides are integers from these residues and those of
     `_pochhammer_residues`, and each `Residue` reduces its side at its own
     modulus.
     """
     m = (p - 1) // 2
     p2 = p * p
-    rising = falling = fact = 1
+    bs, qs, rs = _pochhammer_residues(p)  # the prime gate runs first
+    wide = _prefix_quotients([(m + i, i) for i in range(1, m + 1)], p2)  # C(m+k,k) = C(m+k,m)
+    narrow = _prefix_quotients([(m + 1 - i, i) for i in range(1, m + 1)], p2)  # C(m,k)
     records = []
-    for k, b, qk, rk in _pochhammer_residues(p):
-        if k:
-            rising, falling, fact = rising * (m + k) % p2, falling * (m + 1 - k) % p2, fact * k % p2
-        inv = pow(fact, -1, p2)
-        wide = rising * inv  # C(m+k,k) = C(m+k,m)
+    for k, (b, qk, rk, cw, cn) in enumerate(zip(bs, qs, rs, wide, narrow)):
         signed = -b if k % 2 else b  # (-1)^k binom(-1/2,k) = (1/2)_k / k!
         sides = (
-            ("poch_shift_square", 2, wide * falling * inv, signed * b),
-            ("poch_shift_linear", 1, signed, wide),
+            ("poch_shift_square", 2, cw * cn, signed * b),
+            ("poch_shift_linear", 1, signed, cw),
             ("poch_conj_quartic", 4, qk, b**4),
             ("poch_real_square", 2, rk, b * b),
         )
@@ -365,18 +374,28 @@ def poch_congruence_checks(p: int) -> list:
     return records
 
 
-def whipple_instance_terms(p: int):
-    """Per-term values of both sides of the specialized transformation:
-    (4k+1) binom(-1/2,k) Q_k on the 6F5 side and (1/2)_k / k! R_k on the
-    3F2 side.  (5/4)_k / (1/4)_k = 4k+1.  Both sides terminate at
-    k = (p-1)/2 because (1/2 - p/2)_k vanishes beyond that index.
-    """
-    lhs_terms = []
-    rhs_terms = []
-    for k, bk, qk, rk in _pochhammer_pairs(p):
-        lhs_terms.append((4 * k + 1) * bk * qk)
-        rhs_terms.append((-bk if k % 2 else bk) * rk)
-    return lhs_terms, rhs_terms
+def _nested_sum(coeffs, ratios) -> Fraction:
+    """sum_k c_k prod_{i<=k} n_i / d_i over coeffs c_0..c_K and the integer
+    ratios (n_i, d_i), i = 1..K, as c_0 + r_1 (c_1 + r_2 (c_2 + ...)): nested
+    from the last term inward as one unreduced fraction, reduced once."""
+    num, den = coeffs[-1], 1
+    for c, (n, d) in zip(reversed(coeffs[:-1]), reversed(ratios)):
+        num, den = c * d * den + n * num, d * den
+    return Fraction(num, den)
+
+
+def whipple_instance_sides(p: int) -> tuple:
+    """The exact sides (LHS, phi(-1) * p * RHS) of the specialized
+    transformation.  The 6F5 side sums (4k+1) binom(-1/2,k) Q_k, since
+    (5/4)_k / (1/4)_k = 4k+1; the 3F2 side sums (1/2)_k / k! R_k =
+    (-1)^k binom(-1/2,k) R_k.  Both terminate at k = (p-1)/2 because
+    (1/2 - p/2)_k vanishes beyond that index, and each is one nested sum
+    over the step ratios of `_pair_ratios`."""
+    ratios = _pair_ratios(p)
+    half = len(ratios)
+    lhs = _nested_sum(range(1, 4 * half + 2, 4), [(b[0] * q[0], b[1] * q[1]) for b, q, _ in ratios])
+    rhs = _nested_sum([1] * (half + 1), [(-b[0] * r[0], b[1] * r[1]) for b, _, r in ratios])
+    return lhs, legendre(-1, p) * p * rhs
 
 
 def whipple_instance_check(p: int) -> VerificationRecord:
@@ -385,9 +404,7 @@ def whipple_instance_check(p: int) -> VerificationRecord:
     The pass flag is decided by exact rational equality, not a congruence;
     the record carries both sides reduced mod p^4 for reporting.
     """
-    lhs_terms, rhs_terms = whipple_instance_terms(p)
-    lhs = sum(lhs_terms)
-    rhs = legendre(-1, p) * p * sum(rhs_terms)
+    lhs, rhs = whipple_instance_sides(p)
     return VerificationRecord(
         "whipple_inst",
         p,

@@ -1,9 +1,10 @@
 """Exact-rational twins of the modular truncated sums of
 `supercong.supercongruence`: the reduce-once oracle the suite holds the
-production routes against, and the well-poised instance's terms built
-from its four separate Pochhammer products, plus the Pochhammer-pair
-congruences with each of their eight sides formed as a Fraction and
-reduced on its own.
+production routes against; the exact walk of the Pochhammer-pair step
+ratios, whose terms are the oracle of the well-poised instance's nested
+sums and, reduced side by side, of the Pochhammer-pair congruences' residue
+walk; and the instance's terms built from its four separate Pochhammer
+products, the oracle of that walk.
 
 Every sum here is accumulated in Fractions and reduced mod p^m once, at
 the end; every denominator in range is a p-unit.  The central-binomial
@@ -31,7 +32,7 @@ import math
 from fractions import Fraction
 
 from supercong.exactnum import Residue, residue_from_rational
-from supercong.supercongruence import VerificationRecord, _pochhammer_pairs
+from supercong.supercongruence import VerificationRecord, _pair_ratios
 
 #: (4k+1) binom(-1/2,k)^5 = (4k+1) C(2k,k)^5 / (-1024)^k: vanhamme_a, prop3
 QUINTIC = (4, 1, 5, -1024)
@@ -93,7 +94,34 @@ def y_sum(p: int) -> Fraction:
     return total
 
 
+def pochhammer_pairs(p: int):
+    """Yield (k, binom(-1/2,k), Q_k, R_k) for 0 <= k <= (p-1)/2 as exact
+    Fractions, each the running product of the step ratios of
+    `supercongruence._pair_ratios` (Q_k and R_k as in
+    `supercongruence._pochhammer_residues`)."""
+    ratios = _pair_ratios(p)
+    bk = qk = rk = Fraction(1)
+    yield 0, bk, qk, rk
+    for k, (b, q, r) in enumerate(ratios, 1):
+        bk *= Fraction(*b)
+        qk *= Fraction(*q)
+        rk *= Fraction(*r)
+        yield k, bk, qk, rk
+
+
 def whipple_instance_terms(p: int):
+    """Per-term values of both sides of the specialized transformation from
+    the exact walk: (4k+1) binom(-1/2,k) Q_k on the 6F5 side and
+    (1/2)_k / k! R_k on the 3F2 side."""
+    lhs_terms = []
+    rhs_terms = []
+    for k, bk, qk, rk in pochhammer_pairs(p):
+        lhs_terms.append((4 * k + 1) * bk * qk)
+        rhs_terms.append((-bk if k % 2 else bk) * rk)
+    return lhs_terms, rhs_terms
+
+
+def four_product_terms(p: int):
     """Per-term values of both sides of the specialized well-poised
     transformation, each Pochhammer product kept on its own: (1/2)_k,
     (5/4)_k / (1/4)_k, the conjugate pairs (1/2 +- ip/2)_k over
@@ -129,7 +157,7 @@ def poch_congruence_records(p: int) -> list:
     reduced on its own: three Fraction products and eight reductions per k."""
     m = (p - 1) // 2
     records = []
-    for k, bk, qk, rk in _pochhammer_pairs(p):
+    for k, bk, qk, rk in pochhammer_pairs(p):
         signed = -bk if k % 2 else bk
         pairs = (
             ("poch_shift_square", 2, math.comb(m + k, k) * math.comb(m, k), signed * bk),

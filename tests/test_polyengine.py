@@ -16,6 +16,7 @@ from supercong.exactnum import is_odd_prime
 from supercong.polyengine import (
     POLY_MAX_P,
     RatPoly,
+    _cube_mod,
     _halved,
     _quotient_sum,
     _rising_coeffs,
@@ -38,6 +39,14 @@ def _horner(poly, x):
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def _neg(poly):
+    return RatPoly(tuple(-c for c in poly.coeffs))
+
+
+def _sub(f, g):
+    return f + _neg(g)
 
 
 def test_pochhammer_poly_examples():
@@ -183,7 +192,7 @@ def test_upper_range_vanishing():
 def test_ratpoly_trimming_and_zero():
     assert RatPoly((0, 0)).degree == -1
     assert RatPoly(()) == RatPoly((0,))
-    assert (RatPoly((1, 1)) - RatPoly((1, 1))).degree == -1
+    assert _sub(RatPoly((1, 1)), RatPoly((1, 1))).degree == -1
     assert RatPoly((1, 2)).shifted(2) == RatPoly((0, 0, 1, 2))
     assert RatPoly((1, 2)).scaled(2) == RatPoly((2, 4))
     assert _halved(RatPoly((2, 4))) == RatPoly((1, 2))
@@ -308,8 +317,44 @@ def _p_and_q_mod(p):
 
 @pytest.mark.parametrize("p", [n for n in range(3, 200, 2) if is_odd_prime(n)] + [499, 997])
 def test_chirp_z_values_match_horner(p):
-    for coeffs in _p_and_q_mod(p):
-        assert _values_mod(coeffs, p) == [_horner_mod(coeffs, j, p) for j in range(p)]
+    polys = _p_and_q_mod(p)
+    horner = [[_horner_mod(coeffs, j, p) for j in range(p)] for coeffs in polys]
+    assert _values_mod(polys, p) == horner
+
+
+@pytest.mark.parametrize("p", [n for n in range(3, POLY_MAX_P + 1, 2) if is_odd_prime(n)])
+def test_one_point_cube_matches_the_schoolbook_cube_mod_p(p):
+    f = RatPoly(c % p for c in pochhammer_poly((p - 1) // 2).coeffs)
+    cube = _schoolbook_mul(_schoolbook_mul(f, f), f)
+    assert _cube_mod(list(f.coeffs), p) == [c % p for c in cube.coeffs]
+
+
+def test_one_point_cube_slots_hold_the_largest_coefficients():
+    # every coefficient p - 1: the middle slot of the cube comes within 3/4
+    # of its bound n^2 (p-1)^3, and at 997 a slot one byte short would carry
+    for p, n in ((3, 2), (5, 3), (997, 499)):
+        f = RatPoly([p - 1] * n)
+        cube = _schoolbook_mul(_schoolbook_mul(f, f), f)
+        assert _cube_mod(list(f.coeffs), p) == [c % p for c in cube.coeffs]
+
+
+def test_the_layer_keeps_each_prime_its_own_p_and_q():
+    # two primes interleaved, the cache holding both: each call returns its
+    # own prime's P and Q, equal to the schoolbook build
+    expected = {}
+    for p in (11, 13):
+        _, cube = _schoolbook_cube((p - 1) // 2)
+        lifted = cube.shifted(1)
+        expected[p] = (lifted.derivative(), _halved(lifted.derivative(2).shifted(1)))
+    polyengine._layer.cache_clear()
+    for p in (11, 13, 11, 13, 13, 11):
+        assert (p_poly(p), q_poly(p)) == expected[p]
+        assert p_identity_check(p) and coefficient_facts_check(p) and lemma_sum_checks(p)
+    assert polyengine._layer.cache_info().misses == 2
+    # a third prime evicts the least recent entry (13), built again on return
+    p_poly(17)
+    assert (p_poly(13), q_poly(13)) == expected[13]
+    assert polyengine._layer.cache_info().misses == 4
 
 
 def test_chirp_z_rejects_a_root_that_is_not_primitive(monkeypatch):

@@ -15,12 +15,13 @@ from exact_oracle import (
     binom_half,
     central_residue,
     central_sum,
+    four_product_terms,
     harmonic_prefix,
     poch_congruence_records,
+    whipple_instance_terms,
     x_sum,
     y_sum,
 )
-from exact_oracle import whipple_instance_terms as four_product_terms
 from supercong import gaussian_hg
 from supercong import supercongruence as sc
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME, is_odd_prime, residue_from_rational
@@ -30,6 +31,7 @@ from supercong.supercongruence import (
     WHIPPLE_INST_MAX_P,
     _central_sum,
     _inverses,
+    _prefix_quotients,
     _xy_mod,
     cor5_check,
     lemma1_check,
@@ -43,7 +45,7 @@ from supercong.supercongruence import (
     vanhamme_b_verify,
     vanhamme_verify,
     whipple_instance_check,
-    whipple_instance_terms,
+    whipple_instance_sides,
     x_quantity,
     y_quantity,
     z_quantity,
@@ -241,12 +243,12 @@ def test_poch_congruences_match_the_eight_reduction_oracle(p):
 
 
 @pytest.mark.parametrize(
-    "walker", (poch_congruence_checks, whipple_instance_terms, whipple_instance_check)
+    "walker", (poch_congruence_checks, whipple_instance_sides, whipple_instance_check)
 )
 def test_pochhammer_walkers_reject_a_prime_above_the_cap_promptly(walker):
-    # 4001 is the first prime above the cap; the exact walk grows like p^3,
-    # and the residue walk of poch_congruence_checks keeps the same gate.
-    # 3987 = 3 * 1329 lies below the cap, where the exact walk takes seconds.
+    # 4001 is the first prime above the cap, which bounds the exact nested
+    # sums; the residue walk of poch_congruence_checks keeps the same gate.
+    # 3987 = 3 * 1329 lies below the cap.
     assert WHIPPLE_INST_MAX_P < 4001 and is_odd_prime(4001)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="Pochhammer-walker cap"):
@@ -321,9 +323,36 @@ def test_whipple_instance_small():
     assert sum(lhs_terms) == legendre(-1, 3) * 3 * sum(rhs_terms)
 
 
+@pytest.mark.parametrize(
+    "p", [n for n in range(3, 200, 2) if is_odd_prime(n)] + [499, 997, WHIPPLE_INST_MAX_P]
+)
+def test_whipple_nested_sums_equal_the_exact_walk(p):
+    # each nested side against the sum of the exact walk's Fraction terms:
+    # the rationals themselves, not only the pass flag
+    lhs_terms, rhs_terms = whipple_instance_terms(p)
+    lhs, rhs = whipple_instance_sides(p)
+    assert lhs == sum(lhs_terms, Fraction(0))
+    assert rhs == legendre(-1, p) * p * sum(rhs_terms, Fraction(0))
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("length", (0, 1, 2, 3, 7))
+def test_prefix_quotients_match_the_fractions(length):
+    # lengths 1 and 2 are the walks of p = 3 and 5, where the backward sweep
+    # takes one and two steps; negative, non-reduced ratios whose
+    # denominators are units at every modulus below
+    steps = [(-(2 * i + 1) * 11, 2 ** (i + 1) * 11) for i in range(length)]
+    for modulus in (3**4, 5**2, 7**4):
+        expected, value = [1], Fraction(1)
+        for n, d in steps:
+            value *= Fraction(n, d)
+            expected.append(value.numerator * pow(value.denominator, -1, modulus) % modulus)
+        assert _prefix_quotients(steps, modulus) == expected
+
+
 def test_whipple_instance_terms_match_the_four_product_oracle():
-    # the walker's running ratios against the separate Pochhammer products,
-    # as exact Fractions, term by term
+    # the exact walk's running ratios against the separate Pochhammer
+    # products, as exact Fractions, term by term
     for p in filter(is_odd_prime, range(3, 98)):
         assert whipple_instance_terms(p) == four_product_terms(p)
 
