@@ -62,6 +62,12 @@ slots of bits((p-1)^3) + 1 bits, rounded up to bytes.  The walk over g^i
 raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
 value unset.
 
+Kept layers.  Two are kept, neither across a sweep: the exact polynomial
+layer (`_layer`) for the last two primes asked, and the power sums of
+`exp_sum_check` (`_power_sums`) for the last prime asked, one per folded
+exponent asked there.  A sweep that asks k = 1..3(p-1) sums each exponent
+class once, and a single call costs one O(p) sum, as it would unkept.
+
 Inputs.  Every entry point passes `exactnum.check_prime` with the cap
 `POLY_MAX_P` (`exp_sum_check`: `exactnum.check_modulus`, so at most
 `exactnum.MAX_PRIME`, its exponent folded mod p - 1 first), so a p that
@@ -354,15 +360,28 @@ def exp_sum_check(p: int, k: int) -> bool:
     """True iff sum_{j=1}^{p-1} j^k is -1 mod p when (p-1) | k, else 0 mod p.
 
     k is folded to 1 + (k - 1) mod (p - 1) first (Fermat: j^(p-1) = 1 for
-    every j in range), so the time does not grow with the digits of k.
+    every j in range), so the time does not grow with the digits of k; the
+    sum of each folded exponent is kept for the last prime asked
+    (`_power_sums`).
     """
     check_modulus(p, 1)
     if k < 1:
         raise ValueError("k must be >= 1")
     k = 1 + (k - 1) % (p - 1)
-    total = sum(map(pow, range(1, p), repeat(k), repeat(p))) % p
+    sums = _power_sums(p)
+    total = sums.get(k)
+    if total is None:
+        total = sums[k] = sum(map(pow, range(1, p), repeat(k), repeat(p))) % p
     expected = (p - 1) if k == p - 1 else 0
     return total == expected
+
+
+@lru_cache(maxsize=1)
+def _power_sums(p: int) -> dict[int, int]:
+    """{k: sum_{j=1}^{p-1} j^k mod p} for the folded exponents asked so far
+    at p, kept for the last prime asked: each exponent class is summed once
+    however many k fold to it, and only the classes asked are summed."""
+    return {}
 
 
 def _primitive_root(p: int) -> int:

@@ -16,19 +16,22 @@ each side as one unreduced integer fraction nested from the last term
 inward (`_nested_sum`) and reduces it once.  The Pochhammer-pair
 congruences, which need each value only mod p^4 or p^2, walk the ratios as
 residues (`_pochhammer_residues`): prefix quotients with one inverse per
-sequence.  `tests/exact_oracle.py` holds what the suite checks production
-against: the exact twins of the modular sums, the exact walk of the ratios
-in Fractions (the oracle of both routes: its terms summed for the
-instance, its values reduced side by side for the congruences), and the
-instance's four separate Pochhammer products (the oracle of that walk).
-Three layers are kept for the last prime asked, so the statements that
-share them compute them once per prime: the exact quintic sum (vanhamme_a,
-prop3), reduced at each caller's modulus, the pair (X, Y) mod p (lemma1,
-lemma2; thm_os asks mod p^2), and p^2 * 3F2(1) (thm_os, cor5).  Residue
-comparisons are exact integer equality throughout, never approximate.  The
-exact quintic sum and the Pochhammer-pair routes refuse a prime above
-their caps before any work, through `exactnum.check_prime`; the statement
-registry reads those caps.
+sequence.  Each congruence is decided on plain ints, and an agreeing pair
+is reported as one `Residue` shared by both sides.  `tests/exact_oracle.py`
+holds what the suite checks production against: the exact twins of the
+modular sums, the exact walk of the ratios in Fractions (the oracle of
+both routes: its terms summed for the instance, its values reduced side by
+side for the congruences), and the instance's four separate Pochhammer
+products (the oracle of that walk).  Three layers are kept per prime, so
+the statements that share them compute them once per prime: the exact
+quintic sum (vanhamme_a, prop3), kept for the last prime asked and reduced
+at each caller's modulus; the pair (X, Y), kept for the last two (p, pm)
+asked, so the lemmas' pass mod p and thm_os's pass mod p^2 of one prime
+both stay; and p^2 * 3F2(1) (thm_os, cor5), kept for the last prime asked.
+Residue comparisons are exact integer equality throughout, never
+approximate.  The exact quintic sum and the Pochhammer-pair routes refuse
+a prime above their caps before any work, through `exactnum.check_prime`;
+the statement registry reads those caps.
 """
 
 from __future__ import annotations
@@ -153,11 +156,13 @@ def _harmonic_tables_mod(p: int, pm: int):
     return inv, h1, h2
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _xy_mod(p: int, pm: int) -> tuple:
-    """(X, Y) mod pm from one pass over j, kept for the last (p, pm) asked.
-    The reduced binom(-1/2,j)^3 form determines them at the precision they
-    are read at: mod p in the lemmas, mod p^2 in the decomposition check.
+    """(X, Y) mod pm from one pass over j, kept for the last two (p, pm)
+    asked.  The reduced binom(-1/2,j)^3 form determines them at the
+    precision they are read at: mod p in the lemmas, mod p^2 in the
+    decomposition check, so a sweep that asks both keeps both passes of
+    its prime, in whatever order the statements come.
 
     The weight C(2j,j)^3 / 64^j = binom(-1/2,j)^3 (-1)^j steps by t^3,
     t = (2j-1) / (2j).  With b = 3j (H_{m+j} - H_j) the doubled brackets
@@ -352,25 +357,30 @@ def poch_congruence_checks(p: int) -> list:
     with m = (p-1)/2, the prefix quotients mod p^2 of (m+i)/i and
     (m+1-i)/i, one inverse each; the conjugate and real sides are Q_k and
     R_k.  The eight sides are integers from these residues and those of
-    `_pochhammer_residues`, and each `Residue` reduces its side at its own
-    modulus.
+    `_pochhammer_residues`.  Each congruence is decided on those integers
+    at its own modulus; an agreeing pair is reported as one `Residue` read
+    by both sides, and only a disagreeing pair reduces each side apart.
     """
     m = (p - 1) // 2
-    p2 = p * p
     bs, qs, rs = _pochhammer_residues(p)  # the prime gate runs first
+    p2, p4 = p * p, p**4
     wide = _prefix_quotients([(m + i, i) for i in range(1, m + 1)], p2)  # C(m+k,k) = C(m+k,m)
     narrow = _prefix_quotients([(m + 1 - i, i) for i in range(1, m + 1)], p2)  # C(m,k)
     records = []
     for k, (b, qk, rk, cw, cn) in enumerate(zip(bs, qs, rs, wide, narrow)):
         signed = -b if k % 2 else b  # (-1)^k binom(-1/2,k) = (1/2)_k / k!
         sides = (
-            ("poch_shift_square", 2, cw * cn, signed * b),
-            ("poch_shift_linear", 1, signed, cw),
-            ("poch_conj_quartic", 4, qk, b**4),
-            ("poch_real_square", 2, rk, b * b),
+            ("poch_shift_square", 2, p2, cw * cn, signed * b),
+            ("poch_shift_linear", 1, p, signed, cw),
+            ("poch_conj_quartic", 4, p4, qk, b**4),
+            ("poch_real_square", 2, p2, rk, b * b),
         )
-        for name, mm, lhs, rhs in sides:
-            records.append(_record(name, p, Residue(lhs, p, mm), Residue(rhs, p, mm)))
+        for name, mm, pm, lhs, rhs in sides:
+            if (rhs - lhs) % pm:
+                records.append(VerificationRecord(name, p, Residue(lhs, p, mm), Residue(rhs, p, mm), False))
+            else:
+                same = Residue(lhs, p, mm)
+                records.append(VerificationRecord(name, p, same, same, True))
     return records
 
 

@@ -164,6 +164,21 @@ def test_exp_sum_fold_agrees_with_the_unfolded_sum(p):
             assert exp_sum_check(p, k) == _exp_sum_unfolded(p, k)
 
 
+def test_exp_sum_memo_keeps_only_the_last_prime():
+    # interleaved primes and exponents over three folds: every answer from
+    # the kept power sums matches the unfolded sum, and the memo holds the
+    # classes of the last prime asked, none of an earlier one
+    polyengine._power_sums.cache_clear()
+    for p in (5, 7, 5):
+        for k in range(1, 3 * (p - 1) + 1):
+            assert exp_sum_check(p, k) == _exp_sum_unfolded(p, k)
+        assert polyengine._power_sums.cache_info().currsize == 1
+    assert sorted(polyengine._power_sums(5)) == [1, 2, 3, 4]
+    assert polyengine._power_sums.cache_info().currsize == 1
+    exp_sum_check(7, 3)
+    assert sorted(polyengine._power_sums(7)) == [3]
+
+
 def test_lemma_sums_p3_recomputed_oracle():
     # direct evaluation oracle: P = 4z^3 + 9z^2 + 6z + 1 gives P(1) = 20 and
     # P(2) = 81, so the full sum is 101, congruent to -1!^3 = -1 = 2 mod 3

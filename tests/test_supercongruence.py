@@ -24,6 +24,7 @@ from exact_oracle import (
 )
 from supercong import gaussian_hg
 from supercong import supercongruence as sc
+from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME, is_odd_prime, residue_from_rational
 from supercong.gaussian_hg import gaussian_nFn_phi, legendre
 from supercong.supercongruence import (
@@ -242,6 +243,52 @@ def test_poch_congruences_match_the_eight_reduction_oracle(p):
     assert poch_congruence_checks(p) == poch_congruence_records(p)
 
 
+_POCH_READERS = ("poch_shift_square", "poch_shift_linear", "poch_conj_quartic", "poch_real_square")
+
+
+@pytest.mark.parametrize(
+    "which, e, readers",
+    (
+        (0, 0, _POCH_READERS),
+        (0, 1, ("poch_shift_square", "poch_conj_quartic", "poch_real_square")),
+        (1, 0, ("poch_conj_quartic",)),
+        (1, 3, ("poch_conj_quartic",)),
+        (2, 0, ("poch_real_square",)),
+        (2, 1, ("poch_real_square",)),
+    ),
+)
+def test_a_wrong_pochhammer_residue_fails_exactly_the_records_that_read_it(monkeypatch, which, e, readers):
+    # an agreeing pair shares one Residue; a value off by p^e at one k must
+    # still fail every record that reads it at a precision above p^e, each
+    # side reduced on its own (binom(-1/2,k) off by p is still right mod p)
+    p, k = 13, 3
+    m = (p - 1) // 2
+    values = [list(seq) for seq in sc._pochhammer_residues(p)]
+    values[which][k] += p**e
+    monkeypatch.setattr(sc, "_pochhammer_residues", lambda q: tuple(values))
+    b, qk, rk = (seq[k] for seq in values)
+    signed = (-1) ** k * b
+    cw, cn = math.comb(m + k, k), math.comb(m, k)
+    expected = {
+        "poch_shift_square": (cw * cn % p**2, signed * b % p**2),
+        "poch_shift_linear": (signed % p, cw % p),
+        "poch_conj_quartic": (qk % p**4, b**4 % p**4),
+        "poch_real_square": (rk % p**2, b * b % p**2),
+    }
+    records = poch_congruence_checks(p)
+    assert [(i // 4, rec.statement) for i, rec in enumerate(records) if not rec.passed] == [
+        (k, name) for name in readers
+    ]
+    for rec in records:
+        if rec.passed:
+            assert rec.lhs is rec.rhs
+            continue
+        lhs, rhs = expected[rec.statement]
+        assert lhs != rhs
+        assert (rec.lhs.value, rec.rhs.value) == (lhs, rhs)
+        assert rec.lhs.modulus == rec.rhs.modulus == rec.modulus
+
+
 @pytest.mark.parametrize(
     "walker", (poch_congruence_checks, whipple_instance_sides, whipple_instance_check)
 )
@@ -451,6 +498,24 @@ def test_harmonic_tables_are_built_once_per_prime(monkeypatch, statements, m):
     for name in statements:
         assert STATEMENTS[name].check(p, None).passed
     assert builds == [(p, p**m)]
+
+
+@pytest.mark.parametrize("statements", ("lemma1,thm_os,lemma2", "lemma2,thm_os,lemma1"))
+def test_harmonic_tables_are_built_once_per_prime_and_precision(monkeypatch, capsys, statements):
+    # the lemmas read X and Y mod p and thm_os mod p^2: both passes of a
+    # prime stay kept, so interleaving the statements rebuilds neither
+    builds = []
+    build = sc._harmonic_tables_mod
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sc, "_harmonic_tables_mod", spy)
+    sc._xy_mod.cache_clear()
+    assert main(["verify", "--statements", statements, "--primes", "101..103", "--format", "json-lines"]) == 0
+    assert capsys.readouterr().out.count('"pass": true') == 6
+    assert sorted(builds) == [(101, 101), (101, 101**2), (103, 103), (103, 103**2)]
 
 
 def test_x_sum_random_p_integrality():
