@@ -12,10 +12,16 @@ w(y) = phi(y) phi(1-y) and T_n(x) = p^n * (n+1)Fn(x),
 
 so T_1(x) = p * 2F1(x) = phi(-1) sum_y phi(y) phi(1-y) phi(1-x*y).  Every
 step is an integer sum: no character table, no floating point and no
-rounding.  The tables T_1 .. T_(n-1) cost O(p^2) each and the last level is
-evaluated at lambda alone in O(p), so the series refuses, before any work,
-a (p, n) with (n-1) p^2 > FINITE_FIELD_MAX_P^2; n = 1 costs O(p) and is
-never refused below the API-wide prime cap.
+rounding.  For x != 0 every level reflects over the inverse pair {x, 1/x}:
+
+    T_k(1/x) = phi(-1)^(k+1) * phi(x) * T_k(x),
+
+at k = 0 because phi(1 - 1/x) = phi(-1) phi(x) phi(1 - x), and at k > 0 by
+y -> 1/y in the level sum, since phi(1/y) w(1/y) = phi(-1) w(y).  So the
+tables T_1 .. T_(n-1) take one level sum per pair plus x = 0, about p^2/2
+terms each, and the last level is evaluated at lambda alone in O(p).  The
+series refuses, before any work, a (p, n) with (n-1) p^2 > FINITE_FIELD_MAX_P^2;
+n = 1 costs O(p) and is never refused below the API-wide prime cap.
 
 The series factor chi(lambda) counts 0 at lambda = 0 for every character,
 the trivial one included, so the series vanishes at lambda = 0 (mod p); the
@@ -29,9 +35,9 @@ import math
 from .exactnum import MAX_PRIME, check_modulus, check_prime
 
 #: The largest p at which the O(p^2) work of n = 2, p^2 * 3F2(1), is done:
-#: theorem_os_check(5101), whose cost is almost all this series, took 4.9 s
-#: alone in a fresh process on a 2-vCPU host (Python 3.11), the 5 s rule
-#: of the statement caps in `supercongruence`.
+#: theorem_os_check(5101), whose cost is almost all this series, took 1.7 s
+#: alone in a fresh process on a 2-vCPU host (Python 3.11; median of five),
+#: inside the 5 s rule of the statement caps in `supercongruence`.
 FINITE_FIELD_MAX_P = 5101
 
 
@@ -70,6 +76,16 @@ def gaussian_nFn_phi(p: int, n: int, lam: int) -> int:
         return sign * sum(prev[x * y % p] * w[y] for y in support)
 
     table = [phi[1 - x] for x in range(p)]  # T_0
-    for _ in range(n - 1):
-        table = [level(table, x) for x in range(p)]
+    if n > 1:
+        # one level sum per pair {x, 1/x}: T_k(1/x) = phi(-1)^(k+1) phi(x) T_k(x)
+        inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+        pairs = [(x, inv[x], phi[x]) for x in range(1, p) if x <= inv[x]]
+    for k in range(1, n):
+        flip = sign if k % 2 == 0 else 1  # phi(-1)^(k+1)
+        nxt = [level(table, 0)] * p  # every x != 0 is overwritten below
+        for x, x_inv, phi_x in pairs:
+            t = level(table, x)
+            nxt[x_inv] = flip * phi_x * t
+            nxt[x] = t  # last, so the sum itself stays at the self-inverse x = 1, -1
+        table = nxt
     return level(table, lam)

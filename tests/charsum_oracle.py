@@ -1,5 +1,7 @@
-"""The definitional character sum of the Gaussian series, in complex
-doubles: the small-p oracle of `gaussian_hg.gaussian_nFn_phi`.
+"""The two oracles of `gaussian_hg.gaussian_nFn_phi`: the definitional
+character sum of the Gaussian series in complex doubles (small p), and
+Greene's recursion with every level a full table in exact integers
+(`greene_tables`).
 
 Characters of F_p live on a discrete-log table over the least primitive
 root.  Two zero conventions coexist deliberately:
@@ -169,3 +171,23 @@ def charsum_nFn_phi(p: int, n: int, lam: int, tol: float = 1e-3) -> int:
             f"residual {residual:.3e} >= {tol:.1e} at p={p}, n={n}"
         )
     return nearest
+
+
+def greene_tables(p: int, n: int) -> list:
+    """[T_0, ..., T_n], each a full table over x in F_p, by Greene's recursion.
+
+    T_0(x) = phi(1 - x) and T_k(x) = phi(-1) * sum over y of
+    T_(k-1)(x*y) phi(y) phi(1 - y), one level sum per x, O(p^2) per level;
+    T_k(x) = p^k * (k+1)Fk(x) for x != 0.  At x = 0 the recursion gives
+    (-1)^k, not the series' 0.
+    """
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    phi = [0] + [1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)]
+    sign = phi[p - 1]
+    w = [phi[y] * phi[(1 - y) % p] for y in range(p)]
+    tables = [[phi[(1 - x) % p] for x in range(p)]]
+    for _ in range(n):
+        prev = tables[-1]
+        tables.append([sign * sum(prev[x * y % p] * w[y] for y in range(p)) for x in range(p)])
+    return tables

@@ -1,8 +1,9 @@
 """The Legendre symbol, the finite-field series and its oracles: explicit
 quadratic-residue sets, the definitional complex character sum of
 `charsum_oracle` (with its own character-table, Jacobi-sum and
-normalized-binomial tests), an exact plus-minus-one computation at p = 3
-and Ono's closed form of p^2 * 3F2(1)."""
+normalized-binomial tests), Greene's recursion over full tables (and the
+inverse-pair relation the production route rests on), an exact
+plus-minus-one computation at p = 3 and Ono's closed form of p^2 * 3F2(1)."""
 
 import cmath
 import math
@@ -15,6 +16,7 @@ from charsum_oracle import (
     RoundingResidualTooLarge,
     charsum_nFn_phi,
     greene_binom,
+    greene_tables,
     jacobi_sum,
 )
 from supercong import gaussian_hg, supercongruence
@@ -267,6 +269,27 @@ def test_integer_route_matches_charsum_oracle(n, p_max):
     for p in filter(is_odd_prime, range(3, p_max + 1)):
         for lam in (0, 1, 2, 5, p - 1, p):
             assert gaussian_nFn_phi(p, n, lam) == charsum_nFn_phi(p, n, lam), (p, n, lam)
+
+
+@pytest.mark.parametrize("n, p_max", ((1, 499), (2, 499), (3, 97)))
+def test_pair_route_matches_full_tables(n, p_max):
+    for p in filter(is_odd_prime, range(3, p_max + 1)):
+        top = greene_tables(p, n)[n]
+        for lam in (0, 1, 2, 5, p - 1, p):
+            expect = 0 if lam % p == 0 else top[lam % p]
+            assert gaussian_nFn_phi(p, n, lam) == expect, (p, n, lam)
+
+
+def test_full_tables_reflect_over_inverse_pairs():
+    # T_k(1/x) = phi(-1)^(k+1) phi(x) T_k(x) for x != 0: at k = 0 because
+    # phi(1 - 1/x) = phi(-1) phi(x) phi(1 - x), and at k > 0 by y -> 1/y in
+    # the level sum, since phi(1/y) w(1/y) = phi(-1) w(y)
+    for p in filter(is_odd_prime, range(3, 98)):
+        phi = [legendre(a, p) for a in range(p)]
+        for k, table in enumerate(greene_tables(p, 3)):
+            flip = phi[p - 1] ** (k + 1)
+            for x in range(1, p):
+                assert table[pow(x, -1, p)] == flip * phi[x] * table[x], (p, k, x)
 
 
 def test_ono_closed_form():
