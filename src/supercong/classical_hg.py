@@ -1,7 +1,10 @@
 """Classical hypergeometric side: Pochhammer symbols, exact terminating pFq
 sums, the well-poised 6F5(-1) -> 3F2(1) transformation, and double-precision
 partial sums of Ramanujan's two series, both summed by one float kernel over
-the rows that `supercongruence._central_sum` reduces."""
+the rows that `supercongruence._central_sum` reduces.
+
+Every exact terminating sum, here and in `supercongruence`'s well-poised
+instance, is one `_nested_sum` over integer step ratios."""
 
 from __future__ import annotations
 
@@ -70,6 +73,16 @@ def _poch_hits_zero(b: Fraction, n_terms: int) -> bool:
     return b.denominator == 1 and 0 >= b > -n_terms
 
 
+def _nested_sum(coeffs, ratios) -> Fraction:
+    """sum_k c_k prod_{i<=k} n_i / d_i over coeffs c_0..c_K and the integer
+    ratios (n_i, d_i), i = 1..K, as c_0 + r_1 (c_1 + r_2 (c_2 + ...)): nested
+    from the last term inward as one unreduced fraction, reduced once."""
+    num, den = coeffs[-1], 1
+    for c, (n, d) in zip(reversed(coeffs[:-1]), reversed(ratios)):
+        num, den = c * d * den + n * num, d * den
+    return Fraction(num, den)
+
+
 def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
     """Exact value of the terminating pFq with upper parameters `upper`,
     lower parameters `lower` and argument z, as a finite rational sum.
@@ -78,9 +91,8 @@ def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
     smallest such termination index n, and n times the parameters' bits
     stays within MAX_EXACT_SIZE.  With the term ratio
     r_k = prod(a+k) z / (prod(b+k) (k+1)) the sum is
-    1 + r_0 (1 + r_1 (1 + ... r_(n-1))), nested from the inside out over
-    integers: r_k = P_k / Q_k over the parameters' denominators, and the
-    partial value stays one unreduced fraction, reduced once at the end.
+    1 + r_0 (1 + r_1 (1 + ... r_(n-1))), one `_nested_sum` over integers:
+    r_k = P_k / Q_k over the parameters' denominators.
     """
     upper = [Fraction(a) for a in upper]
     lower = [Fraction(b) for b in lower]
@@ -95,12 +107,14 @@ def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
             raise LowerParamPole(f"lower parameter {b} is a pole within k<={n_stop}")
     p_const = z.numerator * math.prod(b.denominator for b in lower)
     q_const = z.denominator * math.prod(a.denominator for a in upper)
-    num = den = 1
-    for k in reversed(range(n_stop)):
-        pk = p_const * math.prod(a.numerator + k * a.denominator for a in upper)
-        qk = q_const * (k + 1) * math.prod(b.numerator + k * b.denominator for b in lower)
-        num, den = qk * den + pk * num, qk * den
-    return Fraction(num, den)
+    ratios = [
+        (
+            p_const * math.prod(a.numerator + k * a.denominator for a in upper),
+            q_const * (k + 1) * math.prod(b.numerator + k * b.denominator for b in lower),
+        )
+        for k in range(n_stop)
+    ]
+    return _nested_sum([1] * (n_stop + 1), ratios)
 
 
 def whipple_check(a, c, d, e, m: int) -> bool:

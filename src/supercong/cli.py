@@ -260,7 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _usage_error(f"invalid prime range {_shown(args.primes)}")
         if hi > MAX_PRIME:
             return _usage_error(f"prime range {_shown(args.primes)} exceeds the {MAX_PRIME} cap")
-        statements = tuple(s for s in args.statements.split(",") if s)
+        statements = tuple(dict.fromkeys(s for s in args.statements.split(",") if s))
         if not statements:
             return _usage_error("empty statement set")
         unknown = [s for s in statements if s not in sc.STATEMENTS]

@@ -41,26 +41,29 @@ one coefficient list for `p_identity_check`.  The exact F of a prime is one
 cached layer (`_layer`, two entries, so nothing is kept across a sweep),
 and F^2, F^3, P and Q sit beside it, each built on first use: `p_poly`,
 `q_poly`, `p_identity_check`, `coefficient_facts_check` and
-`lemma_sum_checks` share them, so P is built once per prime.  Q's factor
-1/2 is an exact integer halving: k(k-1) is even, and an odd coefficient
-would raise `ArithmeticError`.
+`lemma_sum_checks` share them, so P is built once per prime.  P and Q come
+from one coefficient rule over c_k = [z^k] F^3 (`_p_and_q_coeffs`):
+[z^k] P = (k+1) c_k and [z^k] Q = k(k+1)/2 c_k, integers since k(k+1) is
+even.  The layer applies it to the exact F^3, `lemma_sum_checks` to F^3
+mod p; the formal derivatives are its oracle in the tests.
 
 Values mod p.  The facts of `lemma_sum_checks` need only F mod p: the
 layer's F reduced mod p is cubed by one nonnegative one-point Kronecker
 product (`_cube_mod`: slots of bits(n^2 (p-1)^3) bits, rounded up to
-bytes, for n coefficients below p; one square, one product, one slice),
-and P and Q mod p follow from F^3 mod p coefficient by coefficient, so the
-full-size P and Q are never reduced.  Their values at every j != 0 come
-from one chirp-z transform (L. Bluestein, 1970) each, over one primitive
-root g and one chirp table.  With n = p - 1 and j^n = 1, exponents fold
+bytes, for n coefficients below p; one square and one product), and P and
+Q mod p follow from F^3 mod p by the same rule, so the full-size P and Q
+are never reduced.  Their values at every j != 0 come from one chirp-z
+transform (L. Bluestein, 1970) each, over one primitive root g and one
+chirp table.  With n = p - 1 and j^n = 1, exponents fold
 mod n, and ik = C(i+k,2) - C(i,2) - C(k,2) turns
 
     f(g^i) = g^-C(i,2) * sum_k [c_k g^-C(k,2)] g^C(i+k,2)
 
 into one correlation, read off a single packed product of nonnegative
-slots of bits((p-1)^3) + 1 bits, rounded up to bytes.  The walk over g^i
-raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
-value unset.
+slots of bits((p-1)^3) + 1 bits, rounded up to bytes.  Both products
+read their slots through `_digits`, the digit reader of KS4's recovery, so
+slots are unpacked in one place.  The walk over g^i raises if g^i = 1
+before i = n, so a g of smaller order cannot leave a value unset.
 
 Kept layers.  Two are kept, neither across a sweep: the exact polynomial
 layer (`_layer`) for the last two primes asked, and the power sums of
@@ -82,7 +85,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exactnum import check_modulus, check_prime
 
@@ -220,15 +223,6 @@ class RatPoly:
             return RatPoly()
         return RatPoly((0,) * k + self.coeffs)
 
-    def derivative(self, order: int = 1) -> "RatPoly":
-        """Formal derivative of order 1 or 2."""
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(k * cs[k] for k in range(1, len(cs)))
-        return RatPoly(cs)
-
 
 def _quotient_sum(coeffs: tuple[int, ...], roots: Iterable[int]) -> list[int]:
     """The coefficients of sum_r f / (z + r) over `roots`, each exact quotient
@@ -264,9 +258,15 @@ def pochhammer_poly(m: int) -> RatPoly:
     return RatPoly(_rising_coeffs(m))
 
 
+def _p_and_q_coeffs(cube: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The coefficients of P and Q from c_k = [z^k] F^3: [z^k] P = (k+1) c_k
+    and [z^k] Q = k(k+1)/2 c_k, since z F^3 = sum_k c_k z^(k+1)."""
+    return [(k + 1) * c for k, c in enumerate(cube)], [k * (k + 1) // 2 * c for k, c in enumerate(cube)]
+
+
 class _PrimeLayer:
     """The exact polynomials of one prime p, each built on first use and
-    kept: F = pochhammer_poly((p-1)/2), F^2, F^3, P and Q."""
+    kept: F = pochhammer_poly((p-1)/2), F^2, F^3, and P and Q together."""
 
     def __init__(self, p: int):
         self.m = (p - 1) // 2
@@ -284,12 +284,9 @@ class _PrimeLayer:
         return self.f2 * self.f
 
     @cached_property
-    def big_p(self) -> RatPoly:
-        return self.f3.shifted(1).derivative()
-
-    @cached_property
-    def big_q(self) -> RatPoly:
-        return _halved(self.f3.shifted(1).derivative(2).shifted(1))
+    def p_and_q(self) -> tuple[RatPoly, RatPoly]:
+        big_p, big_q = _p_and_q_coeffs(self.f3.coeffs)
+        return RatPoly(big_p), RatPoly(big_q)
 
 
 @lru_cache(maxsize=2)
@@ -302,27 +299,16 @@ def _layer(p: int) -> _PrimeLayer:
 def p_poly(p: int) -> RatPoly:
     """d/dz [ z * pochhammer_poly((p-1)/2)^3 ]; integer coefficients."""
     check_prime(p, POLY_MAX_P, "polynomial")
-    return _layer(p).big_p
-
-
-def _halved(poly: RatPoly) -> RatPoly:
-    """poly / 2, which must have integer coefficients."""
-    out = []
-    for c in poly.coeffs:
-        half, odd = divmod(c, 2)
-        if odd:
-            raise ArithmeticError("half-integer coefficient in Q")
-        out.append(half)
-    return RatPoly(out)
+    return _layer(p).p_and_q[0]
 
 
 def q_poly(p: int) -> RatPoly:
     """(z/2) * d^2/dz^2 [ z * pochhammer_poly((p-1)/2)^3 ].
 
-    Divisible by z with integer coefficients (k(k-1) is always even).
+    Divisible by z with integer coefficients: [z^k] Q = k(k+1)/2 [z^k] F^3.
     """
     check_prime(p, POLY_MAX_P, "polynomial")
-    return _layer(p).big_q
+    return _layer(p).p_and_q[1]
 
 
 def p_identity_check(p: int) -> bool:
@@ -434,12 +420,11 @@ def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
         for k, c in enumerate(coeffs):
             folded[k % n] += c  # j^n = 1 for every j != 0
         u = _pack([folded[k] * unchirp[k] % p for k in reversed(range(n))], width)
-        product = (u * v).to_bytes((3 * n - 1) * width, "little")
         vals = [0] * p
         vals[0] = coeffs[0] % p if coeffs else 0
-        for i, j in enumerate(points):
-            start = (n - 1 + i) * width
-            vals[j] = int.from_bytes(product[start : start + width], "little") * unchirp[i] % p
+        slots = _digits((u * v) >> (8 * width * (n - 1)), n, width)
+        for j, slot, w in zip(points, slots, unchirp):
+            vals[j] = slot * w % p
         out.append(vals)
     return out
 
@@ -452,8 +437,7 @@ def _cube_mod(coeffs: list[int], p: int) -> list[int]:
     n = len(coeffs)
     width = ((n * n * (p - 1) ** 3).bit_length() + 7) // 8
     x = _pack(coeffs, width)
-    raw = (x * x * x).to_bytes((3 * n - 2) * width, "little")
-    return [int.from_bytes(raw[s : s + width], "little") % p for s in range(0, len(raw), width)]
+    return [c % p for c in _digits(x * x * x, 3 * n - 2, width)]
 
 
 def lemma_sum_checks(p: int) -> bool:
@@ -462,12 +446,10 @@ def lemma_sum_checks(p: int) -> bool:
     1..(p-1)/2 vanishes; P(j) = 0 for (p-1)/2 < j < p; and sum Q(j) = 0.
 
     P and Q mod p come from c_k = [z^k] F^3 mod p, the cube of the layer's
-    exact F reduced mod p: [z^k] P = (k+1) c_k and [z^k] Q = k(k+1)/2 c_k."""
+    exact F reduced mod p, read by `_p_and_q_coeffs`."""
     check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
-    cube = _cube_mod([c % p for c in _layer(p).f.coeffs], p)
-    pc = [(k + 1) * c % p for k, c in enumerate(cube)]
-    qc = [k * (k + 1) // 2 * c % p for k, c in enumerate(cube)]
+    pc, qc = _p_and_q_coeffs(_cube_mod([c % p for c in _layer(p).f.coeffs], p))
     mf3 = pow(math.factorial(m) % p, 3, p)
     p_vals, q_vals = (vals[1:] for vals in _values_mod([pc, qc], p))
     return (

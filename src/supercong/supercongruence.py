@@ -13,11 +13,12 @@ X and Y are per-term residue sums from one pass over j.  The paired
 Pochhammer ratios are one list of integer ratios, `_pair_ratios`, read two
 ways.  The well-poised instance, which decides by rational equality, sums
 each side as one unreduced integer fraction nested from the last term
-inward (`_nested_sum`) and reduces it once.  The Pochhammer-pair
-congruences, which need each value only mod p^4 or p^2, walk the ratios as
-residues (`_pochhammer_residues`): prefix quotients with one inverse per
-sequence.  Each congruence is decided on plain ints, and an agreeing pair
-is reported as one `Residue` shared by both sides.  `tests/exact_oracle.py`
+inward and reduces it once (`classical_hg._nested_sum`, the one kernel of
+every exact terminating sum).  The Pochhammer-pair congruences, which need
+each value only mod p^4 or p^2, walk the ratios as residues
+(`_pochhammer_residues`): prefix quotients with one inverse per sequence.
+Each congruence is decided on plain ints, and an agreeing pair is reported
+as one `Residue` shared by both sides.  `tests/exact_oracle.py`
 holds what the suite checks production against: the exact twins of the
 modular sums, the exact walk of the ratios in Fractions (the oracle of
 both routes: its terms summed for the instance, its values reduced side by
@@ -42,6 +43,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Optional
 
+from .classical_hg import _nested_sum
 from .exactnum import MAX_PRIME, Residue, check_modulus, check_prime, residue_from_rational
 from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_nFn_phi, legendre
 from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
@@ -382,16 +384,6 @@ def poch_congruence_checks(p: int) -> list:
                 same = Residue(lhs, p, mm)
                 records.append(VerificationRecord(name, p, same, same, True))
     return records
-
-
-def _nested_sum(coeffs, ratios) -> Fraction:
-    """sum_k c_k prod_{i<=k} n_i / d_i over coeffs c_0..c_K and the integer
-    ratios (n_i, d_i), i = 1..K, as c_0 + r_1 (c_1 + r_2 (c_2 + ...)): nested
-    from the last term inward as one unreduced fraction, reduced once."""
-    num, den = coeffs[-1], 1
-    for c, (n, d) in zip(reversed(coeffs[:-1]), reversed(ratios)):
-        num, den = c * d * den + n * num, d * den
-    return Fraction(num, den)
 
 
 def whipple_instance_sides(p: int) -> tuple:

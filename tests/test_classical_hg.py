@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exact_oracle import (
     PoleAtNonpositiveInteger,
@@ -22,6 +24,7 @@ from supercong.classical_hg import (
     MAX_SERIES_TERMS,
     LowerParamPole,
     ParameterPole,
+    _nested_sum,
     entry20_partial_sum,
     entry20_target,
     hypergeom_terminating,
@@ -117,6 +120,32 @@ def test_hypergeom_terminating_matches_the_pochhammer_term_sum():
             for k in range(n + 1)
         )
         assert hypergeom_terminating(upper, lower, z) == expected
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(-10**6, 10**6), min_size=k + 1, max_size=k + 1),
+            st.lists(
+                st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool)),
+                min_size=k,
+                max_size=k,
+            ),
+        )
+    )
+)
+@example(([7], []))  # K = 0: the sum is c_0
+@example(([-3, 5], [(-2, 7)]))  # a negative numerator
+@example(([1, 1, 1], [(-4, 3), (5, -9)]))  # a negative denominator
+def test_nested_sum_matches_the_term_by_term_sum(case):
+    coeffs, ratios = case
+    expected, term = Fraction(0), Fraction(1)
+    for k, c in enumerate(coeffs):
+        if k:
+            term *= Fraction(*ratios[k - 1])
+        expected += c * term
+    assert _nested_sum(coeffs, ratios) == expected
 
 
 def test_exact_counts_refuse_a_count_above_the_cap(monkeypatch):

@@ -237,6 +237,22 @@ def test_empty_statements_exit_2(capsys):
     assert code == 2
 
 
+def test_a_repeated_statement_is_checked_once(capsys):
+    _, once, _ = run_cli(
+        capsys, "verify", "--statements", "lemma1,lemma2", "--primes", "3..5",
+        "--format", "json-lines",
+    )
+    _, repeated, _ = run_cli(
+        capsys, "verify", "--statements", "lemma1,lemma2,lemma1", "--primes", "3..5",
+        "--format", "json-lines",
+    )
+    assert rows_without_millis(repeated) == rows_without_millis(once)
+    assert len(once.splitlines()) == 4
+    code, out, _ = run_cli(capsys, "verify", "--statements", "lemma1,lemma1", "--primes", "3..5")
+    assert code == 0
+    assert out.splitlines()[-1] == "2 checks, 2 passed, 0 failed"
+
+
 def test_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--statements", "prop3", "--primes", "3..20",

@@ -1,6 +1,7 @@
 """Polynomial engine: rising-factorial polynomials, the P/Q machinery,
 exponential sums, the mod-p sum facts, the input checks, the KS4 product
-against a schoolbook oracle and the chirp-z values against Horner's rule."""
+against a schoolbook oracle, the P/Q coefficient rule against the formal
+derivatives and the chirp-z values against Horner's rule."""
 
 import math
 import random
@@ -17,7 +18,7 @@ from supercong.polyengine import (
     POLY_MAX_P,
     RatPoly,
     _cube_mod,
-    _halved,
+    _p_and_q_coeffs,
     _quotient_sum,
     _rising_coeffs,
     _values_mod,
@@ -41,6 +42,24 @@ def _horner(poly, x):
     return acc
 
 
+def _derivative(poly, order=1):
+    """The formal derivative of the given order: the oracle route of the
+    coefficient rule that builds P and Q."""
+    cs = poly.coeffs
+    for _ in range(order):
+        cs = tuple(k * cs[k] for k in range(1, len(cs)))
+    return RatPoly(cs)
+
+
+def _derivative_p_and_q(cube):
+    """P = d/dz [z F^3] and Q = (z/2) d^2/dz^2 [z F^3] from the cube F^3 by
+    formal derivatives, Q halved over the rationals."""
+    lifted = cube.shifted(1)
+    halves = [Fraction(c, 2) for c in _derivative(lifted, 2).shifted(1).coeffs]
+    assert all(h.denominator == 1 for h in halves)
+    return _derivative(lifted), RatPoly(int(h) for h in halves)
+
+
 def _neg(poly):
     return RatPoly(tuple(-c for c in poly.coeffs))
 
@@ -61,11 +80,9 @@ def test_pochhammer_poly_examples():
 
 def test_derivative_examples():
     cube = RatPoly((0, 0, 0, 1))
-    assert cube.derivative() == RatPoly((0, 0, 3))
-    assert cube.derivative(2) == RatPoly((0, 6))
-    assert pochhammer_poly(2).derivative() == RatPoly((3, 2))
-    with pytest.raises(ValueError):
-        cube.derivative(3)
+    assert _derivative(cube) == RatPoly((0, 0, 3))
+    assert _derivative(cube, 2) == RatPoly((0, 6))
+    assert _derivative(pochhammer_poly(2)) == RatPoly((3, 2))
 
 
 def _random_poly(rng, max_deg=10):
@@ -77,8 +94,17 @@ def test_derivative_linearity_and_product_rule():
     for _ in range(1000):
         f = _random_poly(rng)
         g = _random_poly(rng)
-        assert (f + g).derivative() == f.derivative() + g.derivative()
-        assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+        assert _derivative(f + g) == _derivative(f) + _derivative(g)
+        assert _derivative(f * g) == _derivative(f) * g + f * _derivative(g)
+
+
+def test_the_coefficient_rule_matches_the_derivatives():
+    # any integer cube, odd coefficients included: the rule needs no halving
+    rng = random.Random(15)
+    for _ in range(300):
+        cube = _random_poly(rng)
+        big_p, big_q = _p_and_q_coeffs(cube.coeffs)
+        assert (RatPoly(big_p), RatPoly(big_q)) == _derivative_p_and_q(cube)
 
 
 def test_horner_matches_termwise_evaluation():
@@ -99,7 +125,7 @@ def test_div_linear():
     # sum_r F/(z+r) over every root of F is F' (the product rule)
     for m in range(1, 30):
         f = pochhammer_poly(m)
-        assert _quotient_sum(f.coeffs, range(1, m + 1)) == list(f.derivative().coeffs)
+        assert _quotient_sum(f.coeffs, range(1, m + 1)) == list(_derivative(f).coeffs)
 
 
 def test_p_poly_example():
@@ -210,7 +236,6 @@ def test_ratpoly_trimming_and_zero():
     assert _sub(RatPoly((1, 1)), RatPoly((1, 1))).degree == -1
     assert RatPoly((1, 2)).shifted(2) == RatPoly((0, 0, 1, 2))
     assert RatPoly((1, 2)).scaled(2) == RatPoly((2, 4))
-    assert _halved(RatPoly((2, 4))) == RatPoly((1, 2))
 
 
 def test_ratpoly_rejects_non_int_coefficients():
@@ -292,18 +317,21 @@ def test_cube_p_and_q_against_schoolbook(p):
     f, cube = _schoolbook_cube((p - 1) // 2)
     assert pochhammer_poly((p - 1) // 2) == f
     assert f * f * f == cube
-    lifted = cube.shifted(1)
-    assert p_poly(p) == lifted.derivative()
-    # halving over Q, independent of the integer halving in q_poly
-    twice_q = lifted.derivative(2).shifted(1)
-    assert list(q_poly(p).coeffs) == [Fraction(c, 2) for c in twice_q.coeffs]
+    # the formal derivatives, Q halved over the rationals: independent of
+    # the coefficient rule in p_poly and q_poly
+    assert (p_poly(p), q_poly(p)) == _derivative_p_and_q(cube)
     assert all(isinstance(c, int) for c in p_poly(p).coeffs + q_poly(p).coeffs)
 
 
-def test_halving_rejects_odd_coefficients():
-    assert _halved(RatPoly((0, 4, -6))) == RatPoly((0, 2, -3))
-    with pytest.raises(ArithmeticError):
-        _halved(RatPoly((0, 3)))
+@pytest.mark.parametrize("p", [n for n in range(3, 200, 2) if is_odd_prime(n)])
+def test_the_two_readers_of_the_p_and_q_rule_agree(p):
+    # the rule over the one-point cube of F mod p, as lemma_sum_checks reads
+    # it, against the exact P and Q of the layer reduced mod p
+    f = pochhammer_poly((p - 1) // 2)
+    readers = _p_and_q_coeffs(_cube_mod([c % p for c in f.coeffs], p))
+    exact = (p_poly(p), q_poly(p))
+    for read, poly in zip(readers, exact):
+        assert [c % p for c in read] == [c % p for c in poly.coeffs]
 
 
 @pytest.mark.parametrize("p", (211, 307, 499))
@@ -322,11 +350,9 @@ def _horner_mod(coeffs, x, p):
 
 def _p_and_q_mod(p):
     """The coefficients of P and Q mod p, from F mod p by schoolbook products
-    and the same derivatives p_poly and q_poly take."""
+    and the formal derivatives."""
     f = RatPoly(c % p for c in pochhammer_poly((p - 1) // 2).coeffs)
-    lifted = _schoolbook_mul(_schoolbook_mul(f, f), f).shifted(1)
-    big_p = lifted.derivative()
-    big_q = _halved(lifted.derivative(2).shifted(1))
+    big_p, big_q = _derivative_p_and_q(_schoolbook_mul(_schoolbook_mul(f, f), f))
     return [c % p for c in big_p.coeffs], [c % p for c in big_q.coeffs]
 
 
@@ -359,8 +385,7 @@ def test_the_layer_keeps_each_prime_its_own_p_and_q():
     expected = {}
     for p in (11, 13):
         _, cube = _schoolbook_cube((p - 1) // 2)
-        lifted = cube.shifted(1)
-        expected[p] = (lifted.derivative(), _halved(lifted.derivative(2).shifted(1)))
+        expected[p] = _derivative_p_and_q(cube)
     polyengine._layer.cache_clear()
     for p in (11, 13, 11, 13, 13, 11):
         assert (p_poly(p), q_poly(p)) == expected[p]
