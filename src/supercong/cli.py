@@ -176,7 +176,13 @@ def cmd_series(which: str, n_terms: int, out) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse, with its own error lines quoting a prefix of the rejected
-    argument (`_shown`); the subcommand parsers are of this class too."""
+    argument (`_shown`), and reading a "-" followed by a digit as a value
+    (no option starts with a digit), so "-3/4" is a literal, not an
+    option; the subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:

@@ -9,13 +9,17 @@ This is the one module that validates a prime.  `check_modulus` holds the
 API-wide caps, and `check_prime` is the gate of a costly layer: the layer
 names its own cap, defined beside the work it bounds, and the gate refuses
 a larger p before any of that work starts.
+
+It also holds the one store of per-prime layers (`prime_layer`): the
+values several statements share at one prime, kept for the last prime
+asked and dropped as soon as any layer is asked at another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 #: API-boundary caps; p**m must stay a comfortable bignum.
 MAX_PRIME = 10**6
@@ -65,7 +69,9 @@ def _brief(n: int) -> str:
     return str(n) if abs(n) < 10**40 else f"<{n.bit_length()}-bit integer>"
 
 
-@lru_cache(maxsize=16)  # one prime touches at most six (p, m) pairs
+# one prime touches at most six (p, m) pairs; typed, so that 7.0, equal
+# to 7, never reads the pair kept for 7 and skips the checks
+@lru_cache(maxsize=16, typed=True)
 def check_modulus(p: int, m: int) -> int:
     """Validate (p, m) and return p**m; recent pairs come from the cache."""
     if not isinstance(p, int) or not isinstance(m, int):
@@ -85,6 +91,37 @@ def check_prime(p: int, cap: int, layer: str) -> None:
     check_modulus(p, 1)
     if p > cap:
         raise ValueError(f"prime {p} exceeds the {layer} cap {cap}")
+
+
+#: {p: {(layer, args): value}}: the kept layers of the last prime asked.
+_layers: dict = {}
+
+
+def prime_layer(fn):
+    """Keep fn(p, *args) in the one per-prime store.
+
+    The store holds the layers of one prime only: asking any layer at
+    another prime empties it first, so nothing is kept across a sweep.  A
+    value is filed only if the store was not emptied while fn ran, so a
+    nested call at another prime never files it under the wrong one.
+    Callers pass p through their gate first.
+    """
+
+    @wraps(fn)
+    def layer(p, *args):
+        kept = _layers.get(p)
+        if kept is None:
+            _layers.clear()
+            kept = _layers[p] = {}
+        key = (fn, args)
+        if key in kept:
+            return kept[key]
+        value = fn(p, *args)
+        if _layers.get(p) is kept:
+            kept[key] = value
+        return value
+
+    return layer
 
 
 @dataclass(frozen=True)

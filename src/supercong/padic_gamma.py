@@ -25,7 +25,8 @@ t - floor(log_p t) >= m (T = m once p > m, T <= m + 2 for every m <= 8).
 Log.  F is sampled at k = 0..T-1 from the block products themselves,
 each a chunked product reduced mod p^(m+g), and the logarithms of the
 units f(k)/(p-1)! are taken by the series above, cut after T - 1 terms
-for the same reason.  The samples depend only on (p, m) and are cached.
+for the same reason.  The samples depend only on (p, m), so they are a
+kept layer of p in `exactnum`'s per-prime store, one table per m asked.
 
 Newton sum.  With the forward differences D_d = Delta^d F(0),
 sum_{k<q} F(k) = sum_{d<T} D_d * C(q, d+1): integer binomials, no
@@ -58,9 +59,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .exactnum import Residue, check_modulus, residue_from_rational
+from .exactnum import Residue, check_modulus, prime_layer, residue_from_rational
 
 
 _CHUNK = 64  # factors multiplied as plain integers before each reduction
@@ -144,7 +144,7 @@ def _log_differences(values: list, p: int, m: int, big: int) -> list:
     return diffs
 
 
-@lru_cache(maxsize=16)
+@prime_layer
 def _block_table(p: int, m: int) -> tuple:
     """Prefix lengths e_i and, for k < T, prod_{0<j<=e_i} (kp + j) mod p^(m+g).
 

@@ -37,18 +37,18 @@ more: digits are read in two's complement, and |v_i| < X/8 + 1.
 
 Builds.  `pochhammer_poly` multiplies by one linear factor (z + r) at a
 time, an O(d) step, and `_quotient_sum` divides F by every (z + r) into
-one coefficient list for `p_identity_check`.  The exact F of a prime is one
-cached layer (`_layer`, two entries, so nothing is kept across a sweep),
-and F^2, F^3, P and Q sit beside it, each built on first use: `p_poly`,
-`q_poly`, `p_identity_check`, `coefficient_facts_check` and
-`lemma_sum_checks` share them, so P is built once per prime.  P and Q come
-from one coefficient rule over c_k = [z^k] F^3 (`_p_and_q_coeffs`):
-[z^k] P = (k+1) c_k and [z^k] Q = k(k+1)/2 c_k, integers since k(k+1) is
-even.  The layer applies it to the exact F^3, `lemma_sum_checks` to F^3
-mod p; the formal derivatives are its oracle in the tests.
+one coefficient list for `p_identity_check`.  The exact F of a prime,
+F^2, F^3, and P and Q together are kept layers (`_f`, `_f2`, `_f3`,
+`_p_and_q`), each built on first use: `p_poly`, `q_poly`,
+`p_identity_check`, `coefficient_facts_check` and `lemma_sum_checks`
+share them, so P is built once per prime.  P and Q come from one
+coefficient rule over c_k = [z^k] F^3 (`_p_and_q_coeffs`): [z^k] P =
+(k+1) c_k and [z^k] Q = k(k+1)/2 c_k, integers since k(k+1) is even.
+`_p_and_q` applies it to the exact F^3, `lemma_sum_checks` to F^3 mod p;
+the formal derivatives are its oracle in the tests.
 
 Values mod p.  The facts of `lemma_sum_checks` need only F mod p: the
-layer's F reduced mod p is cubed by one nonnegative one-point Kronecker
+kept F reduced mod p is cubed by one nonnegative one-point Kronecker
 product (`_cube_mod`: slots of bits(n^2 (p-1)^3) bits, rounded up to
 bytes, for n coefficients below p; one square and one product), and P and
 Q mod p follow from F^3 mod p by the same rule, so the full-size P and Q
@@ -65,11 +65,12 @@ read their slots through `_digits`, the digit reader of KS4's recovery, so
 slots are unpacked in one place.  The walk over g^i raises if g^i = 1
 before i = n, so a g of smaller order cannot leave a value unset.
 
-Kept layers.  Two are kept, neither across a sweep: the exact polynomial
-layer (`_layer`) for the last two primes asked, and the power sums of
-`exp_sum_check` (`_power_sums`) for the last prime asked, one per folded
-exponent asked there.  A sweep that asks k = 1..3(p-1) sums each exponent
-class once, and a single call costs one O(p) sum, as it would unkept.
+Kept layers.  The layers above and the power sums of `exp_sum_check`
+(`_power_sum`, one per folded exponent asked) sit in `exactnum`'s
+per-prime store (`prime_layer`), which keeps the layers of the last prime
+asked only, so nothing is kept across a sweep.  A sweep that asks
+k = 1..3(p-1) sums each exponent class once, and a single call costs one
+O(p) sum, as it would unkept.
 
 Inputs.  Every entry point passes `exactnum.check_prime` with the cap
 `POLY_MAX_P` (`exp_sum_check`: `exactnum.check_modulus`, so at most
@@ -83,11 +84,10 @@ the exact products grow like p^3.2.  `pochhammer_poly(m)` takes m up to
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .exactnum import check_modulus, check_prime
+from .exactnum import check_modulus, check_prime, prime_layer
 
 #: The largest prime the polynomial entry points accept.  Together,
 #: p_identity_check and coefficient_facts_check at 997 took 2.8-4.9 s alone
@@ -264,42 +264,36 @@ def _p_and_q_coeffs(cube: Sequence[int]) -> tuple[list[int], list[int]]:
     return [(k + 1) * c for k, c in enumerate(cube)], [k * (k + 1) // 2 * c for k, c in enumerate(cube)]
 
 
-class _PrimeLayer:
-    """The exact polynomials of one prime p, each built on first use and
-    kept: F = pochhammer_poly((p-1)/2), F^2, F^3, and P and Q together."""
-
-    def __init__(self, p: int):
-        self.m = (p - 1) // 2
-
-    @cached_property
-    def f(self) -> RatPoly:
-        return pochhammer_poly(self.m)
-
-    @cached_property
-    def f2(self) -> RatPoly:
-        return self.f * self.f
-
-    @cached_property
-    def f3(self) -> RatPoly:
-        return self.f2 * self.f
-
-    @cached_property
-    def p_and_q(self) -> tuple[RatPoly, RatPoly]:
-        big_p, big_q = _p_and_q_coeffs(self.f3.coeffs)
-        return RatPoly(big_p), RatPoly(big_q)
+# The exact polynomials of p, kept layers; callers pass the prime gate first.
 
 
-@lru_cache(maxsize=2)
-def _layer(p: int) -> _PrimeLayer:
-    """The polynomial layer of p, kept for the last two primes asked (so
-    nothing is kept across a sweep); callers pass the prime gate first."""
-    return _PrimeLayer(p)
+@prime_layer
+def _f(p: int) -> RatPoly:
+    """F = pochhammer_poly((p-1)/2)."""
+    return pochhammer_poly((p - 1) // 2)
+
+
+@prime_layer
+def _f2(p: int) -> RatPoly:
+    f = _f(p)
+    return f * f
+
+
+@prime_layer
+def _f3(p: int) -> RatPoly:
+    return _f2(p) * _f(p)
+
+
+@prime_layer
+def _p_and_q(p: int) -> tuple[RatPoly, RatPoly]:
+    big_p, big_q = _p_and_q_coeffs(_f3(p).coeffs)
+    return RatPoly(big_p), RatPoly(big_q)
 
 
 def p_poly(p: int) -> RatPoly:
     """d/dz [ z * pochhammer_poly((p-1)/2)^3 ]; integer coefficients."""
     check_prime(p, POLY_MAX_P, "polynomial")
-    return _layer(p).p_and_q[0]
+    return _p_and_q(p)[0]
 
 
 def q_poly(p: int) -> RatPoly:
@@ -308,16 +302,15 @@ def q_poly(p: int) -> RatPoly:
     Divisible by z with integer coefficients: [z^k] Q = k(k+1)/2 [z^k] F^3.
     """
     check_prime(p, POLY_MAX_P, "polynomial")
-    return _layer(p).p_and_q[1]
+    return _p_and_q(p)[1]
 
 
 def p_identity_check(p: int) -> bool:
     """True iff P(z) factors as F^3 * [1 + 3z * sum_r 1/(z+r)] with F the
     rising-factorial polynomial, i.e. P = F^3 + 3z F^2 sum_r prod_{s!=r}(z+s)."""
     big_p = p_poly(p)  # builds F, F^2, F^3 and P for this prime
-    layer = _layer(p)
-    partial = RatPoly(_quotient_sum(layer.f.coeffs, range(1, layer.m + 1)))
-    rhs = layer.f3 + (layer.f2 * partial).shifted(1).scaled(3)
+    partial = RatPoly(_quotient_sum(_f(p).coeffs, range(1, (p - 1) // 2 + 1)))
+    rhs = _f3(p) + (_f2(p) * partial).shifted(1).scaled(3)
     return big_p == rhs
 
 
@@ -329,7 +322,7 @@ def coefficient_facts_check(p: int) -> bool:
     m = (p - 1) // 2
     big_p = p_poly(p)
     big_q = q_poly(p)
-    cube_coeff = _layer(p).f3.coefficient(p - 1)
+    cube_coeff = _f3(p).coefficient(p - 1)
     ap1_p = big_p.coefficient(p - 1)
     ap1_q = big_q.coefficient(p - 1)
     return (
@@ -347,27 +340,21 @@ def exp_sum_check(p: int, k: int) -> bool:
 
     k is folded to 1 + (k - 1) mod (p - 1) first (Fermat: j^(p-1) = 1 for
     every j in range), so the time does not grow with the digits of k; the
-    sum of each folded exponent is kept for the last prime asked
-    (`_power_sums`).
+    sum of each folded exponent is a kept layer (`_power_sum`).
     """
     check_modulus(p, 1)
     if k < 1:
         raise ValueError("k must be >= 1")
     k = 1 + (k - 1) % (p - 1)
-    sums = _power_sums(p)
-    total = sums.get(k)
-    if total is None:
-        total = sums[k] = sum(map(pow, range(1, p), repeat(k), repeat(p))) % p
     expected = (p - 1) if k == p - 1 else 0
-    return total == expected
+    return _power_sum(p, k) == expected
 
 
-@lru_cache(maxsize=1)
-def _power_sums(p: int) -> dict[int, int]:
-    """{k: sum_{j=1}^{p-1} j^k mod p} for the folded exponents asked so far
-    at p, kept for the last prime asked: each exponent class is summed once
-    however many k fold to it, and only the classes asked are summed."""
-    return {}
+@prime_layer
+def _power_sum(p: int, k: int) -> int:
+    """sum_{j=1}^{p-1} j^k mod p: each exponent class is summed once however
+    many k fold to it, and only the classes asked are summed."""
+    return sum(map(pow, range(1, p), repeat(k), repeat(p))) % p
 
 
 def _primitive_root(p: int) -> int:
@@ -445,11 +432,11 @@ def lemma_sum_checks(p: int) -> bool:
     sum P(j) over 1..p-1 is -((p-1)/2)!^3; the head ((p-1)/2)!^3 + sum over
     1..(p-1)/2 vanishes; P(j) = 0 for (p-1)/2 < j < p; and sum Q(j) = 0.
 
-    P and Q mod p come from c_k = [z^k] F^3 mod p, the cube of the layer's
+    P and Q mod p come from c_k = [z^k] F^3 mod p, the cube of the kept
     exact F reduced mod p, read by `_p_and_q_coeffs`."""
     check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
-    pc, qc = _p_and_q_coeffs(_cube_mod([c % p for c in _layer(p).f.coeffs], p))
+    pc, qc = _p_and_q_coeffs(_cube_mod([c % p for c in _f(p).coeffs], p))
     mf3 = pow(math.factorial(m) % p, 3, p)
     p_vals, q_vals = (vals[1:] for vals in _values_mod([pc, qc], p))
     return (

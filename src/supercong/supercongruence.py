@@ -23,12 +23,12 @@ holds what the suite checks production against: the exact twins of the
 modular sums, the exact walk of the ratios in Fractions (the oracle of
 both routes: its terms summed for the instance, its values reduced side by
 side for the congruences), and the instance's four separate Pochhammer
-products (the oracle of that walk).  Three layers are kept per prime, so
-the statements that share them compute them once per prime: the exact
-quintic sum (vanhamme_a, prop3), kept for the last prime asked and reduced
-at each caller's modulus; the pair (X, Y), kept for the last two (p, pm)
-asked, so the lemmas' pass mod p and thm_os's pass mod p^2 of one prime
-both stay; and p^2 * 3F2(1) (thm_os, cor5), kept for the last prime asked.
+products (the oracle of that walk).  Three layers are shared by the
+statements of one prime and kept in `exactnum`'s per-prime store
+(`prime_layer`), so each is computed once per prime: the exact quintic
+sum (vanhamme_a, prop3), reduced at each caller's modulus; the pair
+(X, Y) at each precision asked, mod p for the lemmas and mod p^2 for
+thm_os; and p^2 * 3F2(1) (thm_os, cor5).
 Residue comparisons are exact integer equality throughout, never
 approximate.  The exact quintic sum and the Pochhammer-pair routes refuse
 a prime above their caps before any work, through `exactnum.check_prime`;
@@ -39,12 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Optional
 
 from .classical_hg import _nested_sum
-from .exactnum import MAX_PRIME, Residue, check_modulus, check_prime, residue_from_rational
+from .exactnum import MAX_PRIME, Residue, check_modulus, check_prime, prime_layer, residue_from_rational
 from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_nFn_phi, legendre
 from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
@@ -103,11 +102,11 @@ def _central_sum(p: int, m: int, a: int, b: int, e: int, r: int) -> int:
     return total * pow(den, -1, pm) % pm
 
 
-@lru_cache(maxsize=1)
+@prime_layer
 def _quintic_sum(p: int) -> Fraction:
-    """The exact sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, kept for
-    the last prime asked: vanhamme_a and prop3 read it at one prime, each
-    at its own modulus."""
+    """The exact sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, a kept
+    layer: vanhamme_a and prop3 read it at one prime, each at its own
+    modulus."""
     total = Fraction(0)
     b = Fraction(1)
     for k in range((p - 1) // 2 + 1):
@@ -158,13 +157,13 @@ def _harmonic_tables_mod(p: int, pm: int):
     return inv, h1, h2
 
 
-@lru_cache(maxsize=2)
+@prime_layer
 def _xy_mod(p: int, pm: int) -> tuple:
-    """(X, Y) mod pm from one pass over j, kept for the last two (p, pm)
-    asked.  The reduced binom(-1/2,j)^3 form determines them at the
-    precision they are read at: mod p in the lemmas, mod p^2 in the
-    decomposition check, so a sweep that asks both keeps both passes of
-    its prime, in whatever order the statements come.
+    """(X, Y) mod pm from one pass over j, a kept layer for each pm.  The
+    reduced binom(-1/2,j)^3 form determines them at the precision they are
+    read at: mod p in the lemmas, mod p^2 in the decomposition check, so a
+    sweep that asks both keeps both passes of its prime, in whatever order
+    the statements come.
 
     The weight C(2j,j)^3 / 64^j = binom(-1/2,j)^3 (-1)^j steps by t^3,
     t = (2j-1) / (2j).  With b = 3j (H_{m+j} - H_j) the doubled brackets
@@ -240,11 +239,11 @@ def prop3_check(p: int) -> VerificationRecord:
     return _record("prop3", p, lhs, rhs)
 
 
-@lru_cache(maxsize=1)
+@prime_layer
 def _gaussian_3f2(p: int) -> int:
-    """p^2 * 3F2(1) for the last prime asked, which thm_os and cor5 share.
-    The series is looked up in this module's globals at each miss, so a
-    wrapper installed on that attribute sees every evaluation."""
+    """p^2 * 3F2(1), a kept layer that thm_os and cor5 share.  The series
+    is looked up in this module's globals at each miss, so a wrapper
+    installed on that attribute sees every evaluation."""
     return gaussian_nFn_phi(p, 2, 1)
 
 

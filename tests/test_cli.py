@@ -414,20 +414,11 @@ def test_verify_reaches_record_functions_through_the_module_global(capsys, monke
     ),
     ids=("default", "prop3-first", "mod-power-5", "finite-field"),
 )
-def test_shared_layers_run_once_per_prime(capsys, monkeypatch, statements, extra):
+def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
     # vanhamme_a and prop3 read one exact quintic sum, each at its own
     # modulus; thm_os and cor5 read one p^2 * 3F2(1)
-    series_primes = []
-    real_series = supercongruence.gaussian_nFn_phi
-
-    def series_spy(p, n, lam):
-        series_primes.append(p)
-        return real_series(p, n, lam)
-
-    monkeypatch.setattr(supercongruence, "gaussian_nFn_phi", series_spy)
-    quintic = supercongruence._quintic_sum
-    quintic.cache_clear()
-    supercongruence._gaussian_3f2.cache_clear()
+    quintic = spy(supercongruence, "_quintic_sum")
+    series = spy(supercongruence, "gaussian_nFn_phi")
     argv = ("verify", "--primes", "3..97", "--workers", "1", "--format", "json-lines", *extra)
     code, out, _ = run_cli(capsys, *argv, "--statements", statements)
     rows = rows_without_millis(out)
@@ -436,14 +427,24 @@ def test_shared_layers_run_once_per_prime(capsys, monkeypatch, statements, extra
     assert len(primes) == 24
 
     reads_quintic = {"vanhamme_a", "prop3"} & set(statements.split(","))
-    assert quintic.cache_info().misses == (len(primes) if reads_quintic else 0)
-    assert series_primes == (primes if "thm_os" in statements else [])
+    assert quintic == ([(p,) for p in primes] if reads_quintic else [])
+    assert series == ([(p, 2, 1) for p in primes] if "thm_os" in statements else [])
 
     alone = []
     for statement in sorted(statements.split(",")):
         _, out, _ = run_cli(capsys, *argv, "--statements", statement)
         alone += rows_without_millis(out)
     assert rows == alone
+
+
+def test_gamma_p_reads_a_negative_fraction(capsys):
+    # "-3/4" is a literal, not an option, as it is after "--"
+    code, out, err = run_cli(capsys, "gamma-p", "-3/4", "7", "3")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "gamma-p", "--", "-3/4", "7", "3")[1] == "174\n"
+    # a negative prime range is read as a value and refused as one
+    code, _, err = run_cli_exit(capsys, "verify", "--primes", "-3..5")
+    assert code == 2 and "invalid prime range" in err
 
 
 def test_gaussian_statements_opt_in(capsys):

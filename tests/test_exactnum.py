@@ -13,6 +13,7 @@ from supercong.exactnum import (
     Residue,
     check_modulus,
     is_odd_prime,
+    prime_layer,
     residue_from_rational,
 )
 from supercong.padic_gamma import _valuation
@@ -64,6 +65,38 @@ def test_modulus_cache_stays_bounded():
         for m in (1, 3):
             assert check_modulus(p, m) == p**m
     assert check_modulus.cache_info().currsize <= maxsize
+
+
+def test_a_float_prime_never_reads_the_pair_kept_for_its_int():
+    # 7.0 == 7, so an untyped cache would answer 343 for it and let a
+    # residue carry the modulus 343.0
+    assert check_modulus(7, 3) == 343
+    with pytest.raises(TypeError):
+        check_modulus(7.0, 3)
+    with pytest.raises(TypeError):
+        Residue(5, 7.0, 3)
+
+
+def test_the_layer_store_keeps_one_prime_and_files_under_the_right_one():
+    calls = []
+
+    @prime_layer
+    def inner(p, k):
+        calls.append(("inner", p, k))
+        return p * k
+
+    @prime_layer
+    def outer(p):
+        calls.append(("outer", p))
+        return inner(p + 2, 1) + p  # asks a layer at another prime
+
+    assert inner(3, 1) == inner(3, 1) == 3 and inner(3, 2) == 6
+    assert calls == [("inner", 3, 1), ("inner", 3, 2)]
+    # the nested call moves the store to 5 and empties it: outer(3) is not
+    # filed there (outer(5) is built, not read), and 3's layers are built
+    # again when asked
+    assert outer(3) == 8 and inner(5, 1) == 5 and outer(5) == 12 and inner(3, 1) == 3
+    assert calls[2:] == [("outer", 3), ("inner", 5, 1), ("outer", 5), ("inner", 7, 1), ("inner", 3, 1)]
 
 
 def test_modulus_mismatch():

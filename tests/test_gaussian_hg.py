@@ -237,23 +237,25 @@ def test_prime_checks_refuse_a_strong_pseudoprime_to_bases_2_3_5_7():
         gaussian_nFn_phi(n, 2, 1)
 
 
-def test_series_refuses_a_p_above_its_cost_cap(monkeypatch):
+def test_series_refuses_a_p_above_its_cost_cap(monkeypatch, spy):
     # (n-1) p^2 <= FINITE_FIELD_MAX_P^2 bounds the O(n p^2) recursion; with
     # the cap shrunk to 7, n = 2 stops at 7, n = 3 at isqrt(49 // 2) = 4, and
     # n = 1, which costs O(p), is never refused
     at_eleven = gaussian_nFn_phi(11, 1, 1)
     assert gaussian_hg.FINITE_FIELD_MAX_P == 5101
     monkeypatch.setattr(gaussian_hg, "FINITE_FIELD_MAX_P", 7)
-    supercongruence._gaussian_3f2.cache_clear()  # a kept value would skip the series
     assert gaussian_nFn_phi(7, 2, 1) == charsum_nFn_phi(7, 2, 1, tol=1e-6)
     assert gaussian_nFn_phi(11, 1, 1) == at_eleven
     assert gaussian_nFn_phi(3, 3, 1) == charsum_nFn_phi(3, 3, 1, tol=1e-6)
     for p, n, cap in ((11, 2, 7), (5, 3, 4), (3, 50, 1)):
         with pytest.raises(ValueError, match=f"finite-field cap {cap}$"):
             gaussian_nFn_phi(p, n, 1)
+    # each check refuses in the series itself: a refused value is never kept
+    series = spy(supercongruence, "gaussian_nFn_phi")
     for check in (theorem_os_check, cor5_check):
         with pytest.raises(ValueError, match="finite-field cap 7$"):
             check(11)
+    assert series == [(11, 2, 1), (11, 2, 1)]
 
 
 def test_rounding_residual_guard():

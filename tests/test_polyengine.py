@@ -190,19 +190,19 @@ def test_exp_sum_fold_agrees_with_the_unfolded_sum(p):
             assert exp_sum_check(p, k) == _exp_sum_unfolded(p, k)
 
 
-def test_exp_sum_memo_keeps_only_the_last_prime():
+def test_exp_sum_memo_keeps_only_the_last_prime(spy):
     # interleaved primes and exponents over three folds: every answer from
-    # the kept power sums matches the unfolded sum, and the memo holds the
-    # classes of the last prime asked, none of an earlier one
-    polyengine._power_sums.cache_clear()
+    # the kept power sums matches the unfolded sum, each exponent class is
+    # summed once per visit of its prime, and a return to an earlier prime
+    # sums its classes again
+    sums = spy(polyengine, "_power_sum")
     for p in (5, 7, 5):
         for k in range(1, 3 * (p - 1) + 1):
             assert exp_sum_check(p, k) == _exp_sum_unfolded(p, k)
-        assert polyengine._power_sums.cache_info().currsize == 1
-    assert sorted(polyengine._power_sums(5)) == [1, 2, 3, 4]
-    assert polyengine._power_sums.cache_info().currsize == 1
+    assert sums == [(5, k) for k in range(1, 5)] + [(7, k) for k in range(1, 7)] + [(5, k) for k in range(1, 5)]
+    exp_sum_check(5, 7)
     exp_sum_check(7, 3)
-    assert sorted(polyengine._power_sums(7)) == [3]
+    assert sums[14:] == [(7, 3)]
 
 
 def test_lemma_sums_p3_recomputed_oracle():
@@ -379,22 +379,19 @@ def test_one_point_cube_slots_hold_the_largest_coefficients():
         assert _cube_mod(list(f.coeffs), p) == [c % p for c in cube.coeffs]
 
 
-def test_the_layer_keeps_each_prime_its_own_p_and_q():
-    # two primes interleaved, the cache holding both: each call returns its
-    # own prime's P and Q, equal to the schoolbook build
+def test_the_layer_keeps_each_prime_its_own_p_and_q(spy):
+    # two primes interleaved: each call returns its own prime's P and Q,
+    # equal to the schoolbook build, and F is built once per visit of a
+    # prime, however many entry points read it there
     expected = {}
     for p in (11, 13):
         _, cube = _schoolbook_cube((p - 1) // 2)
         expected[p] = _derivative_p_and_q(cube)
-    polyengine._layer.cache_clear()
-    for p in (11, 13, 11, 13, 13, 11):
+    builds = spy(polyengine, "pochhammer_poly")
+    for p in (11, 13, 11):
         assert (p_poly(p), q_poly(p)) == expected[p]
         assert p_identity_check(p) and coefficient_facts_check(p) and lemma_sum_checks(p)
-    assert polyengine._layer.cache_info().misses == 2
-    # a third prime evicts the least recent entry (13), built again on return
-    p_poly(17)
-    assert (p_poly(13), q_poly(13)) == expected[13]
-    assert polyengine._layer.cache_info().misses == 4
+    assert builds == [(5,), (6,), (5,)]
 
 
 def test_chirp_z_rejects_a_root_that_is_not_primitive(monkeypatch):

@@ -1,6 +1,7 @@
 """Core congruence machinery: truncated sums, X/Y/Z, decomposition checks,
 the specialized well-poised instance, and the Pochhammer-pair congruences."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from exact_oracle import (
     x_sum,
     y_sum,
 )
-from supercong import gaussian_hg
+from supercong import exactnum, gaussian_hg, padic_gamma
 from supercong import supercongruence as sc
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME, is_odd_prime, residue_from_rational
@@ -317,9 +318,11 @@ _LAYER_CAPS = {
 }
 
 
-def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch):
+def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch, spy):
     # shrink each layer constant to 7: the check itself, not the sweep's
-    # registry, then stops above it
+    # registry, then stops above it; a finite-field check stops in the
+    # series, never at a value kept for 11
+    series = spy(sc, "gaussian_nFn_phi")
     for statement, entry in STATEMENTS.items():
         if statement not in _LAYER_CAPS:
             assert entry.max_p == MAX_PRIME, statement
@@ -328,10 +331,11 @@ def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch):
         assert entry.max_p == getattr(module, name), statement
         with monkeypatch.context() as patch:
             patch.setattr(module, name, 7)
-            sc._gaussian_3f2.cache_clear()
             assert entry.check(7, entry.default_m).passed, statement
+            series.clear()
             with pytest.raises(ValueError, match="cap 7$"):
                 entry.check(11, entry.default_m)
+            assert series == ([(11, 2, 1)] if module is gaussian_hg else []), statement
 
 
 def test_entry_points_refuse_the_first_prime_above_their_cap_promptly():
@@ -482,37 +486,46 @@ def test_xy_mod_p_is_the_mod_p_squared_pass_reduced():
 
 
 @pytest.mark.parametrize("statements, m", [(("lemma1", "lemma2"), 1), (("thm_os",), 2)])
-def test_harmonic_tables_are_built_once_per_prime(monkeypatch, statements, m):
+def test_harmonic_tables_are_built_once_per_prime(spy, statements, m):
     # lemma1 and lemma2 share one pass mod p; thm_os reads X and Y from one
     # pass mod p^2: either way one table build per prime
-    builds = []
-    build = sc._harmonic_tables_mod
-
-    def spy(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(sc, "_harmonic_tables_mod", spy)
-    sc._xy_mod.cache_clear()
+    builds = spy(sc, "_harmonic_tables_mod")
     p = 101
     for name in statements:
         assert STATEMENTS[name].check(p, None).passed
     assert builds == [(p, p**m)]
 
 
+def test_every_order_of_the_statements_builds_each_layer_once(spy):
+    # at one prime, p = 1 (mod 4) so that vanhamme_a and cor5 read Gamma_p:
+    # the quintic once, X/Y once per precision, the 3F2 once, and the
+    # Gamma_p block table once for its (p, m), in whatever order the
+    # statements come
+    p = 13
+    quintic = spy(sc, "_quintic_sum")
+    tables = spy(sc, "_harmonic_tables_mod")
+    series = spy(sc, "gaussian_nFn_phi")
+    blocks = spy(padic_gamma, "_block_table")
+    expected = None
+    for order in itertools.permutations(("vanhamme_a", "prop3", "lemma1", "lemma2", "thm_os", "cor5")):
+        exactnum._layers.clear()
+        for calls in (quintic, tables, series, blocks):
+            calls.clear()
+        records = {name: STATEMENTS[name].check(p, STATEMENTS[name].default_m) for name in order}
+        assert all(rec.passed for rec in records.values())
+        assert expected in (None, records)
+        expected = records
+        assert quintic == [(p,)]
+        assert sorted(tables) == [(p, p), (p, p * p)]
+        assert series == [(p, 2, 1)]
+        assert blocks == [(p, 2)]
+
+
 @pytest.mark.parametrize("statements", ("lemma1,thm_os,lemma2", "lemma2,thm_os,lemma1"))
-def test_harmonic_tables_are_built_once_per_prime_and_precision(monkeypatch, capsys, statements):
+def test_harmonic_tables_are_built_once_per_prime_and_precision(spy, capsys, statements):
     # the lemmas read X and Y mod p and thm_os mod p^2: both passes of a
     # prime stay kept, so interleaving the statements rebuilds neither
-    builds = []
-    build = sc._harmonic_tables_mod
-
-    def spy(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(sc, "_harmonic_tables_mod", spy)
-    sc._xy_mod.cache_clear()
+    builds = spy(sc, "_harmonic_tables_mod")
     assert main(["verify", "--statements", statements, "--primes", "101..103", "--format", "json-lines"]) == 0
     assert capsys.readouterr().out.count('"pass": true') == 6
     assert sorted(builds) == [(101, 101), (101, 101**2), (103, 103), (103, 103**2)]
