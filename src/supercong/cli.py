@@ -83,8 +83,8 @@ def _prime_task(args) -> list:
             {
                 "statement": rec.statement,
                 "p": rec.p,
-                "lhs": rec.lhs.value,
-                "rhs": rec.rhs.value,
+                "lhs": rec.lhs,
+                "rhs": rec.rhs,
                 "modulus": rec.modulus,
                 "pass": rec.passed,
                 "millis": round(millis, 3),

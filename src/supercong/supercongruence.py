@@ -17,8 +17,8 @@ inward and reduces it once (`classical_hg._nested_sum`, the one kernel of
 every exact terminating sum).  The Pochhammer-pair congruences, which need
 each value only mod p^4 or p^2, walk the ratios as residues
 (`_pochhammer_residues`): prefix quotients with one inverse per sequence.
-Each congruence is decided on plain ints, and an agreeing pair is reported
-as one `Residue` shared by both sides.  `tests/exact_oracle.py`
+Each congruence is decided on plain ints, and its row holds both sides
+reduced at its modulus.  `tests/exact_oracle.py`
 holds what the suite checks production against: the exact twins of the
 modular sums, the exact walk of the ratios in Fractions (the oracle of
 both routes: its terms summed for the instance, its values reduced side by
@@ -50,21 +50,20 @@ from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Outcome of one congruence check at one prime."""
+    """Outcome of one congruence check at one prime: the row `verify`
+    prints, both sides reduced mod `modulus` (0 <= lhs, rhs < modulus)."""
 
     statement: str
     p: int
-    lhs: Residue
-    rhs: Residue
+    lhs: int
+    rhs: int
+    modulus: int
     passed: bool
-
-    @property
-    def modulus(self) -> int:
-        return self.lhs.modulus
 
 
 def _record(statement: str, p: int, lhs: Residue, rhs: Residue) -> VerificationRecord:
-    return VerificationRecord(statement, p, lhs, rhs, lhs == rhs)
+    """The row of two side residues; sides at different moduli never pass."""
+    return VerificationRecord(statement, p, lhs.value, rhs.value, lhs.modulus, lhs == rhs)
 
 
 def _inverses(n: int, pm: int) -> list:
@@ -358,9 +357,8 @@ def poch_congruence_checks(p: int) -> list:
     with m = (p-1)/2, the prefix quotients mod p^2 of (m+i)/i and
     (m+1-i)/i, one inverse each; the conjugate and real sides are Q_k and
     R_k.  The eight sides are integers from these residues and those of
-    `_pochhammer_residues`.  Each congruence is decided on those integers
-    at its own modulus; an agreeing pair is reported as one `Residue` read
-    by both sides, and only a disagreeing pair reduces each side apart.
+    `_pochhammer_residues`.  Each row holds those integers reduced at its
+    own modulus and their equality.
     """
     m = (p - 1) // 2
     bs, qs, rs = _pochhammer_residues(p)  # the prime gate runs first
@@ -371,17 +369,14 @@ def poch_congruence_checks(p: int) -> list:
     for k, (b, qk, rk, cw, cn) in enumerate(zip(bs, qs, rs, wide, narrow)):
         signed = -b if k % 2 else b  # (-1)^k binom(-1/2,k) = (1/2)_k / k!
         sides = (
-            ("poch_shift_square", 2, p2, cw * cn, signed * b),
-            ("poch_shift_linear", 1, p, signed, cw),
-            ("poch_conj_quartic", 4, p4, qk, b**4),
-            ("poch_real_square", 2, p2, rk, b * b),
+            ("poch_shift_square", p2, cw * cn, signed * b),
+            ("poch_shift_linear", p, signed, cw),
+            ("poch_conj_quartic", p4, qk, b**4),
+            ("poch_real_square", p2, rk, b * b),
         )
-        for name, mm, pm, lhs, rhs in sides:
-            if (rhs - lhs) % pm:
-                records.append(VerificationRecord(name, p, Residue(lhs, p, mm), Residue(rhs, p, mm), False))
-            else:
-                same = Residue(lhs, p, mm)
-                records.append(VerificationRecord(name, p, same, same, True))
+        for name, pm, lhs, rhs in sides:
+            lhs, rhs = lhs % pm, rhs % pm
+            records.append(VerificationRecord(name, p, lhs, rhs, pm, lhs == rhs))
     return records
 
 
@@ -409,8 +404,9 @@ def whipple_instance_check(p: int) -> VerificationRecord:
     return VerificationRecord(
         "whipple_inst",
         p,
-        residue_from_rational(lhs, p, 4),
-        residue_from_rational(rhs, p, 4),
+        residue_from_rational(lhs, p, 4).value,
+        residue_from_rational(rhs, p, 4).value,
+        p**4,
         lhs == rhs,
     )
 

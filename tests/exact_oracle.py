@@ -168,7 +168,7 @@ def poch_congruence_records(p: int) -> list:
         for name, mm, lhs_q, rhs_q in pairs:
             lhs = residue_from_rational(lhs_q, p, mm)
             rhs = residue_from_rational(rhs_q, p, mm)
-            records.append(VerificationRecord(name, p, lhs, rhs, lhs == rhs))
+            records.append(VerificationRecord(name, p, lhs.value, rhs.value, p**mm, lhs == rhs))
     return records
 
 

@@ -5,7 +5,7 @@ import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -386,6 +386,25 @@ def test_every_registry_id_reports_rows_under_its_own_name(capsys, statement):
     rows = [json.loads(line) for line in out.splitlines()]
     assert [(row["statement"], row["p"]) for row in rows] == [(statement, 3), (statement, 5)]
     assert code == (0 if all(row["pass"] for row in rows) else 1)
+
+
+@pytest.mark.parametrize("mod_power", (None, 5), ids=("default-m", "mod-power-5"))
+@pytest.mark.parametrize("statement", tuple(supercongruence.STATEMENTS))
+def test_a_json_row_is_its_record(capsys, statement, mod_power):
+    # the row verify prints is the record's fields in order, with passed
+    # shown as pass and millis added; both sides lie in 0..modulus-1
+    extra = () if mod_power is None else ("--mod-power", str(mod_power))
+    entry = supercongruence.STATEMENTS[statement]
+    m = entry.default_m if mod_power is None or entry.default_m is None else mod_power
+    for p in (3, 5, 13, 97):
+        _, out, _ = run_cli(
+            capsys, "verify", "--statements", statement, "--primes", f"{p}..{p}",
+            "--format", "json-lines", *extra,
+        )
+        [row] = rows_without_millis(out)
+        record = astuple(entry.check(p, m))
+        assert list(row.items()) == list(zip(("statement", "p", "lhs", "rhs", "modulus", "pass"), record))
+        assert 0 <= row["lhs"] < row["modulus"] and 0 <= row["rhs"] < row["modulus"]
 
 
 def test_verify_reaches_record_functions_through_the_module_global(capsys, monkeypatch):

@@ -42,6 +42,7 @@ from supercong.supercongruence import (
     lhs_vanhamme_b,
     poch_congruence_checks,
     prop3_check,
+    rhs_vanhamme,
     rhs_vanhamme_b,
     theorem_os_check,
     vanhamme_b_verify,
@@ -113,10 +114,10 @@ def test_rhs_vanhamme_b_and_the_p3_finding():
     assert rhs_vanhamme_b(3).value == 78
     rec3 = vanhamme_b_verify(3)
     assert not rec3.passed
-    assert (rec3.lhs.value - rec3.rhs.value) % 27 == 0
+    assert (rec3.lhs - rec3.rhs) % 27 == 0
     rec5 = vanhamme_b_verify(5)
     assert rec5.passed
-    assert rec5.lhs.value == rec5.rhs.value == 5
+    assert rec5.lhs == rec5.rhs == 5
 
 
 def test_gamma_half_square_observed_sign():
@@ -186,11 +187,11 @@ def test_z_quantity():
 
 def test_prop3_examples():
     rec3 = prop3_check(3)
-    assert rec3.passed and rec3.lhs.value == 0
+    assert rec3.passed and rec3.lhs == 0
     # rhs oracle at p = 3: (-1) * 3 * 9/8 = -27/8, which is 0 mod 27
     assert residue_from_rational(Fraction(-27, 8), 3, 3).value == 0
     rec5 = prop3_check(5)
-    assert rec5.passed and rec5.lhs.value == rec5.rhs.value == 95
+    assert rec5.passed and rec5.lhs == rec5.rhs == 95
 
 
 def test_theorem_os_examples():
@@ -202,13 +203,13 @@ def test_theorem_os_examples():
 
 def test_vanhamme_verify_examples():
     rec3 = vanhamme_verify(3)
-    assert rec3.passed and rec3.lhs.value == 0 and rec3.modulus == 27
+    assert rec3.passed and rec3.lhs == 0 and rec3.modulus == 27
     rec5 = vanhamme_verify(5)
-    assert rec5.passed and rec5.lhs.value == 95 and rec5.modulus == 125
+    assert rec5.passed and rec5.lhs == 95 and rec5.modulus == 125
     for p in PRIMES_TO_50:
         rec = vanhamme_verify(p)
         assert rec.passed
-        assert (rec.rhs.value == 0) == (p % 4 == 3)
+        assert (rec.rhs == 0) == (p % 4 == 3)
 
 
 def test_cor5_record():
@@ -221,8 +222,30 @@ def test_record_invariants():
     for p in (3, 5):
         for rec in (vanhamme_verify(p), prop3_check(p), lemma1_check(p), lemma2_check(p)):
             assert rec.passed == (rec.lhs == rec.rhs)
-            assert (rec.lhs.p, rec.lhs.m) == (rec.rhs.p, rec.rhs.m)
             assert rec.statement in STATEMENTS
+    # equal values at different moduli never pass
+    assert not sc._record("lemma1", 5, exactnum.Residue(0, 5, 1), exactnum.Residue(0, 5, 2)).passed
+
+
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_each_record_modulus_is_the_modulus_of_the_sides_it_reads(p):
+    assert vanhamme_verify(p).modulus == lhs_vanhamme(p).modulus == rhs_vanhamme(p).modulus
+    assert vanhamme_verify(p, 5).modulus == lhs_vanhamme(p, 5).modulus == rhs_vanhamme(p, 5).modulus
+    assert vanhamme_b_verify(p).modulus == lhs_vanhamme_b(p).modulus == rhs_vanhamme_b(p).modulus
+    assert vanhamme_b_verify(p, 2).modulus == lhs_vanhamme_b(p, 2).modulus == rhs_vanhamme_b(p, 2).modulus
+    assert lemma1_check(p).modulus == y_quantity(p).modulus
+    assert lemma2_check(p).modulus == x_quantity(p).modulus
+    assert prop3_check(p).modulus == lhs_vanhamme(p, 3).modulus == z_quantity(p, 3).modulus
+    assert theorem_os_check(p).modulus == z_quantity(p, 3).modulus
+    assert cor5_check(p).modulus == rhs_vanhamme(p, 3).modulus
+    assert cor5_check(p, 5).modulus == rhs_vanhamme(p, 5).modulus
+    lhs, rhs = whipple_instance_sides(p)
+    rec = whipple_instance_check(p)
+    assert (rec.lhs, rec.rhs, rec.modulus) == (
+        residue_from_rational(lhs, p, 4).value,
+        residue_from_rational(rhs, p, 4).value,
+        residue_from_rational(lhs, p, 4).modulus,
+    )
 
 
 def test_poch_congruences_small():
@@ -232,7 +255,14 @@ def test_poch_congruences_small():
         assert all(rec.passed for rec in records)
     # k = 0 rows are all 1 = 1
     for rec in poch_congruence_checks(5)[:4]:
-        assert rec.lhs.value == 1 and rec.rhs.value == 1
+        assert rec.lhs == 1 and rec.rhs == 1
+
+
+def test_poch_rows_hold_reduced_sides():
+    # (-1)^k binom(-1/2,k) is negative at odd k before its reduction
+    for p in (n for n in range(3, 98, 2) if is_odd_prime(n)):
+        for rec in poch_congruence_checks(p):
+            assert 0 <= rec.lhs < rec.modulus and 0 <= rec.rhs < rec.modulus
 
 
 @pytest.mark.parametrize(
@@ -259,9 +289,9 @@ _POCH_READERS = ("poch_shift_square", "poch_shift_linear", "poch_conj_quartic", 
     ),
 )
 def test_a_wrong_pochhammer_residue_fails_exactly_the_records_that_read_it(monkeypatch, which, e, readers):
-    # an agreeing pair shares one Residue; a value off by p^e at one k must
-    # still fail every record that reads it at a precision above p^e, each
-    # side reduced on its own (binom(-1/2,k) off by p is still right mod p)
+    # a value off by p^e at one k must fail every record that reads it at a
+    # precision above p^e, each side reduced on its own (binom(-1/2,k) off
+    # by p is still right mod p)
     p, k = 13, 3
     m = (p - 1) // 2
     values = [list(seq) for seq in sc._pochhammer_residues(p)]
@@ -271,10 +301,10 @@ def test_a_wrong_pochhammer_residue_fails_exactly_the_records_that_read_it(monke
     signed = (-1) ** k * b
     cw, cn = math.comb(m + k, k), math.comb(m, k)
     expected = {
-        "poch_shift_square": (cw * cn % p**2, signed * b % p**2),
-        "poch_shift_linear": (signed % p, cw % p),
-        "poch_conj_quartic": (qk % p**4, b**4 % p**4),
-        "poch_real_square": (rk % p**2, b * b % p**2),
+        "poch_shift_square": (cw * cn % p**2, signed * b % p**2, p**2),
+        "poch_shift_linear": (signed % p, cw % p, p),
+        "poch_conj_quartic": (qk % p**4, b**4 % p**4, p**4),
+        "poch_real_square": (rk % p**2, b * b % p**2, p**2),
     }
     records = poch_congruence_checks(p)
     assert [(i // 4, rec.statement) for i, rec in enumerate(records) if not rec.passed] == [
@@ -282,12 +312,11 @@ def test_a_wrong_pochhammer_residue_fails_exactly_the_records_that_read_it(monke
     ]
     for rec in records:
         if rec.passed:
-            assert rec.lhs is rec.rhs
+            assert rec.lhs == rec.rhs
             continue
-        lhs, rhs = expected[rec.statement]
+        lhs, rhs, modulus = expected[rec.statement]
         assert lhs != rhs
-        assert (rec.lhs.value, rec.rhs.value) == (lhs, rhs)
-        assert rec.lhs.modulus == rec.rhs.modulus == rec.modulus
+        assert (rec.lhs, rec.rhs, rec.modulus) == (lhs, rhs, modulus)
 
 
 @pytest.mark.parametrize(
