@@ -60,6 +60,8 @@ def _check_size(n: int, params, what: str) -> None:
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1), with (a)_0 = 1: for a = u/v, the
     integer product of u + iv over v^n, reduced once."""
+    if not isinstance(n, int):
+        raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
     a = Fraction(a)
@@ -127,6 +129,8 @@ def whipple_check(a, c, d, e, m: int) -> bool:
     via Gamma(x+1) = x*Gamma(x), which is what keeps both sides rational.
     The four counts together stay within MAX_EXACT_SIZE.
     """
+    if not isinstance(m, int):
+        raise TypeError("m must be an integer")
     if m < 1:
         raise ValueError("m must be >= 1")
     a, c, d, e = Fraction(a), Fraction(c), Fraction(d), Fraction(e)

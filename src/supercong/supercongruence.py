@@ -23,16 +23,18 @@ holds what the suite checks production against: the exact twins of the
 modular sums, the exact walk of the ratios in Fractions (the oracle of
 both routes: its terms summed for the instance, its values reduced side by
 side for the congruences), and the instance's four separate Pochhammer
-products (the oracle of that walk).  Three layers are shared by the
+products (the oracle of that walk).  Two layers here are shared by the
 statements of one prime and kept in `exactnum`'s per-prime store
 (`prime_layer`), so each is computed once per prime: the exact quintic
-sum (vanhamme_a, prop3), reduced at each caller's modulus; the pair
+sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pair
 (X, Y) at each precision asked, mod p for the lemmas and mod p^2 for
-thm_os; and p^2 * 3F2(1) (thm_os, cor5).
+thm_os.  The third, p^2 * 3F2(1), which thm_os and cor5 share, is kept in
+the same store by `gaussian_hg.gaussian_3f2`.
 Residue comparisons are exact integer equality throughout, never
-approximate.  The exact quintic sum and the Pochhammer-pair routes refuse
-a prime above their caps before any work, through `exactnum.check_prime`;
-the statement registry reads those caps.
+approximate.  The exact quintic sum, the 3F2 and the Pochhammer-pair
+routes refuse a prime above their caps before any work and before the
+store is touched, through `exactnum.check_prime`; the statement registry
+reads those caps.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Optional
 
 from .classical_hg import _nested_sum
 from .exactnum import MAX_PRIME, Residue, check_modulus, check_prime, prime_layer, residue_from_rational
-from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_nFn_phi, legendre
+from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_3f2, legendre
 from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
 
@@ -238,14 +240,6 @@ def prop3_check(p: int) -> VerificationRecord:
     return _record("prop3", p, lhs, rhs)
 
 
-@prime_layer
-def _gaussian_3f2(p: int) -> int:
-    """p^2 * 3F2(1), a kept layer that thm_os and cor5 share.  The series
-    is looked up in this module's globals at each miss, so a wrapper
-    installed on that attribute sees every evaluation."""
-    return gaussian_nFn_phi(p, 2, 1)
-
-
 def theorem_os_check(p: int) -> VerificationRecord:
     """p^2 * 3F2(1) against phi(-1) [p^2 X + p Y + Z] mod p^3.
 
@@ -253,7 +247,7 @@ def theorem_os_check(p: int) -> VerificationRecord:
     needed at: X mod p (from the pass mod p^2), Y mod p^2, Z mod p^3.
     """
     check_modulus(p, 3)
-    lhs = Residue(_gaussian_3f2(p), p, 3)
+    lhs = Residue(gaussian_3f2(p), p, 3)
     x, y = _xy_mod(p, p * p)
     z = z_quantity(p, 3).value
     rhs = Residue(legendre(-1, p) * (p * p * (x % p) + p * y + z), p, 3)
@@ -262,7 +256,8 @@ def theorem_os_check(p: int) -> VerificationRecord:
 
 def cor5_check(p: int, m: int = 3) -> VerificationRecord:
     """p^3 * 3F2(1) = p * (p^2 * 3F2(1)) against the Gamma branch mod p^m."""
-    lhs = Residue(p * _gaussian_3f2(p), p, m)
+    check_modulus(p, m)
+    lhs = Residue(p * gaussian_3f2(p), p, m)
     return _record("cor5", p, lhs, rhs_vanhamme(p, m))
 
 
@@ -431,8 +426,8 @@ class Statement:
 # fresh process, took about 5 s on a 2-vCPU host (Python 3.11).  Each cap
 # is defined and enforced by the layer whose cost it bounds, so the API
 # refuses what a sweep refuses: QUINTIC_SUM_MAX_P by lhs_vanhamme (the
-# exact quintic sum), gaussian_hg.FINITE_FIELD_MAX_P by gaussian_nFn_phi
-# (the O(p^2) series) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
+# exact quintic sum), gaussian_hg.FINITE_FIELD_MAX_P by gaussian_3f2
+# (the O(p^2) double sum) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
 # The modular kernel of vanhamme_b and Z and the X/Y pass of the lemmas
 # need no cap below MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s.
 

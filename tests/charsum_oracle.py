@@ -1,7 +1,9 @@
-"""The two oracles of `gaussian_hg.gaussian_nFn_phi`: the definitional
-character sum of the Gaussian series in complex doubles (small p), and
-Greene's recursion with every level a full table in exact integers
-(`greene_tables`).
+"""The two oracles of the Gaussian series p^n * (n+1)Fn(lambda), of which
+`gaussian_hg.gaussian_3f2` computes p^2 * 3F2(1) alone: the definitional
+character sum in complex doubles (small p), and Greene's recursion at any
+n and lambda with every level a full table in exact integers
+(`greene_tables`).  The suite checks each against the other and the
+production double sum against both.
 
 Characters of F_p live on a discrete-log table over the least primitive
 root.  Two zero conventions coexist deliberately:
@@ -13,7 +15,8 @@ root.  Two zero conventions coexist deliberately:
 
 `charsum_nFn_phi` sums Greene's definition over all p - 1 characters and
 rounds; the pre-rounding residual is returned alongside the integer and
-guarded by a bound.
+guarded by a bound.  The normalized binomials of one p are kept
+(`_binoms`), so every n and lambda asked at p sums them once.
 """
 
 from __future__ import annotations
@@ -131,9 +134,13 @@ def greene_binom(top: MultChar, bottom: MultChar) -> complex:
     return bottom(-1) / top.table.p * jacobi_sum(top, bottom.conjugate())
 
 
-@lru_cache(maxsize=64)
-def _table(p: int) -> CharacterTable:
-    return CharacterTable(p)
+@lru_cache(maxsize=128)
+def _binoms(p: int) -> tuple:
+    """(table, [greene_binom(phi*chi_t, chi_t) for t = 0 .. p-2]): the
+    factors of the series at p, shared by every n and lambda asked."""
+    tab = CharacterTable(p)
+    phi_t = (p - 1) // 2
+    return tab, [greene_binom(tab.char(phi_t + t), tab.char(t)) for t in range(p - 1)]
 
 
 def charsum_nFn_phi_with_residual(p: int, n: int, lam: int) -> tuple:
@@ -147,15 +154,12 @@ def charsum_nFn_phi_with_residual(p: int, n: int, lam: int) -> tuple:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tab = _table(p)
+    tab, binoms = _binoms(p)
     if lam % p == 0:
         return 0, 0.0
-    phi_t = (p - 1) // 2
     total = complex(0.0)
-    for t in range(p - 1):
-        chi = tab.char(t)
-        b = greene_binom(tab.char(phi_t + t), chi)
-        total += b ** (n + 1) * chi(lam)
+    for t, b in enumerate(binoms):
+        total += b ** (n + 1) * tab.char(t)(lam)
     # fixed order: sum first, then the exact p^(n+1)/(p-1) scale
     scaled = total * p ** (n + 1) / (p - 1)
     nearest = round(scaled.real)

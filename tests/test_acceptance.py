@@ -21,7 +21,7 @@ from supercong.classical_hg import (
     whipple_check,
 )
 from supercong.exactnum import residue_from_rational
-from supercong.gaussian_hg import gaussian_nFn_phi
+from supercong.gaussian_hg import gaussian_3f2
 from supercong.polyengine import (
     coefficient_facts_check,
     exp_sum_check,
@@ -138,7 +138,7 @@ def test_criterion_05_theorem_os_instance():
     failures = []
     for p in _primes_to(199):
         nearest, residual = charsum_nFn_phi_with_residual(p, 2, 1)
-        exact = residual < 1e-6 and nearest == gaussian_nFn_phi(p, 2, 1)
+        exact = residual < 1e-6 and nearest == gaussian_3f2(p)
         if not (exact and theorem_os_check(p).passed):
             failures.append(p)
     elapsed = time.perf_counter() - start

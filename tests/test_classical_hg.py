@@ -194,6 +194,22 @@ def test_exact_counts_refuse_a_huge_count_promptly():
     assert time.perf_counter() - start < 1
 
 
+def test_exact_counts_refuse_a_non_integer_count_up_front(spy):
+    # 2.0 reached _size (no bit_length) and the pole loop (no denominator)
+    # as an AttributeError; a count equal to 2 is still not an int
+    half = Fraction(1, 2)
+    params = (1, half, Fraction(1, 3), Fraction(1, 4))
+    sizes = spy(classical_hg, "_size")
+    for count in (2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            pochhammer(half, count)
+        with pytest.raises(TypeError, match="m must be an integer"):
+            whipple_check(*params, count)
+    assert sizes == []
+    assert pochhammer(half, 2) == Fraction(3, 4)
+    assert whipple_check(*params, 2)
+
+
 def _hypergeom_size(upper, lower, z):
     """The size hypergeom_terminating books: its termination index times
     the bits of its parameters and argument."""

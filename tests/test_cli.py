@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from supercong import cli, padic_gamma, supercongruence
+from supercong import cli, gaussian_hg, padic_gamma, supercongruence
 from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME
@@ -437,7 +437,7 @@ def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
     # vanhamme_a and prop3 read one exact quintic sum, each at its own
     # modulus; thm_os and cor5 read one p^2 * 3F2(1)
     quintic = spy(supercongruence, "_quintic_sum")
-    series = spy(supercongruence, "gaussian_nFn_phi")
+    series = spy(gaussian_hg, "_double_sum")
     argv = ("verify", "--primes", "3..97", "--workers", "1", "--format", "json-lines", *extra)
     code, out, _ = run_cli(capsys, *argv, "--statements", statements)
     rows = rows_without_millis(out)
@@ -447,7 +447,7 @@ def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
 
     reads_quintic = {"vanhamme_a", "prop3"} & set(statements.split(","))
     assert quintic == ([(p,) for p in primes] if reads_quintic else [])
-    assert series == ([(p, 2, 1) for p in primes] if "thm_os" in statements else [])
+    assert series == ([(p,) for p in primes] if "thm_os" in statements else [])
 
     alone = []
     for statement in sorted(statements.split(",")):

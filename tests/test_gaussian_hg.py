@@ -1,9 +1,10 @@
-"""The Legendre symbol, the finite-field series and its oracles: explicit
-quadratic-residue sets, the definitional complex character sum of
-`charsum_oracle` (with its own character-table, Jacobi-sum and
-normalized-binomial tests), Greene's recursion over full tables (and the
-inverse-pair relation the production route rests on), an exact
-plus-minus-one computation at p = 3 and Ono's closed form of p^2 * 3F2(1)."""
+"""The Legendre symbol, the double sum p^2 * 3F2(1) and the oracles of the
+finite-field series: explicit quadratic-residue sets, the definitional
+complex character sum of `charsum_oracle` (with its own character-table,
+Jacobi-sum and normalized-binomial tests), Greene's recursion over full
+tables at any n and lambda (checked against the character sum, and with
+its inverse-pair relation), an exact plus-minus-one computation at p = 3
+and Ono's closed form of p^2 * 3F2(1)."""
 
 import cmath
 import math
@@ -19,9 +20,9 @@ from charsum_oracle import (
     greene_tables,
     jacobi_sum,
 )
-from supercong import gaussian_hg, supercongruence
+from supercong import exactnum, gaussian_hg
 from supercong.exactnum import is_odd_prime
-from supercong.gaussian_hg import gaussian_nFn_phi, legendre
+from supercong.gaussian_hg import gaussian_3f2, legendre
 from supercong.supercongruence import cor5_check, theorem_os_check
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -193,14 +194,14 @@ def test_gaussian_series_p3_exact_oracle():
         p_times_binom = chi_val(t, -1) * jac((phi_t + t) % 2, (-t) % 2)
         total += p_times_binom**3 * chi_val(t, 1)
     assert total % (p - 1) == 0
-    assert gaussian_nFn_phi(3, 2, 1) == total // (p - 1)
+    assert gaussian_3f2(3) == total // (p - 1)
 
 
 def test_gaussian_series_real_and_integral():
     for p in (3, 5, 7, 13, 29, 53, 97):
         # tight residual: passing at tol 1e-8 certifies reality + integrality
-        # of the character sum, and the integer route must land on it
-        value = gaussian_nFn_phi(p, 2, 1)
+        # of the character sum, and the double sum must land on it
+        value = gaussian_3f2(p)
         assert isinstance(value, int)
         assert charsum_nFn_phi(p, 2, 1, tol=1e-8) == value
 
@@ -208,19 +209,14 @@ def test_gaussian_series_real_and_integral():
 def test_gaussian_series_lambda_zero():
     # lambda = 0 kills every term under the series zero rules
     for p in (5, 7):
-        for n in (1, 2, 3):
-            assert gaussian_nFn_phi(p, n, 0) == 0
-            assert gaussian_nFn_phi(p, n, p) == 0  # reduced mod p first
         assert charsum_nFn_phi(p, 2, 0, tol=1e-6) == 0
         assert charsum_nFn_phi(p, 2, p, tol=1e-6) == 0
 
 
 def test_gaussian_series_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        gaussian_nFn_phi(7, 0, 1)
     for p in (1, 2, 9):
         with pytest.raises(ValueError):
-            gaussian_nFn_phi(p, 2, 1)
+            gaussian_3f2(p)
 
 
 def test_prime_checks_refuse_a_strong_pseudoprime_to_bases_2_3_5_7():
@@ -234,28 +230,22 @@ def test_prime_checks_refuse_a_strong_pseudoprime_to_bases_2_3_5_7():
     with pytest.raises(ValueError):
         legendre(2, n)
     with pytest.raises(ValueError):
-        gaussian_nFn_phi(n, 2, 1)
+        gaussian_3f2(n)
 
 
 def test_series_refuses_a_p_above_its_cost_cap(monkeypatch, spy):
-    # (n-1) p^2 <= FINITE_FIELD_MAX_P^2 bounds the O(n p^2) recursion; with
-    # the cap shrunk to 7, n = 2 stops at 7, n = 3 at isqrt(49 // 2) = 4, and
-    # n = 1, which costs O(p), is never refused
-    at_eleven = gaussian_nFn_phi(11, 1, 1)
+    # the O(p^2) double sum stops at FINITE_FIELD_MAX_P; with the cap shrunk
+    # to 7, 7 runs and 11 is refused before the sum and before the store
     assert gaussian_hg.FINITE_FIELD_MAX_P == 5101
     monkeypatch.setattr(gaussian_hg, "FINITE_FIELD_MAX_P", 7)
-    assert gaussian_nFn_phi(7, 2, 1) == charsum_nFn_phi(7, 2, 1, tol=1e-6)
-    assert gaussian_nFn_phi(11, 1, 1) == at_eleven
-    assert gaussian_nFn_phi(3, 3, 1) == charsum_nFn_phi(3, 3, 1, tol=1e-6)
-    for p, n, cap in ((11, 2, 7), (5, 3, 4), (3, 50, 1)):
-        with pytest.raises(ValueError, match=f"finite-field cap {cap}$"):
-            gaussian_nFn_phi(p, n, 1)
-    # each check refuses in the series itself: a refused value is never kept
-    series = spy(supercongruence, "gaussian_nFn_phi")
-    for check in (theorem_os_check, cor5_check):
+    builds = spy(gaussian_hg, "_double_sum")
+    assert gaussian_3f2(7) == charsum_nFn_phi(7, 2, 1, tol=1e-6)
+    kept = {p: dict(layers) for p, layers in exactnum._layers.items()}
+    for check in (gaussian_3f2, theorem_os_check, cor5_check):
         with pytest.raises(ValueError, match="finite-field cap 7$"):
             check(11)
-    assert series == [(11, 2, 1), (11, 2, 1)]
+    assert builds == [(7,)]
+    assert exactnum._layers == kept
 
 
 def test_rounding_residual_guard():
@@ -266,20 +256,28 @@ def test_rounding_residual_guard():
         charsum_nFn_phi(13, 2, 1, tol=float("nan"))
 
 
-@pytest.mark.parametrize("n, p_max", ((1, 199), (2, 199), (3, 97)))
-def test_integer_route_matches_charsum_oracle(n, p_max):
-    for p in filter(is_odd_prime, range(3, p_max + 1)):
-        for lam in (0, 1, 2, 5, p - 1, p):
-            assert gaussian_nFn_phi(p, n, lam) == charsum_nFn_phi(p, n, lam), (p, n, lam)
-
-
-@pytest.mark.parametrize("n, p_max", ((1, 499), (2, 499), (3, 97)))
-def test_pair_route_matches_full_tables(n, p_max):
+def _oracles_agree(n, p_max):
     for p in filter(is_odd_prime, range(3, p_max + 1)):
         top = greene_tables(p, n)[n]
         for lam in (0, 1, 2, 5, p - 1, p):
-            expect = 0 if lam % p == 0 else top[lam % p]
-            assert gaussian_nFn_phi(p, n, lam) == expect, (p, n, lam)
+            expect = 0 if lam % p == 0 else top[lam % p]  # the recursion gives (-1)^n at 0
+            assert charsum_nFn_phi(p, n, lam) == expect, (p, n, lam)
+
+
+@pytest.mark.parametrize("n, p_max", ((1, 199), (2, 199), (3, 97)))
+def test_integer_route_matches_charsum_oracle(n, p_max):
+    # Greene's recursion in exact integers against the definitional sum
+    _oracles_agree(n, p_max)
+
+
+@pytest.mark.parametrize("n, p_max", ((1, 499), (2, 499), (3, 97)))
+def test_full_tables_match_charsum_oracle(n, p_max):
+    _oracles_agree(n, p_max)
+
+
+def test_double_sum_matches_full_tables():
+    for p in filter(is_odd_prime, range(3, 500)):
+        assert gaussian_3f2(p) == greene_tables(p, 2)[2][1], p
 
 
 def test_full_tables_reflect_over_inverse_pairs():
@@ -303,7 +301,7 @@ def test_ono_closed_form():
         else:
             (x,) = [x for x in range(1, math.isqrt(p) + 1, 2) if math.isqrt(p - x * x) ** 2 == p - x * x]
             expect = 4 * x * x - 2 * p
-        assert gaussian_nFn_phi(p, 2, 1) == expect, p
+        assert gaussian_3f2(p) == expect, p
 
 
 def test_corollary5_small():

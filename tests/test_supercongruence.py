@@ -23,11 +23,11 @@ from exact_oracle import (
     x_sum,
     y_sum,
 )
-from supercong import exactnum, gaussian_hg, padic_gamma
+from supercong import exactnum, gaussian_hg, padic_gamma, polyengine
 from supercong import supercongruence as sc
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME, is_odd_prime, residue_from_rational
-from supercong.gaussian_hg import gaussian_nFn_phi, legendre
+from supercong.gaussian_hg import gaussian_3f2, legendre
 from supercong.supercongruence import (
     STATEMENTS,
     WHIPPLE_INST_MAX_P,
@@ -349,9 +349,9 @@ _LAYER_CAPS = {
 
 def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch, spy):
     # shrink each layer constant to 7: the check itself, not the sweep's
-    # registry, then stops above it; a finite-field check stops in the
-    # series, never at a value kept for 11
-    series = spy(sc, "gaussian_nFn_phi")
+    # registry, then stops above it; a finite-field check stops at the
+    # gate of the 3F2, before its double sum is built for 11
+    series = spy(gaussian_hg, "_double_sum")
     for statement, entry in STATEMENTS.items():
         if statement not in _LAYER_CAPS:
             assert entry.max_p == MAX_PRIME, statement
@@ -364,7 +364,7 @@ def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch, spy
             series.clear()
             with pytest.raises(ValueError, match="cap 7$"):
                 entry.check(11, entry.default_m)
-            assert series == ([(11, 2, 1)] if module is gaussian_hg else []), statement
+            assert series == [], statement
 
 
 def test_entry_points_refuse_the_first_prime_above_their_cap_promptly():
@@ -373,7 +373,7 @@ def test_entry_points_refuse_the_first_prime_above_their_cap_promptly():
     # checked at 4001 above
     groups = (
         (5107, gaussian_hg.FINITE_FIELD_MAX_P,
-         (lambda p: gaussian_nFn_phi(p, 2, 1), theorem_os_check, cor5_check)),
+         (gaussian_3f2, theorem_os_check, cor5_check)),
         (7717, sc.QUINTIC_SUM_MAX_P,
          (lambda p: lhs_vanhamme(p, 3), vanhamme_verify, prop3_check)),
     )
@@ -384,6 +384,26 @@ def test_entry_points_refuse_the_first_prime_above_their_cap_promptly():
             with pytest.raises(ValueError, match=f"prime {p} exceeds the .* cap {cap}$"):
                 call(p)
     assert time.perf_counter() - start < 1
+
+
+def test_a_refused_prime_leaves_the_layer_store_as_it_was():
+    # every gate runs before the store is touched: cor5_check(9) once
+    # emptied the store and filed an empty entry for 9 before refusing it
+    def first_prime_above(cap):
+        return next(q for q in itertools.count(cap + 1) if is_odd_prime(q))
+
+    checks = [(lambda p, e=entry: e.check(p, e.default_m), entry.max_p) for entry in STATEMENTS.values()]
+    polys = (polyengine.p_identity_check, polyengine.coefficient_facts_check, polyengine.lemma_sum_checks)
+    checks += [(fn, polyengine.POLY_MAX_P) for fn in polys]
+    checks.append((lambda p: polyengine.exp_sum_check(p, 1), MAX_PRIME))
+    assert vanhamme_verify(13).passed
+    kept = {p: dict(layers) for p, layers in exactnum._layers.items()}
+    assert list(kept) == [13]
+    for check, cap in checks:
+        for p in (9, first_prime_above(cap)):
+            with pytest.raises(ValueError):
+                check(p)
+            assert exactnum._layers == kept, (check, p)
 
 
 def test_poch_congruence_shift_square_spot_value():
@@ -533,7 +553,7 @@ def test_every_order_of_the_statements_builds_each_layer_once(spy):
     p = 13
     quintic = spy(sc, "_quintic_sum")
     tables = spy(sc, "_harmonic_tables_mod")
-    series = spy(sc, "gaussian_nFn_phi")
+    series = spy(gaussian_hg, "_double_sum")
     blocks = spy(padic_gamma, "_block_table")
     expected = None
     for order in itertools.permutations(("vanhamme_a", "prop3", "lemma1", "lemma2", "thm_os", "cor5")):
@@ -546,7 +566,7 @@ def test_every_order_of_the_statements_builds_each_layer_once(spy):
         expected = records
         assert quintic == [(p,)]
         assert sorted(tables) == [(p, p), (p, p * p)]
-        assert series == [(p, 2, 1)]
+        assert series == [(p,)]
         assert blocks == [(p, 2)]
 
 
