@@ -10,8 +10,10 @@ API-wide caps, and `check_prime` is the gate of a costly layer: the layer
 names its own cap, defined beside the work it bounds, and the gate refuses
 a larger p before any of that work starts.
 
-It also holds the one store of per-prime layers (`prime_layer`): the
-values several statements share at one prime, kept for the last prime
+It also holds the least primitive root of a prime (`primitive_root`) and
+the walk over its powers (`powers`), from which every discrete-log sum of
+the package starts, and the one store of per-prime layers (`prime_layer`):
+the values several statements share at one prime, kept for the last prime
 asked and dropped as soon as any layer is asked at another.
 """
 
@@ -83,6 +85,37 @@ def check_modulus(p: int, m: int) -> int:
     if not is_odd_prime(p):
         raise ValueError(f"{_brief(p)} is not an odd prime")
     return p**m
+
+
+def primitive_root(p: int) -> int:
+    """The least primitive root mod the odd prime p."""
+    n = rest = p - 1
+    factors = []
+    q = 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    g = 2
+    while any(pow(g, n // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+def powers(g: int, p: int) -> list:
+    """[g^i mod p for i < p - 1]: the walk of a discrete-log table.  It
+    raises ArithmeticError if g^i = 1 before i = p - 1, so a g that is not
+    a primitive root never yields a table with values missing."""
+    walk = [1] * (p - 1)
+    for i in range(1, p - 1):
+        walk[i] = walk[i - 1] * g % p
+        if walk[i] == 1:
+            raise ArithmeticError(f"{g} is not a primitive root mod {p}")
+    return walk
 
 
 def check_prime(p: int, cap: int, layer: str) -> None:

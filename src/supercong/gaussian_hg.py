@@ -13,21 +13,37 @@ Unrolled twice at x = 1, the two factors phi(-1) multiply to 1:
 
     p^2 * 3F2(1) = T_2(1) = sum over y, z in F_p of w(y) w(z) phi(1 - yz).
 
-w vanishes at 0 and 1 and the summand is symmetric in y and z, so the sum
-runs over 2 <= y <= z < p with each off-diagonal term counted twice: about
-p^2/2 terms, every one an integer, with no character table, no floating
-point and no rounding.  The sum is a kept layer (`exactnum.prime_layer`),
-read by thm_os and cor5 at one prime, and `gaussian_3f2` refuses a p above
-FINITE_FIELD_MAX_P before any work and before the store is touched.
+The sum runs over discrete logs.  With g the least primitive root
+(`exactnum.primitive_root`), n = p - 1, y = g^i and z = g^j, yz is
+g^((i + j) mod n), and w(0) = 0 drops y = 0 and z = 0.  Let
+T[k] = T_0(g^k) = phi(1 - g^k) and W[k] = phi(g^k) T[k] = (-1)^k T[k]:
+g is a non-square, so phi(g^k) = (-1)^k.  Then
+
+    p^2 * 3F2(1) = sum over i < n of W[i] * sum over j < n of W[j] T[i + j],
+
+T's index taken mod n.  With T doubled (T + T), row i reads the
+contiguous slice T[i .. i + n - 1], so it is one C-level correlation,
+`sum(map(mul, W, slice))`: Greene's level-1 value T_1(g^i) up to the
+factor phi(-1).  The cost is n^2 multiply-adds in C, one slice per row
+and one O(p) walk over g^i; rows with W[i] = 0 are skipped.  Every term is
+an integer: no character table, no floating point and no rounding.  The
+walk (`exactnum.powers`) raises ArithmeticError if g^i = 1 before i = n,
+so a root of smaller order never yields a wrong integer.
+
+The sum is a kept layer (`exactnum.prime_layer`), read by thm_os and cor5
+at one prime, and `gaussian_3f2` refuses a p above FINITE_FIELD_MAX_P
+before any work and before the store is touched.
 """
 
 from __future__ import annotations
 
-from .exactnum import check_modulus, check_prime, prime_layer
+from operator import mul
+
+from .exactnum import check_modulus, check_prime, powers, prime_layer, primitive_root
 
 #: The largest p at which the O(p^2) double sum is done:
-#: theorem_os_check(5101), whose cost is almost all this sum, took 1.8 s
-#: (1.6-2.1 s) alone in a fresh process on a 2-vCPU host (Python 3.11;
+#: theorem_os_check(5101), whose cost is almost all this sum, took 0.92 s
+#: (0.91-1.01 s) alone in a fresh process on a 2-vCPU host (Python 3.11;
 #: median of five), inside the 5 s rule of the statement caps in
 #: `supercongruence`.
 FINITE_FIELD_MAX_P = 5101
@@ -58,13 +74,12 @@ def gaussian_3f2(p: int) -> int:
 
 @prime_layer
 def _double_sum(p: int) -> int:
-    """The sum over 2 <= y <= z < p of w(y) w(z) phi(1 - yz), off-diagonal
-    terms twice; w(y)^2 = 1 on the diagonal."""
+    """The sum over i < p - 1 of W[i] times row i, the correlation of W with
+    the doubled T (module docstring)."""
+    n = p - 1
     phi = _legendre_table(p)
-    t0 = [phi[1 - x] for x in range(p)]  # phi(1 - x); phi[1 - x] wraps to phi(p + 1 - x)
-    w = [phi[y] * t0[y] for y in range(p)]
-    total = 0
-    for y in range(2, p):
-        off = sum(w[z] * t0[y * z % p] for z in range(y + 1, p))
-        total += 2 * w[y] * off + t0[y * y % p]
-    return total
+    # T[k] = phi(1 - g^k); phi[1 - y] wraps to phi(p + 1 - y)
+    t = [phi[1 - y] for y in powers(primitive_root(p), p)]
+    w = [-v if k % 2 else v for k, v in enumerate(t)]  # phi(g^k) = (-1)^k
+    t2 = t + t
+    return sum(wi * sum(map(mul, w, t2[i : i + n])) for i, wi in enumerate(w) if wi)

@@ -53,17 +53,18 @@ product (`_cube_mod`: slots of bits(n^2 (p-1)^3) bits, rounded up to
 bytes, for n coefficients below p; one square and one product), and P and
 Q mod p follow from F^3 mod p by the same rule, so the full-size P and Q
 are never reduced.  Their values at every j != 0 come from one chirp-z
-transform (L. Bluestein, 1970) each, over one primitive root g and one
-chirp table.  With n = p - 1 and j^n = 1, exponents fold
-mod n, and ik = C(i+k,2) - C(i,2) - C(k,2) turns
+transform (L. Bluestein, 1970) each, over one primitive root g
+(`exactnum.primitive_root`) and one chirp table.  With n = p - 1 and
+j^n = 1, exponents fold mod n, and ik = C(i+k,2) - C(i,2) - C(k,2) turns
 
     f(g^i) = g^-C(i,2) * sum_k [c_k g^-C(k,2)] g^C(i+k,2)
 
 into one correlation, read off a single packed product of nonnegative
 slots of bits((p-1)^3) + 1 bits, rounded up to bytes.  Both products
 read their slots through `_digits`, the digit reader of KS4's recovery, so
-slots are unpacked in one place.  The walk over g^i raises if g^i = 1
-before i = n, so a g of smaller order cannot leave a value unset.
+slots are unpacked in one place.  The walk over g^i (`exactnum.powers`)
+raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
+value unset.
 
 Kept layers.  The layers above and the power sums of `exp_sum_check`
 (`_power_sum`, one per folded exponent asked) sit in `exactnum`'s
@@ -74,7 +75,8 @@ O(p) sum, as it would unkept.
 
 Inputs.  Every entry point passes `exactnum.check_prime` with the cap
 `POLY_MAX_P` (`exp_sum_check`: `exactnum.check_modulus`, so at most
-`exactnum.MAX_PRIME`, its exponent folded mod p - 1 first), so a p that
+`exactnum.MAX_PRIME`, after a `TypeError` for an exponent that is not an
+int, and its exponent folded mod p - 1 first), so a p that
 is not an odd prime within the cap raises `ValueError` before any work:
 the vanishing lemmas and the coefficient facts are facts about primes, and
 the exact products grow like p^3.2.  `pochhammer_poly(m)` takes m up to
@@ -87,7 +89,7 @@ import math
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .exactnum import check_modulus, check_prime, prime_layer
+from .exactnum import check_modulus, check_prime, powers, prime_layer, primitive_root
 
 #: The largest prime the polynomial entry points accept.  Together,
 #: p_identity_check and coefficient_facts_check at 997 took 2.8-4.9 s alone
@@ -340,8 +342,11 @@ def exp_sum_check(p: int, k: int) -> bool:
 
     k is folded to 1 + (k - 1) mod (p - 1) first (Fermat: j^(p-1) = 1 for
     every j in range), so the time does not grow with the digits of k; the
-    sum of each folded exponent is a kept layer (`_power_sum`).
+    sum of each folded exponent is a kept layer (`_power_sum`).  A k that is
+    not an int raises TypeError before any check and before the store.
     """
+    if not isinstance(k, int):
+        raise TypeError("k must be an integer")
     check_modulus(p, 1)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -357,31 +362,12 @@ def _power_sum(p: int, k: int) -> int:
     return sum(map(pow, range(1, p), repeat(k), repeat(p))) % p
 
 
-def _primitive_root(p: int) -> int:
-    """The least primitive root mod the odd prime p."""
-    n = rest = p - 1
-    factors = []
-    q = 2
-    while q * q <= rest:
-        if rest % q == 0:
-            factors.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    if rest > 1:
-        factors.append(rest)
-    g = 2
-    while any(pow(g, n // q, p) == 1 for q in factors):
-        g += 1
-    return g
-
-
 def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
     """[[f(j) mod p for 0 <= j < p] for each f = sum_k coeffs[k] z^k in
     polys]: one primitive root g and one chirp table, and one chirp-z
     correlation per polynomial (module docstring)."""
     n = p - 1
-    g = _primitive_root(p)
+    g = primitive_root(p)
     g_inv = pow(g, -1, p)
     chirp = []  # g^C(t,2) for t < 2n - 1
     unchirp = []  # g^-C(t,2) for t < n
@@ -392,11 +378,7 @@ def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
         if t < n:
             unchirp.append(c_inv)
             c_inv, step_inv = c_inv * step_inv % p, step_inv * g_inv % p
-    points = [1] * n  # g^i for i < n
-    for i in range(1, n):
-        points[i] = points[i - 1] * g % p
-        if points[i] == 1:
-            raise ArithmeticError(f"{g} is not a primitive root mod {p}")
+    points = powers(g, p)
     # sum_k u_k chirp[i + k] is the z^(n-1+i) coefficient of U V, with U the
     # reversed u; every slot sum is at most n (p-1)^2 = (p-1)^3
     width = ((p - 1) ** 3).bit_length() // 8 + 1

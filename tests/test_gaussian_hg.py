@@ -1,6 +1,7 @@
-"""The Legendre symbol, the double sum p^2 * 3F2(1) and the oracles of the
-finite-field series: explicit quadratic-residue sets, the definitional
-complex character sum of `charsum_oracle` (with its own character-table,
+"""The Legendre symbol, the least primitive root, the double sum
+p^2 * 3F2(1) over discrete logs and the oracles of the finite-field
+series: explicit quadratic-residue sets, the definitional complex
+character sum of `charsum_oracle` (with its own character-table,
 Jacobi-sum and normalized-binomial tests), Greene's recursion over full
 tables at any n and lambda (checked against the character sum, and with
 its inverse-pair relation), an exact plus-minus-one computation at p = 3
@@ -15,13 +16,14 @@ import pytest
 from charsum_oracle import (
     CharacterTable,
     RoundingResidualTooLarge,
+    _least_primitive_root,
     charsum_nFn_phi,
     greene_binom,
     greene_tables,
     jacobi_sum,
 )
 from supercong import exactnum, gaussian_hg
-from supercong.exactnum import is_odd_prime
+from supercong.exactnum import is_odd_prime, primitive_root
 from supercong.gaussian_hg import gaussian_3f2, legendre
 from supercong.supercongruence import cor5_check, theorem_os_check
 
@@ -69,6 +71,22 @@ def test_least_primitive_root():
         assert order(tab.g, p) == p - 1
         for smaller in range(2, tab.g):
             assert order(smaller, p) != p - 1
+
+
+def test_primitive_root_matches_the_oracles_own():
+    # exactnum.primitive_root tests the prime factors of p - 1; the oracle
+    # walks every power of each candidate
+    for p in filter(is_odd_prime, range(3, 998)):
+        assert primitive_root(p) == _least_primitive_root(p), p
+
+
+def test_double_sum_rejects_a_root_that_is_not_primitive(monkeypatch):
+    # 4 has order 6 mod 13: the walk over g^i meets 1 at i = 6 and raises
+    # before any row is summed, and no value is filed in the store
+    monkeypatch.setattr(gaussian_hg, "primitive_root", lambda p: 4)
+    with pytest.raises(ArithmeticError, match="4 is not a primitive root mod 13"):
+        gaussian_3f2(13)
+    assert not any(exactnum._layers.values())
 
 
 def test_char_eval_zero_extension():
@@ -292,16 +310,24 @@ def test_full_tables_reflect_over_inverse_pairs():
                 assert table[pow(x, -1, p)] == flip * phi[x] * table[x], (p, k, x)
 
 
-def test_ono_closed_form():
+def _ono(p):
     # K. Ono, Trans. AMS 350 (1998): p^2 * 3F2(1) is 0 for p = 3 (mod 4) and
     # 4x^2 - 2p for p = x^2 + y^2 with x odd
+    if p % 4 == 3:
+        return 0
+    (x,) = [x for x in range(1, math.isqrt(p) + 1, 2) if math.isqrt(p - x * x) ** 2 == p - x * x]
+    return 4 * x * x - 2 * p
+
+
+def test_ono_closed_form():
     for p in filter(is_odd_prime, range(3, 998)):
-        if p % 4 == 3:
-            expect = 0
-        else:
-            (x,) = [x for x in range(1, math.isqrt(p) + 1, 2) if math.isqrt(p - x * x) ** 2 == p - x * x]
-            expect = 4 * x * x - 2 * p
-        assert gaussian_3f2(p) == expect, p
+        assert gaussian_3f2(p) == _ono(p), p
+
+
+@pytest.mark.parametrize("p", (5099, 5101))
+def test_ono_closed_form_at_the_cap(p):
+    # the longest rows, one prime of each class mod 4; 5101 is the cap
+    assert gaussian_3f2(p) == _ono(p)
 
 
 def test_corollary5_small():

@@ -174,6 +174,16 @@ def test_exp_sum_examples():
         exp_sum_check(5, 0)
 
 
+@pytest.mark.parametrize("k", (2.0, Fraction(2), "2"))
+def test_exp_sum_refuses_an_exponent_that_is_not_an_int(k):
+    # on an empty store and again after exp_sum_check(13, 2) has kept the
+    # class of 2: a float equal to 2 must not read that kept sum
+    for _ in range(2):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            exp_sum_check(13, k)
+        assert exp_sum_check(13, 2)
+
+
 def _exp_sum_unfolded(p, k):
     # the sum with k as given, no Fermat fold
     total = sum(pow(j, k, p) for j in range(1, p)) % p
@@ -395,7 +405,7 @@ def test_the_layer_keeps_each_prime_its_own_p_and_q(spy):
 
 
 def test_chirp_z_rejects_a_root_that_is_not_primitive(monkeypatch):
-    monkeypatch.setattr(polyengine, "_primitive_root", lambda p: 4)  # a square
+    monkeypatch.setattr(polyengine, "primitive_root", lambda p: 4)  # a square
     for p in (5, 13, 199):
         with pytest.raises(ArithmeticError):
             lemma_sum_checks(p)
