@@ -88,7 +88,9 @@ def check_modulus(p: int, m: int) -> int:
 
 
 def primitive_root(p: int) -> int:
-    """The least primitive root mod the odd prime p."""
+    """The least primitive root mod the odd prime p; any other p raises
+    ValueError (`check_modulus`)."""
+    check_modulus(p, 1)
     n = rest = p - 1
     factors = []
     q = 2
@@ -108,14 +110,18 @@ def primitive_root(p: int) -> int:
 
 def powers(g: int, p: int) -> list:
     """[g^i mod p for i < p - 1]: the walk of a discrete-log table.  It
-    raises ArithmeticError if g^i = 1 before i = p - 1, so a g that is not
+    raises ArithmeticError unless g has order p - 1: if g^i = 1 before
+    i = p - 1, or if g^(p - 1) is not 1 (g = 0 mod p), so a g that is not
     a primitive root never yields a table with values missing."""
     walk = [1] * (p - 1)
     for i in range(1, p - 1):
         walk[i] = walk[i - 1] * g % p
         if walk[i] == 1:
-            raise ArithmeticError(f"{g} is not a primitive root mod {p}")
-    return walk
+            break
+    else:
+        if walk[-1] * g % p == 1:
+            return walk
+    raise ArithmeticError(f"{g} is not a primitive root mod {p}")
 
 
 def check_prime(p: int, cap: int, layer: str) -> None:

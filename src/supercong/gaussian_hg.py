@@ -21,14 +21,18 @@ g is a non-square, so phi(g^k) = (-1)^k.  Then
 
     p^2 * 3F2(1) = sum over i < n of W[i] * sum over j < n of W[j] T[i + j],
 
-T's index taken mod n.  With T doubled (T + T), row i reads the
-contiguous slice T[i .. i + n - 1], so it is one C-level correlation,
-`sum(map(mul, W, slice))`: Greene's level-1 value T_1(g^i) up to the
-factor phi(-1).  The cost is n^2 multiply-adds in C, one slice per row
-and one O(p) walk over g^i; rows with W[i] = 0 are skipped.  Every term is
-an integer: no character table, no floating point and no rounding.  The
-walk (`exactnum.powers`) raises ArithmeticError if g^i = 1 before i = n,
-so a root of smaller order never yields a wrong integer.
+T's index taken mod n.  With T doubled (T + T), the inner sum of row i
+reads the contiguous slice T[i .. i + n - 1], Greene's level-1 value
+T_1(g^i) up to the factor phi(-1).  The summand W[i] W[j] T[i + j] is
+symmetric in i and j, so each unordered pair is summed once: the diagonal
+term W[i]^2 T[2i] once and the terms j > i twice.  Row i then reads
+W[i + 1 ..] against T[2i + 1 .. i + n - 1], one C-level correlation
+`sum(map(mul, w[i + 1:], t2[2i + 1 : i + n]))`.  The cost is n(n + 1)/2
+multiply-adds in C, one pair of slices per row and one O(p) walk over
+g^i; rows with W[i] = 0 are skipped.  Every term is an integer: no
+character table, no floating point and no rounding.  The walk
+(`exactnum.powers`) raises ArithmeticError unless g has order exactly n,
+so a g that is not a primitive root never yields a wrong integer.
 
 The sum is a kept layer (`exactnum.prime_layer`), read by thm_os and cor5
 at one prime, and `gaussian_3f2` refuses a p above FINITE_FIELD_MAX_P
@@ -42,8 +46,8 @@ from operator import mul
 from .exactnum import check_modulus, check_prime, powers, prime_layer, primitive_root
 
 #: The largest p at which the O(p^2) double sum is done:
-#: theorem_os_check(5101), whose cost is almost all this sum, took 0.92 s
-#: (0.91-1.01 s) alone in a fresh process on a 2-vCPU host (Python 3.11;
+#: theorem_os_check(5101), whose cost is almost all this sum, took 0.56 s
+#: (0.50-0.72 s) alone in a fresh process on a 2-vCPU host (Python 3.11;
 #: median of five), inside the 5 s rule of the statement caps in
 #: `supercongruence`.
 FINITE_FIELD_MAX_P = 5101
@@ -74,12 +78,17 @@ def gaussian_3f2(p: int) -> int:
 
 @prime_layer
 def _double_sum(p: int) -> int:
-    """The sum over i < p - 1 of W[i] times row i, the correlation of W with
-    the doubled T (module docstring)."""
+    """The sum over i < p - 1 of W[i] times row i, its diagonal term plus
+    twice the correlation of W[i + 1:] with the doubled T from 2i + 1
+    (module docstring)."""
     n = p - 1
     phi = _legendre_table(p)
     # T[k] = phi(1 - g^k); phi[1 - y] wraps to phi(p + 1 - y)
     t = [phi[1 - y] for y in powers(primitive_root(p), p)]
     w = [-v if k % 2 else v for k, v in enumerate(t)]  # phi(g^k) = (-1)^k
     t2 = t + t
-    return sum(wi * sum(map(mul, w, t2[i : i + n])) for i, wi in enumerate(w) if wi)
+    return sum(
+        wi * (wi * t2[2 * i] + 2 * sum(map(mul, w[i + 1 :], t2[2 * i + 1 : i + n])))
+        for i, wi in enumerate(w)
+        if wi
+    )

@@ -13,7 +13,9 @@ from supercong.exactnum import (
     Residue,
     check_modulus,
     is_odd_prime,
+    powers,
     prime_layer,
+    primitive_root,
     residue_from_rational,
 )
 from supercong.padic_gamma import _valuation
@@ -254,3 +256,20 @@ def test_prime_gate_refuses_before_the_caller_works():
     for p in (1, 9, 10**6 + 3):  # not an odd prime, or above the API cap
         with pytest.raises(ValueError):
             exactnum.check_prime(p, 10**7, "test")
+
+
+def test_the_walk_refuses_a_root_that_is_zero_mod_p():
+    # 7 and 14 are 0 mod 7: the walk never meets 1 early, and it returned
+    # [1, 0, 0, 0, 0, 0] until g^(p - 1) = 1 was required after it
+    for g in (7, 14):
+        with pytest.raises(ArithmeticError, match=f"{g} is not a primitive root mod 7"):
+            powers(g, 7)
+    assert powers(3, 7) == [1, 3, 2, 6, 4, 5]
+
+
+def test_primitive_root_refuses_a_p_that_is_not_an_odd_prime():
+    # each answered 2, though 15 and 21 have no primitive root at all and
+    # 1000001 = 101 * 9901 is above the API cap
+    for p in (1, 2, 9, 15, 21, 1000001):
+        with pytest.raises(ValueError):
+            primitive_root(p)

@@ -89,6 +89,15 @@ def test_double_sum_rejects_a_root_that_is_not_primitive(monkeypatch):
     assert not any(exactnum._layers.values())
 
 
+def test_double_sum_rejects_a_root_that_is_zero_mod_p(monkeypatch):
+    # 13 is 0 mod 13: its walk is 1, 0, 0, ... and never meets 1 early, so
+    # it is refused after the walk, where g^(p - 1) must be 1
+    monkeypatch.setattr(gaussian_hg, "primitive_root", lambda p: 13)
+    with pytest.raises(ArithmeticError, match="13 is not a primitive root mod 13"):
+        gaussian_3f2(13)
+    assert not any(exactnum._layers.values())
+
+
 def test_char_eval_zero_extension():
     tab = CharacterTable(7)
     assert tab.epsilon(0) == 1
