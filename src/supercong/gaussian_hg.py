@@ -34,6 +34,18 @@ character table, no floating point and no rounding.  The walk
 (`exactnum.powers`) raises ArithmeticError unless g has order exactly n,
 so a g that is not a primitive root never yields a wrong integer.
 
+The sum vanishes when p = 3 (mod 4).  The map (y, z) -> (1/y, 1/z)
+permutes (F_p^*)^2, and it multiplies every summand by phi(-1):
+
+    w(1/y) = phi(1/y) phi((y - 1)/y) = phi(-1) phi(y) w(y),
+    phi(1 - 1/(yz)) = phi(-1) phi(yz) phi(1 - yz),
+
+and phi(y)^2 phi(z)^2 = 1.  So the sum S equals phi(-1) S, and S = 0 when
+phi(-1) = -1 (Ono's value there; K. Ono, Trans. AMS 350, 1998).
+`gaussian_3f2` returns that 0 in O(1) and runs `_double_sum` for
+p = 1 (mod 4) only; the tests hold `_double_sum` itself, on both classes,
+as the oracle of that branch.
+
 The sum is a kept layer (`exactnum.prime_layer`), read by thm_os and cor5
 at one prime, and `gaussian_3f2` refuses a p above FINITE_FIELD_MAX_P
 before any work and before the store is touched.
@@ -71,8 +83,12 @@ def _legendre_table(p: int) -> list:
 
 def gaussian_3f2(p: int) -> int:
     """The exact integer p^2 * 3F2(1) of the all-quadratic series.  A p that
-    is not an odd prime at most FINITE_FIELD_MAX_P raises ValueError first."""
+    is not an odd prime at most FINITE_FIELD_MAX_P raises ValueError first;
+    at p = 3 (mod 4) the value is 0 (module docstring) and nothing is summed
+    or filed."""
     check_prime(p, FINITE_FIELD_MAX_P, "finite-field")
+    if p % 4 == 3:
+        return 0
     return _double_sum(p)
 
 

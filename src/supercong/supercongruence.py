@@ -29,7 +29,8 @@ statements of one prime and kept in `exactnum`'s per-prime store
 sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pair
 (X, Y) at each precision asked, mod p for the lemmas and mod p^2 for
 thm_os.  The third, p^2 * 3F2(1), which thm_os and cor5 share, is kept in
-the same store by `gaussian_hg.gaussian_3f2`.
+the same store by `gaussian_hg.gaussian_3f2` when p = 1 (mod 4); when
+p = 3 (mod 4) it is 0, returned with no sum and nothing kept.
 Residue comparisons are exact integer equality throughout, never
 approximate.  The exact quintic sum, the 3F2 and the Pochhammer-pair
 routes refuse a prime above their caps before any work and before the

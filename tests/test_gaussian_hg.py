@@ -240,10 +240,16 @@ def test_gaussian_series_lambda_zero():
         assert charsum_nFn_phi(p, 2, p, tol=1e-6) == 0
 
 
-def test_gaussian_series_rejects_bad_arguments():
-    for p in (1, 2, 9):
+def test_gaussian_series_rejects_bad_arguments(spy):
+    # the gate goes before the 0 branch: 5107 (the first prime above the
+    # cap) and the pseudoprime 3215031751 are 3 (mod 4) and would answer 0
+    # behind it; 9 and 1 are 1 (mod 4) and would reach the sum
+    builds = spy(gaussian_hg, "_double_sum")
+    for p in (1, 2, 9, 5107, 3215031751):
         with pytest.raises(ValueError):
             gaussian_3f2(p)
+    assert builds == []
+    assert not any(exactnum._layers.values())
 
 
 def test_prime_checks_refuse_a_strong_pseudoprime_to_bases_2_3_5_7():
@@ -262,17 +268,27 @@ def test_prime_checks_refuse_a_strong_pseudoprime_to_bases_2_3_5_7():
 
 def test_series_refuses_a_p_above_its_cost_cap(monkeypatch, spy):
     # the O(p^2) double sum stops at FINITE_FIELD_MAX_P; with the cap shrunk
-    # to 7, 7 runs and 11 is refused before the sum and before the store
+    # to 13, 13 runs and 17 is refused before the sum and before the store
     assert gaussian_hg.FINITE_FIELD_MAX_P == 5101
-    monkeypatch.setattr(gaussian_hg, "FINITE_FIELD_MAX_P", 7)
+    monkeypatch.setattr(gaussian_hg, "FINITE_FIELD_MAX_P", 13)
     builds = spy(gaussian_hg, "_double_sum")
-    assert gaussian_3f2(7) == charsum_nFn_phi(7, 2, 1, tol=1e-6)
+    assert gaussian_3f2(13) == charsum_nFn_phi(13, 2, 1, tol=1e-6)
     kept = {p: dict(layers) for p, layers in exactnum._layers.items()}
     for check in (gaussian_3f2, theorem_os_check, cor5_check):
-        with pytest.raises(ValueError, match="finite-field cap 7$"):
-            check(11)
-    assert builds == [(7,)]
+        with pytest.raises(ValueError, match="finite-field cap 13$"):
+            check(17)
+    assert builds == [(13,)]
     assert exactnum._layers == kept
+
+
+@pytest.mark.parametrize("p", (7, 499))
+def test_series_is_zero_at_3_mod_4_without_the_sum(spy, p):
+    # p = 3 (mod 4): the value is 0 by the inverse-pair involution, so no
+    # double sum is built and nothing is filed in the store
+    builds = spy(gaussian_hg, "_double_sum")
+    assert gaussian_3f2(p) == 0
+    assert builds == []
+    assert not any(exactnum._layers.values())
 
 
 def test_rounding_residual_guard():
@@ -303,8 +319,16 @@ def test_full_tables_match_charsum_oracle(n, p_max):
 
 
 def test_double_sum_matches_full_tables():
+    # the sum itself, at both classes mod 4, not the 0 branch in front of it
     for p in filter(is_odd_prime, range(3, 500)):
-        assert gaussian_3f2(p) == greene_tables(p, 2)[2][1], p
+        assert gaussian_hg._double_sum(p) == greene_tables(p, 2)[2][1], p
+
+
+def test_double_sum_is_zero_at_3_mod_4():
+    # the theorem that gaussian_3f2's 0 branch returns, held on the sum
+    for p in (*filter(is_odd_prime, range(3, 998, 4)), 5099):
+        assert p % 4 == 3
+        assert gaussian_hg._double_sum(p) == 0, p
 
 
 def test_full_tables_reflect_over_inverse_pairs():
