@@ -4,12 +4,15 @@ partial sums of Ramanujan's two series, both summed by one float kernel over
 the rows that `supercongruence._central_sum` reduces.
 
 Every exact terminating sum, here and in `supercongruence`'s well-poised
-instance, is one `_nested_sum` over integer step ratios."""
+instance, is one `_nested_sum` over integer step ratios.  The exact entry
+points take int or Fraction parameters only (`exactnum.rational`)."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .exactnum import rational
 
 #: Largest n_terms of the float partial sums (about 5 s of work).
 MAX_SERIES_TERMS = 10**7
@@ -64,7 +67,7 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
         raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a = Fraction(a)
+    a = rational(a)
     _check_size(n, (a,), "pochhammer")
     u, v = a.numerator, a.denominator
     return Fraction(math.prod(range(u, u + n * v, v)), v**n)
@@ -96,9 +99,9 @@ def hypergeom_terminating(upper, lower, z: Fraction | int) -> Fraction:
     1 + r_0 (1 + r_1 (1 + ... r_(n-1))), one `_nested_sum` over integers:
     r_k = P_k / Q_k over the parameters' denominators.
     """
-    upper = [Fraction(a) for a in upper]
-    lower = [Fraction(b) for b in lower]
-    z = Fraction(z)
+    upper = [rational(a) for a in upper]
+    lower = [rational(b) for b in lower]
+    z = rational(z)
     stops = [-int(a) for a in upper if a.denominator == 1 and a <= 0]
     if not stops:
         raise ValueError("no upper parameter terminates the series")
@@ -133,7 +136,7 @@ def whipple_check(a, c, d, e, m: int) -> bool:
         raise TypeError("m must be an integer")
     if m < 1:
         raise ValueError("m must be >= 1")
-    a, c, d, e = Fraction(a), Fraction(c), Fraction(d), Fraction(e)
+    a, c, d, e = map(rational, (a, c, d, e))
     f = Fraction(-m)
     lhs_upper = (a, 1 + a / 2, c, d, e, f)
     lhs_lower = (a / 2, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f)

@@ -158,7 +158,7 @@ def cmd_gamma_p(x_literal: str, p: int, m: int, out) -> int:
             raise ValueError(message) from None
         raise ValueError(f"{shown} is not an integer, a/b or decimal literal") from None
     try:
-        value = gamma_p_rational(x, p, m).value
+        value = gamma_p_rational(x, p, m)
     except NotPIntegral:
         raise NotPIntegral(f"{shown} is not p-integral at p={p}") from None
     out.write(f"{value}\n")

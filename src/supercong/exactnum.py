@@ -1,9 +1,10 @@
-"""Residues modulo odd prime powers and the checks at the API boundary.
+"""Arithmetic modulo odd prime powers and the checks at the API boundary.
 
-`Residue` is a validated value record: a canonical element of Z/p^m for an
-odd prime p, compared by value and modulus.  Production does its modular
-arithmetic on plain ints with `pow` and `%` and wraps only the results.
-Exact rationals are the stdlib `fractions.Fraction`.
+A residue mod p^m is a plain int in [0, p^m): each quantity function
+validates (p, m) once through `check_modulus` and reduces its value once
+with `% p**m`.  Exact rationals are the stdlib `fractions.Fraction`; an
+exact entry point takes only an int or a Fraction (`rational`), since a
+float or a str carries no exact rational value of its own.
 
 This is the one module that validates a prime.  `check_modulus` holds the
 API-wide caps, and `check_prime` is the gate of a costly layer: the layer
@@ -19,7 +20,6 @@ asked and dropped as soon as any layer is asked at another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -163,32 +163,19 @@ def prime_layer(fn):
     return layer
 
 
-@dataclass(frozen=True)
-class Residue:
-    """Canonical element of Z/p^m: 0 <= value < p**m, p an odd prime."""
-
-    value: int
-    p: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int):
-            raise TypeError(
-                f"Residue value must be an int, got {type(self.value).__name__};"
-                " reduce a rational with residue_from_rational"
-            )
-        pm = check_modulus(self.p, self.m)
-        object.__setattr__(self, "value", self.value % pm)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.m
+def rational(x: Fraction | int) -> Fraction:
+    """x as a Fraction.  A float or a str raises TypeError: Fraction(0.1)
+    is the binary double nearest 1/10, not 1/10, and a str is not a number."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
+    return Fraction(x)
 
 
-def residue_from_rational(q: Fraction | int, p: int, m: int) -> Residue:
-    """Image of a p-integral rational in Z/p^m: numerator / denominator mod p^m."""
-    q = Fraction(q)
+def residue_from_rational(q: Fraction | int, p: int, m: int) -> int:
+    """Image of a p-integral rational in Z/p^m, in [0, p^m): numerator /
+    denominator mod p^m."""
+    q = rational(q)
     pm = check_modulus(p, m)
     if q.denominator % p == 0:
         raise NotPIntegral(f"{q} is not p-integral at p={p}")
-    return Residue(q.numerator * pow(q.denominator, -1, pm), p, m)
+    return q.numerator * pow(q.denominator, -1, pm) % pm

@@ -1,12 +1,15 @@
 """The p-adic Gamma function at integers and at p-integral rationals, and
 the Gamma sides of both Van Hamme congruences: -p / gamma_p(3/4)^4 for the
 quintic through gamma_p, and -p / gamma_p(1/2)^2 = p (-1/p) for the
-mod-p^4 companion in closed form, by the reflection formula.
+mod-p^4 companion in closed form, by the reflection formula.  Each value
+is a plain int in [0, p^m), validated once by `check_modulus` and reduced
+once, its sign included.
 
 gamma_p(n) for an integer n >= 0 is (-1)^n times the product of all j < n
-coprime to p.  A p-integral rational x is handled through the least
-nonnegative integer congruent to x mod p^m; by continuity the result is
-correct mod p^m whatever approximating sequence is used.
+coprime to p.  A p-integral rational x, an int or a Fraction, is handled
+through the least nonnegative integer congruent to x mod p^m; by
+continuity the result is correct mod p^m whatever approximating sequence
+is used.
 
 That product has about n factors, and n runs up to p^m, so it is not
 formed directly.  Write n = qp + r with 0 <= r < p and split the factors
@@ -60,7 +63,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import Residue, check_modulus, prime_layer, residue_from_rational
+from .exactnum import check_modulus, prime_layer, residue_from_rational
 
 
 _CHUNK = 64  # factors multiplied as plain integers before each reduction
@@ -182,49 +185,50 @@ def _unit_product(n: int, p: int, m: int) -> int:
     return head * _exp(s % pm, p, m, big) * rest % pm
 
 
-def gamma_p_int(n: int, p: int, m: int) -> Residue:
-    """gamma_p at a nonnegative integer: (-1)^n times the unit product below n."""
+def gamma_p_int(n: int, p: int, m: int) -> int:
+    """gamma_p at a nonnegative integer, in [0, p^m): (-1)^n times the unit
+    product below n."""
+    if not isinstance(n, int):
+        raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    check_modulus(p, m)
+    pm = check_modulus(p, m)
     core = _unit_product(n, p, m)
-    if n % 2:
-        core = -core
-    return Residue(core, p, m)
+    return (-core if n % 2 else core) % pm
 
 
 def product_bound(x: Fraction | int, p: int, m: int) -> int:
     """Length of the defining product used for x mod p^m: x's residue.
     Exposed so that the block route can be checked against the plain product."""
-    return residue_from_rational(x, p, m).value
+    return residue_from_rational(x, p, m)
 
 
-def gamma_p_rational(x: Fraction | int, p: int, m: int) -> Residue:
+def gamma_p_rational(x: Fraction | int, p: int, m: int) -> int:
     """gamma_p at a p-integral rational (integers pass straight through)."""
     return gamma_p_int(product_bound(x, p, m), p, m)
 
 
-def rhs_vanhamme(p: int, m: int = 3) -> Residue:
+def rhs_vanhamme(p: int, m: int = 3) -> int:
     """-p / gamma_p(3/4)^4 mod p^m when p = 1 mod 4, else 0 (the quintic).
 
     The leading factor p makes gamma_p(3/4) mod p^(m-1) enough: the value
     is exact although gamma_p runs one digit short.
     """
-    check_modulus(p, m)
+    pm = check_modulus(p, m)
     if p % 4 == 3:
-        return Residue(0, p, m)
+        return 0
     prec = max(m - 1, 1)
     g = gamma_p_rational(Fraction(3, 4), p, prec)
-    return Residue(-p * pow(g.value, -4, p**prec), p, m)
+    return -p * pow(g, -4, p**prec) % pm
 
 
-def rhs_vanhamme_b(p: int, m: int = 4) -> Residue:
+def rhs_vanhamme_b(p: int, m: int = 4) -> int:
     """-p / gamma_p(1/2)^2 mod p^m (the mod-p^4 companion), in closed form.
 
     The reflection formula gamma_p(x) gamma_p(1-x) = (-1)^l(x), l(x) the
     least positive residue of x mod p, gives gamma_p(1/2)^2 = (-1)^((p+1)/2)
-    exactly, so the side is p (-1/p): p when p = 1 mod 4, else -p.  The
-    tests hold it against the block route.
+    exactly, so the side is p (-1/p): p when p = 1 mod 4, else p^m - p.
+    The tests hold it against the block route.
     """
-    check_modulus(p, m)
-    return Residue(p if p % 4 == 1 else -p, p, m)
+    pm = check_modulus(p, m)
+    return (p if p % 4 == 1 else -p) % pm

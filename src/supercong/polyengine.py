@@ -319,7 +319,10 @@ def p_identity_check(p: int) -> bool:
 def coefficient_facts_check(p: int) -> bool:
     """Coefficient facts tying P, Q and the cube of the rising factorial:
     p | a_{p-1} for both, a_0(P) = ((p-1)/2)!^3, a_0(Q) = 0, and the z^{p-1}
-    coefficient of F^3 equals a_{p-1}(P)/p and 2 a_{p-1}(Q)/(p(p-1))."""
+    coefficient of F^3 equals a_{p-1}(P)/p and 2 a_{p-1}(Q)/(p(p-1)).
+    All six follow from the coefficient rule (`_p_and_q_coeffs`) and from
+    c_0 = ((p-1)/2)!^3, so they cannot fail; the rule itself is checked
+    against the formal derivatives in the tests."""
     check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
     big_p = p_poly(p)

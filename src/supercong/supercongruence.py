@@ -17,9 +17,11 @@ inward and reduces it once (`classical_hg._nested_sum`, the one kernel of
 every exact terminating sum).  The Pochhammer-pair congruences, which need
 each value only mod p^4 or p^2, walk the ratios as residues
 (`_pochhammer_residues`): prefix quotients with one inverse per sequence.
-Each congruence is decided on plain ints, and its row holds both sides
-reduced at its modulus.  `tests/exact_oracle.py`
-holds what the suite checks production against: the exact twins of the
+A residue mod p^m is a plain int in [0, p^m): each quantity function
+validates (p, m) once through `exactnum.check_modulus` and reduces once,
+and each record reduces both integer sides at the one modulus its
+statement uses (`_record`).  `tests/exact_oracle.py` holds what the
+suite checks production against: the exact twins of the
 modular sums, the exact walk of the ratios in Fractions (the oracle of
 both routes: its terms summed for the instance, its values reduced side by
 side for the congruences), and the instance's four separate Pochhammer
@@ -31,11 +33,10 @@ sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pair
 thm_os.  The third, p^2 * 3F2(1), which thm_os and cor5 share, is kept in
 the same store by `gaussian_hg.gaussian_3f2` when p = 1 (mod 4); when
 p = 3 (mod 4) it is 0, returned with no sum and nothing kept.
-Residue comparisons are exact integer equality throughout, never
-approximate.  The exact quintic sum, the 3F2 and the Pochhammer-pair
-routes refuse a prime above their caps before any work and before the
-store is touched, through `exactnum.check_prime`; the statement registry
-reads those caps.
+Every comparison is exact integer equality, never approximate.  The
+exact quintic sum, the 3F2 and the Pochhammer-pair routes refuse a prime
+above their caps before any work and before the store is touched,
+through `exactnum.check_prime`; the statement registry reads those caps.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import accumulate
 from typing import Callable, Optional
 
 from .classical_hg import _nested_sum
-from .exactnum import MAX_PRIME, Residue, check_modulus, check_prime, prime_layer, residue_from_rational
+from .exactnum import MAX_PRIME, check_modulus, check_prime, prime_layer, residue_from_rational
 from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_3f2, legendre
 from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
@@ -64,9 +65,11 @@ class VerificationRecord:
     passed: bool
 
 
-def _record(statement: str, p: int, lhs: Residue, rhs: Residue) -> VerificationRecord:
-    """The row of two side residues; sides at different moduli never pass."""
-    return VerificationRecord(statement, p, lhs.value, rhs.value, lhs.modulus, lhs == rhs)
+def _record(statement: str, p: int, lhs: int, rhs: int, pm: int) -> VerificationRecord:
+    """The row of two integer sides, each reduced mod pm, the one modulus
+    of its record function."""
+    lhs, rhs = lhs % pm, rhs % pm
+    return VerificationRecord(statement, p, lhs, rhs, pm, lhs == rhs)
 
 
 def _inverses(n: int, pm: int) -> list:
@@ -124,7 +127,7 @@ def _quintic_sum(p: int) -> Fraction:
 QUINTIC_SUM_MAX_P = 7703
 
 
-def lhs_vanhamme(p: int, m: int = 3) -> Residue:
+def lhs_vanhamme(p: int, m: int = 3) -> int:
     """Sum of (4k+1) binom(-1/2,k)^5 for k <= (p-1)/2, reduced mod p^m.
 
     Every denominator is a power of 2, a p-unit for odd p.  A p above
@@ -137,13 +140,13 @@ def lhs_vanhamme(p: int, m: int = 3) -> Residue:
     return residue_from_rational(_quintic_sum(p), p, m)
 
 
-def lhs_vanhamme_b(p: int, m: int = 4) -> Residue:
+def lhs_vanhamme_b(p: int, m: int = 4) -> int:
     """Sum of (-1)^k (6k+1) 4^-k binom(-1/2,k)^3 for k <= (p-1)/2 mod p^m.
 
     The signs cancel: (-1)^k 4^-k binom(-1/2,k)^3 = C(2k,k)^3 / 256^k.
     """
     check_modulus(p, m)
-    return Residue(_central_sum(p, m, 6, 1, 3, 256), p, m)
+    return _central_sum(p, m, 6, 1, 3, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +189,26 @@ def _xy_mod(p: int, pm: int) -> tuple:
     return x2 * half % pm, y2 * half % pm
 
 
-def x_quantity(p: int) -> Residue:
+def x_quantity(p: int) -> int:
     """The reduced X quantity mod p (expected 0 at every odd prime)."""
     check_modulus(p, 1)
-    return Residue(_xy_mod(p, p)[0], p, 1)
+    return _xy_mod(p, p)[0]
 
 
-def y_quantity(p: int) -> Residue:
+def y_quantity(p: int) -> int:
     """The reduced Y quantity mod p (expected 0 at every odd prime)."""
     check_modulus(p, 1)
-    return Residue(_xy_mod(p, p)[1], p, 1)
+    return _xy_mod(p, p)[1]
 
 
-def z_quantity(p: int, m: int = 3) -> Residue:
+def z_quantity(p: int, m: int = 3) -> int:
     """Sum of C(2j,j)^3 / 64^j for j <= (p-1)/2 mod p^m.
 
     The 16^(-3j/2) weight of the defining sum resolves to 64^-j;
     equivalently this is the sum of (-1)^j binom(-1/2,j)^3.
     """
     check_modulus(p, m)
-    return Residue(_central_sum(p, m, 0, 1, 3, 64), p, m)
+    return _central_sum(p, m, 0, 1, 3, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +218,29 @@ def z_quantity(p: int, m: int = 3) -> Residue:
 def vanhamme_verify(p: int, m: int = 3) -> VerificationRecord:
     """The mod-p^3 congruence between the truncated quintic sum and the
     p-adic Gamma value (zero in the 3 mod 4 branch)."""
-    return _record("vanhamme_a", p, lhs_vanhamme(p, m), rhs_vanhamme(p, m))
+    return _record("vanhamme_a", p, lhs_vanhamme(p, m), rhs_vanhamme(p, m), p**m)
 
 
 def vanhamme_b_verify(p: int, m: int = 4) -> VerificationRecord:
     """The conjectural mod-p^4 companion congruence; failures are findings
     to report, never asserted impossible."""
-    return _record("vanhamme_b", p, lhs_vanhamme_b(p, m), rhs_vanhamme_b(p, m))
+    return _record("vanhamme_b", p, lhs_vanhamme_b(p, m), rhs_vanhamme_b(p, m), p**m)
 
 
 def lemma1_check(p: int) -> VerificationRecord:
     """Y vanishes mod p."""
-    return _record("lemma1", p, y_quantity(p), Residue(0, p, 1))
+    return _record("lemma1", p, y_quantity(p), 0, p)
 
 
 def lemma2_check(p: int) -> VerificationRecord:
     """X vanishes mod p."""
-    return _record("lemma2", p, x_quantity(p), Residue(0, p, 1))
+    return _record("lemma2", p, x_quantity(p), 0, p)
 
 
 def prop3_check(p: int) -> VerificationRecord:
     """Truncated quintic sum vs phi(-1) * p * Z mod p^3."""
-    lhs = lhs_vanhamme(p, 3)
-    rhs = Residue(legendre(-1, p) * p * z_quantity(p, 3).value, p, 3)
-    return _record("prop3", p, lhs, rhs)
+    lhs = lhs_vanhamme(p, 3)  # the quintic-sum gate runs first
+    return _record("prop3", p, lhs, legendre(-1, p) * p * z_quantity(p, 3), p**3)
 
 
 def theorem_os_check(p: int) -> VerificationRecord:
@@ -247,19 +249,17 @@ def theorem_os_check(p: int) -> VerificationRecord:
     The p-power prefactors set the precision each reduced quantity is
     needed at: X mod p (from the pass mod p^2), Y mod p^2, Z mod p^3.
     """
-    check_modulus(p, 3)
-    lhs = Residue(gaussian_3f2(p), p, 3)
+    pm = check_modulus(p, 3)
+    lhs = gaussian_3f2(p)
     x, y = _xy_mod(p, p * p)
-    z = z_quantity(p, 3).value
-    rhs = Residue(legendre(-1, p) * (p * p * (x % p) + p * y + z), p, 3)
-    return _record("thm_os", p, lhs, rhs)
+    rhs = legendre(-1, p) * (p * p * (x % p) + p * y + z_quantity(p, 3))
+    return _record("thm_os", p, lhs, rhs, pm)
 
 
 def cor5_check(p: int, m: int = 3) -> VerificationRecord:
     """p^3 * 3F2(1) = p * (p^2 * 3F2(1)) against the Gamma branch mod p^m."""
-    check_modulus(p, m)
-    lhs = Residue(p * gaussian_3f2(p), p, m)
-    return _record("cor5", p, lhs, rhs_vanhamme(p, m))
+    pm = check_modulus(p, m)
+    return _record("cor5", p, p * gaussian_3f2(p), rhs_vanhamme(p, m), pm)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +370,7 @@ def poch_congruence_checks(p: int) -> list:
             ("poch_conj_quartic", p4, qk, b**4),
             ("poch_real_square", p2, rk, b * b),
         )
-        for name, pm, lhs, rhs in sides:
-            lhs, rhs = lhs % pm, rhs % pm
-            records.append(VerificationRecord(name, p, lhs, rhs, pm, lhs == rhs))
+        records.extend(_record(name, p, lhs, rhs, pm) for name, pm, lhs, rhs in sides)
     return records
 
 
@@ -400,8 +398,8 @@ def whipple_instance_check(p: int) -> VerificationRecord:
     return VerificationRecord(
         "whipple_inst",
         p,
-        residue_from_rational(lhs, p, 4).value,
-        residue_from_rational(rhs, p, 4).value,
+        residue_from_rational(lhs, p, 4),
+        residue_from_rational(rhs, p, 4),
         p**4,
         lhs == rhs,
     )

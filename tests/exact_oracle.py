@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from supercong.exactnum import Residue, residue_from_rational
+from supercong.exactnum import residue_from_rational
 from supercong.supercongruence import VerificationRecord, _pair_ratios
 
 #: (4k+1) binom(-1/2,k)^5 = (4k+1) C(2k,k)^5 / (-1024)^k: vanhamme_a, prop3
@@ -51,7 +51,7 @@ def central_sum(p: int, a: int, b: int, e: int, r: int) -> Fraction:
     )
 
 
-def central_residue(p: int, m: int, row: tuple) -> Residue:
+def central_residue(p: int, m: int, row: tuple) -> int:
     """One row's exact sum reduced mod p^m."""
     return residue_from_rational(central_sum(p, *row), p, m)
 
@@ -168,7 +168,7 @@ def poch_congruence_records(p: int) -> list:
         for name, mm, lhs_q, rhs_q in pairs:
             lhs = residue_from_rational(lhs_q, p, mm)
             rhs = residue_from_rational(rhs_q, p, mm)
-            records.append(VerificationRecord(name, p, lhs.value, rhs.value, p**mm, lhs == rhs))
+            records.append(VerificationRecord(name, p, lhs, rhs, p**mm, lhs == rhs))
     return records
 
 

@@ -113,7 +113,7 @@ def test_criterion_03_lemmas_mod_p():
     bad = [
         p
         for p in _primes_to(997)
-        if y_quantity(p).value != 0 or x_quantity(p).value != 0
+        if y_quantity(p) != 0 or x_quantity(p) != 0
     ]
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 30.0
@@ -256,7 +256,7 @@ def test_criterion_11_oracle_equivalence():
     for p in _primes_to(199):
         checks = (
             lhs_vanhamme(p, 3) == central_residue(p, 3, QUINTIC)
-            and lhs_vanhamme(p, 3).value == _central_sum(p, 3, *QUINTIC),
+            and lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC),
             lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION),
             x_quantity(p) == residue_from_rational(x_sum(p), p, 1),
             y_quantity(p) == residue_from_rational(y_sum(p), p, 1),

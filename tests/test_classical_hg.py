@@ -45,6 +45,25 @@ def test_pochhammer_examples():
         assert pochhammer(Fraction(5, 4), k) / pochhammer(Fraction(1, 4), k) == 4 * k + 1
 
 
+def test_exact_entry_points_take_only_an_int_or_a_fraction():
+    # a float stood for its binary double and a str was parsed:
+    # pochhammer(0.1, 2) was a 100-bit fraction, not 11/100, and
+    # pochhammer("1/2", 2) was 3/4
+    assert pochhammer(Fraction(1, 10), 2) == Fraction(11, 100)
+    assert hypergeom_terminating([-1, Fraction(1, 10)], [1], 1) == Fraction(9, 10)
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    for call in (
+        lambda: pochhammer(0.1, 2),
+        lambda: pochhammer("1/2", 2),
+        lambda: hypergeom_terminating([-1, 0.1], [1], 1),
+        lambda: hypergeom_terminating([-1], [0.5], 1),
+        lambda: hypergeom_terminating([-1], [1], 1.0),
+        lambda: whipple_check(0.5, third, quarter, third, 2),
+    ):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            call()
+
+
 def test_pochhammer_recurrence():
     rng = random.Random(4)
     for _ in range(200):

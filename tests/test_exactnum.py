@@ -1,5 +1,5 @@
-"""Residue records, rational reduction and the p-adic valuation against an
-extended-gcd oracle."""
+"""Rational reduction to plain int residues, the API checks and the p-adic
+valuation against an extended-gcd oracle."""
 
 import math
 import random
@@ -10,7 +10,6 @@ import pytest
 from supercong import exactnum
 from supercong.exactnum import (
     NotPIntegral,
-    Residue,
     check_modulus,
     is_odd_prime,
     powers,
@@ -40,16 +39,16 @@ def inv_oracle(a, n):
 
 
 def test_residue_from_rational_examples():
-    assert residue_from_rational(Fraction(0, 1), 7, 3).value == 0
+    assert residue_from_rational(Fraction(0, 1), 7, 3) == 0
     r = residue_from_rational(Fraction(1, 2), 3, 3)
-    assert r.value == 14
+    assert r == 14
     assert 2 * 14 % 27 == 1  # oracle: 14 inverts 2 mod 27
     big = residue_from_rational(Fraction(29835, 32768), 5, 3)
     # oracle chain: 32768 = 18, 18^-1 = 7, 29835 = 85, 85*7 = 95 (mod 125)
     assert 32768 % 125 == 18
     assert inv_oracle(18, 125) == 7
     assert 29835 % 125 == 85 and 85 * 7 % 125 == 95
-    assert big.value == 95
+    assert big == 95
 
 
 def test_residue_from_rational_denominator_error():
@@ -71,12 +70,13 @@ def test_modulus_cache_stays_bounded():
 
 def test_a_float_prime_never_reads_the_pair_kept_for_its_int():
     # 7.0 == 7, so an untyped cache would answer 343 for it and let a
-    # residue carry the modulus 343.0
+    # residue be reduced mod 343.0
     assert check_modulus(7, 3) == 343
     with pytest.raises(TypeError):
         check_modulus(7.0, 3)
     with pytest.raises(TypeError):
-        Residue(5, 7.0, 3)
+        residue_from_rational(5, 7.0, 3)
+    assert residue_from_rational(Fraction(1, 2), 5, 1) == 3
 
 
 def test_the_layer_store_keeps_one_prime_and_files_under_the_right_one():
@@ -101,17 +101,9 @@ def test_the_layer_store_keeps_one_prime_and_files_under_the_right_one():
     assert calls[2:] == [("outer", 3), ("inner", 5, 1), ("outer", 5), ("inner", 7, 1), ("inner", 3, 1)]
 
 
-def test_modulus_mismatch():
-    # a residue is compared with its modulus: the same value mod another
-    # p^m is another residue
-    assert Residue(1, 3, 2) != Residue(1, 3, 3)
-    assert Residue(1, 3, 2) != Residue(1, 5, 2)
-    assert Residue(10, 3, 2) == Residue(1, 3, 2)
-
-
 def test_inverse_examples():
-    assert residue_from_rational(Fraction(1, 1), 5, 3).value == 1
-    assert residue_from_rational(Fraction(1, 18), 5, 3).value == inv_oracle(18, 125) == 7
+    assert residue_from_rational(Fraction(1, 1), 5, 3) == 1
+    assert residue_from_rational(Fraction(1, 18), 5, 3) == inv_oracle(18, 125) == 7
     with pytest.raises(NotPIntegral):
         residue_from_rational(Fraction(1, 5), 5, 3)
 
@@ -125,7 +117,7 @@ def test_inverse_random_against_oracle():
         a = rng.randrange(1, pm)
         if a % p == 0:
             continue
-        assert residue_from_rational(Fraction(1, a), p, m).value == inv_oracle(a, pm)
+        assert residue_from_rational(Fraction(1, a), p, m) == inv_oracle(a, pm)
 
 
 def test_p_valuation_examples():
@@ -159,10 +151,10 @@ def test_residue_from_rational_is_ring_hom(p, m):
         a = _random_p_integral(rng, p)
         b = _random_p_integral(rng, p)
         pm = p**m
-        fa = residue_from_rational(a, p, m).value
-        fb = residue_from_rational(b, p, m).value
-        assert residue_from_rational(a + b, p, m).value == (fa + fb) % pm
-        assert residue_from_rational(a * b, p, m).value == fa * fb % pm
+        fa = residue_from_rational(a, p, m)
+        fb = residue_from_rational(b, p, m)
+        assert residue_from_rational(a + b, p, m) == (fa + fb) % pm
+        assert residue_from_rational(a * b, p, m) == fa * fb % pm
 
 
 def test_reciprocal_property():
@@ -172,7 +164,7 @@ def test_reciprocal_property():
         q = _random_p_integral(rng, p)
         if q == 0 or q.numerator % p == 0:
             continue
-        prod = residue_from_rational(q, p, m).value * residue_from_rational(1 / q, p, m).value
+        prod = residue_from_rational(q, p, m) * residue_from_rational(1 / q, p, m)
         assert prod % p**m == 1
 
 
@@ -185,17 +177,11 @@ def test_reduction_commutes_with_ring_ops():
         lo = p ** (m - 1)
         a = _random_p_integral(rng, p)
         b = _random_p_integral(rng, p)
-        fa = residue_from_rational(a, p, m).value
-        fb = residue_from_rational(b, p, m).value
-        assert residue_from_rational(a + b, p, m - 1).value == (fa + fb) % lo
-        assert residue_from_rational(a * b, p, m - 1).value == fa * fb % lo
-        assert residue_from_rational(-a, p, m - 1).value == -fa % lo
-
-
-def test_canonical_representative():
-    assert Residue(-1, 5, 2).value == 24
-    assert Residue(125, 5, 3).value == 0
-    assert Residue(7, 3, 2).value == 7 and Residue(7, 3, 2).modulus == 9
+        fa = residue_from_rational(a, p, m)
+        fb = residue_from_rational(b, p, m)
+        assert residue_from_rational(a + b, p, m - 1) == (fa + fb) % lo
+        assert residue_from_rational(a * b, p, m - 1) == fa * fb % lo
+        assert residue_from_rational(-a, p, m - 1) == -fa % lo
 
 
 def test_fraction_normalization_invariants():
@@ -206,14 +192,17 @@ def test_fraction_normalization_invariants():
 
 
 def test_api_boundary_caps():
-    with pytest.raises(ValueError):
-        Residue(0, 4, 1)  # composite
-    with pytest.raises(ValueError):
-        Residue(0, 2, 1)  # even
-    with pytest.raises(ValueError):
-        Residue(0, 5, 9)  # exponent cap
-    with pytest.raises(ValueError):
-        Residue(0, 10**6 + 3, 1)  # prime cap
+    for p, m in (
+        (4, 1),  # composite
+        (2, 1),  # even
+        (5, 9),  # exponent cap
+        (5, 0),
+        (10**6 + 3, 1),  # prime cap
+    ):
+        with pytest.raises(ValueError):
+            check_modulus(p, m)
+        with pytest.raises(ValueError):
+            residue_from_rational(0, p, m)
 
 
 def test_is_odd_prime_against_trial_division():
@@ -241,12 +230,14 @@ def test_is_odd_prime_refuses_beyond_its_proved_range():
 
 
 def test_residue_takes_only_an_int_value():
-    # a rational or a float value was stored as given: Residue(Fraction(1, 2),
-    # 5, 1) held 1/2 and compared unequal to its image 3
-    for value in (Fraction(1, 2), Fraction(3), 2.5, 3.0):
-        with pytest.raises(TypeError, match="residue_from_rational"):
-            Residue(value, 5, 1)
-    assert residue_from_rational(Fraction(1, 2), 5, 1) == Residue(3, 5, 1)
+    # a residue is reduced from an int or a Fraction only: a float stood for
+    # its binary double (residue_from_rational(0.1, 5, 2) returned 4, though
+    # 1/10 is not 5-integral), and a str is no number at all
+    for value in (0.1, 2.5, 3.0, "1/2"):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            residue_from_rational(value, 5, 2)
+    with pytest.raises(NotPIntegral):
+        residue_from_rational(Fraction(1, 10), 5, 2)
 
 
 def test_prime_gate_refuses_before_the_caller_works():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import exactnum
 from supercong.exactnum import NotPIntegral
 from supercong.padic_gamma import (
     gamma_p_int,
@@ -25,17 +26,17 @@ def gamma_oracle(n, p, pm):
 
 def test_gamma_p_int_examples():
     for p, m in [(3, 1), (5, 2), (7, 3), (13, 2)]:
-        assert gamma_p_int(0, p, m).value == 1
-    assert gamma_p_int(4, 5, 2).value == 6  # 1*2*3 = 6
+        assert gamma_p_int(0, p, m) == 1
+    assert gamma_p_int(4, 5, 2) == 6  # 1*2*3 = 6
     # n = 7 skips j = 5: -(1*2*3*4*6) = -144 = 6 (mod 25)
     assert -144 % 25 == 6
-    assert gamma_p_int(7, 5, 2).value == 6
+    assert gamma_p_int(7, 5, 2) == 6
 
 
 def test_gamma_p_int_sign_convention():
     for p in (3, 5, 7, 11, 13):
-        assert gamma_p_int(1, p, 2).value == p * p - 1  # -1
-        assert gamma_p_int(2, p, 2).value == 1
+        assert gamma_p_int(1, p, 2) == p * p - 1  # -1
+        assert gamma_p_int(2, p, 2) == 1
 
 
 def test_gamma_p_int_against_oracle():
@@ -44,7 +45,7 @@ def test_gamma_p_int_against_oracle():
         p = rng.choice([3, 5, 7, 13, 97])
         m = rng.randint(1, 3)
         n = rng.randrange(0, 2500)
-        assert gamma_p_int(n, p, m).value == gamma_oracle(n, p, p**m)
+        assert gamma_p_int(n, p, m) == gamma_oracle(n, p, p**m)
 
 
 def gamma_oracle_at(ns, p, pm):
@@ -74,7 +75,7 @@ def test_block_route_against_oracle(p):
         ns |= {rng.randrange(0, 2 * pm) for _ in range(40)}
         want = gamma_oracle_at(ns, p, pm)
         for n in sorted(ns):
-            assert gamma_p_int(n, p, m).value == want[n], (n, p, m)
+            assert gamma_p_int(n, p, m) == want[n], (n, p, m)
         m += 1
 
 
@@ -88,17 +89,17 @@ def test_block_route_tail_prefixes_against_oracle():
     ns |= {rng.randrange(0, pm) for _ in range(60)}
     want = gamma_oracle_at(ns, p, pm)
     for n in sorted(ns):
-        assert gamma_p_int(n, p, m).value == want[n], n
+        assert gamma_p_int(n, p, m) == want[n], n
 
 
 def test_block_route_on_long_products():
     # n = 70000 at p = 101 crosses hundreds of full blocks and wraps past
     # p^2; 515151 is the length of the Gamma_p(1/2) mod p^3 product at
     # p = 101
-    assert gamma_p_int(70000, 101, 2).value == gamma_oracle(70000, 101, 101**2)
+    assert gamma_p_int(70000, 101, 2) == gamma_oracle(70000, 101, 101**2)
     n = product_bound(Fraction(1, 2), 101, 3)
     assert n == 515151
-    assert gamma_p_int(n, 101, 3).value == gamma_oracle(n, 101, 101**3)
+    assert gamma_p_int(n, 101, 3) == gamma_oracle(n, 101, 101**3)
 
 
 def reflection_sign(x, p):
@@ -114,18 +115,18 @@ def test_reflection_formula_beyond_the_plain_product(p):
     for m in range(2, 9):
         pm = p**m
         for x in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
-            g = gamma_p_rational(x, p, m).value
-            h = gamma_p_rational(1 - x, p, m).value
+            g = gamma_p_rational(x, p, m)
+            h = gamma_p_rational(1 - x, p, m)
             assert g * h % pm == reflection_sign(x, p) % pm, (x, p, m)
 
 
 def test_rhs_at_the_prime_cap():
-    assert rhs_vanhamme(999983, 3).value == 0  # 999983 = 3 (mod 4)
+    assert rhs_vanhamme(999983, 3) == 0  # 999983 = 3 (mod 4)
     # 999961 = 1 (mod 4): -p / Gamma_p(3/4)^4 = -p * Gamma_p(1/4)^4 by the
     # reflection formula, so the right-hand side follows from Gamma_p(1/4)
     p = 999961
-    g = gamma_p_rational(Fraction(1, 4), p, 2).value
-    assert rhs_vanhamme(p, 3).value == -p * pow(g, 4, p**2) % p**3
+    g = gamma_p_rational(Fraction(1, 4), p, 2)
+    assert rhs_vanhamme(p, 3) == -p * pow(g, 4, p**2) % p**3
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 997, 999961, 999983])
@@ -134,18 +135,36 @@ def test_companion_closed_form_against_the_block_route(p):
     # -p / gamma_p(1/2)^2 at precision max(m-1, 1), exact thanks to the
     # leading p.  One gamma_p mod p^7 serves every m: reduced mod p^k it is
     # gamma_p mod p^k (test_precision_coherence)
-    g = gamma_p_rational(Fraction(1, 2), p, 7).value
+    g = gamma_p_rational(Fraction(1, 2), p, 7)
     for m in range(1, 9):
         pk = p ** max(m - 1, 1)
         expect = -p * pow(g % pk, -2, pk) % p**m
-        assert rhs_vanhamme_b(p, m).value == expect, (p, m)
+        assert rhs_vanhamme_b(p, m) == expect, (p, m)
 
 
 def test_gamma_p_rational_examples():
     assert gamma_p_rational(2, 7, 3) == gamma_p_int(2, 7, 3)
-    assert gamma_p_rational(Fraction(3, 4), 5, 2).value == 6
+    assert gamma_p_rational(Fraction(3, 4), 5, 2) == 6
     with pytest.raises(NotPIntegral):
         gamma_p_rational(Fraction(1, 3), 3, 2)
+
+
+def test_gamma_p_takes_only_an_int_or_a_fraction():
+    # a float stood for its binary double: gamma_p_rational(0.1, 7, 2) was
+    # 47, though gamma_7(1/10) is 25 mod 49, and gamma_p_int(2.0, 5, 2)
+    # failed inside range(); each is refused before the store is touched
+    assert gamma_p_rational(Fraction(1, 10), 7, 2) == 25
+    kept = {p: dict(layers) for p, layers in exactnum._layers.items()}
+    for call in (
+        lambda: gamma_p_rational(0.1, 7, 2),
+        lambda: gamma_p_rational("1/10", 7, 2),
+        lambda: product_bound(0.75, 5, 2),
+        lambda: gamma_p_int(2.0, 5, 2),
+        lambda: gamma_p_int("3", 5, 2),
+    ):
+        with pytest.raises(TypeError):
+            call()
+        assert exactnum._layers == kept
 
 
 def test_product_bound_is_the_representative():
@@ -153,13 +172,13 @@ def test_product_bound_is_the_representative():
     assert product_bound(2, 7, 3) == 2
     # the defining product for the bound reproduces the value
     n = product_bound(Fraction(3, 4), 5, 2)
-    assert gamma_p_rational(Fraction(3, 4), 5, 2).value == gamma_oracle(n, 5, 25)
+    assert gamma_p_rational(Fraction(3, 4), 5, 2) == gamma_oracle(n, 5, 25)
 
 
 def test_rhs_vanhamme_examples():
-    assert rhs_vanhamme(3, 3).value == 0
-    assert rhs_vanhamme(5, 3).value == 95
-    assert rhs_vanhamme(7, 3).value == 0  # 7 = 3 (mod 4)
+    assert rhs_vanhamme(3, 3) == 0
+    assert rhs_vanhamme(5, 3) == 95
+    assert rhs_vanhamme(7, 3) == 0  # 7 = 3 (mod 4)
 
 
 def test_rhs_vanhamme_agrees_with_full_precision_gamma():
@@ -171,7 +190,7 @@ def test_rhs_vanhamme_agrees_with_full_precision_gamma():
         n = Fraction(3, 4).numerator * pow(4, -1, pm) % pm
         g_full = gamma_oracle(n, p, pm)
         expect = (-p) * pow(g_full, -4, pm) % pm
-        assert rhs_vanhamme(p, m).value == expect
+        assert rhs_vanhamme(p, m) == expect
 
 
 def test_precision_coherence():
@@ -186,7 +205,7 @@ def test_precision_coherence():
         x = Fraction(num, den)
         hi = gamma_p_rational(x, p, m)
         lo = gamma_p_rational(x, p, m - 1)
-        assert hi.value % p ** (m - 1) == lo.value
+        assert hi % p ** (m - 1) == lo
 
 
 def test_gamma_is_a_unit():
@@ -195,7 +214,7 @@ def test_gamma_is_a_unit():
         p = rng.choice([3, 5, 11])
         m = rng.randint(1, 3)
         n = rng.randrange(0, 400)
-        assert gamma_p_int(n, p, m).value % p != 0
+        assert gamma_p_int(n, p, m) % p != 0
 
 
 def test_gamma_at_negative_p_integral_rational():
@@ -205,17 +224,17 @@ def test_gamma_at_negative_p_integral_rational():
     for p, m in [(5, 2), (7, 3)]:
         pm = p**m
         rep = (-1) * pow(2, -1, pm) % pm
-        assert gamma_p_rational(x, p, m).value == gamma_oracle(rep, p, pm)
+        assert gamma_p_rational(x, p, m) == gamma_oracle(rep, p, pm)
         lo = gamma_p_rational(x, p, m - 1)
-        assert gamma_p_rational(x, p, m).value % lo.modulus == lo.value
+        assert gamma_p_rational(x, p, m) % p ** (m - 1) == lo
 
 
 def test_independent_of_approximating_sequence():
     rng = random.Random(11)
     for p, m, x in [(5, 2, Fraction(3, 4)), (7, 2, Fraction(1, 2)), (3, 3, Fraction(2, 7))]:
         pm = p**m
-        base = gamma_p_rational(x, p, m).value
+        base = gamma_p_rational(x, p, m)
         rep = x.numerator * pow(x.denominator, -1, pm) % pm
         for _ in range(10):
             n_prime = rep + pm * rng.randint(0, 40)
-            assert gamma_p_int(n_prime, p, m).value == base
+            assert gamma_p_int(n_prime, p, m) == base

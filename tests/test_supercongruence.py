@@ -75,11 +75,11 @@ def test_harmonic_cache_invariants():
 def test_lhs_vanhamme_examples():
     # p = 3: 1 - 5/32 = 27/32, with 3-adic valuation 3
     assert sum((4 * k + 1) * binom_half(k) ** 5 for k in range(2)) == Fraction(27, 32)
-    assert lhs_vanhamme(3, 3).value == 0
+    assert lhs_vanhamme(3, 3) == 0
     # p = 5: exact sum 29835/32768
     assert sum((4 * k + 1) * binom_half(k) ** 5 for k in range(3)) == Fraction(29835, 32768)
-    assert lhs_vanhamme(5, 3).value == 95
-    assert lhs_vanhamme(7, 3).value == 0
+    assert lhs_vanhamme(5, 3) == 95
+    assert lhs_vanhamme(7, 3) == 0
     # the oracle's quintic row is the defining sum
     for p in PRIMES_TO_50:
         k_max = (p - 1) // 2
@@ -94,7 +94,7 @@ def test_lhs_vanhamme_b_examples():
         Fraction((-1) ** k * (6 * k + 1), 4**k) * binom_half(k) ** 3 for k in range(2)
     )
     assert exact == Fraction(39, 32)
-    assert lhs_vanhamme_b(3).value == 39 * pow(32, -1, 81) % 81 == 24
+    assert lhs_vanhamme_b(3) == 39 * pow(32, -1, 81) % 81 == 24
     # the oracle's companion row is the defining sum
     for p in PRIMES_TO_50:
         assert central_sum(p, *COMPANION) == sum(
@@ -111,7 +111,7 @@ def test_lhs_vanhamme_b_examples():
 def test_rhs_vanhamme_b_and_the_p3_finding():
     # the mod-p^4 companion congruence holds at 5 but genuinely fails at 3,
     # where the two sides agree only mod p^3
-    assert rhs_vanhamme_b(3).value == 78
+    assert rhs_vanhamme_b(3) == 78
     rec3 = vanhamme_b_verify(3)
     assert not rec3.passed
     assert (rec3.lhs - rec3.rhs) % 27 == 0
@@ -127,7 +127,7 @@ def test_gamma_half_square_observed_sign():
 
     for p in (3, 5, 7, 13, 29):
         g = gamma_p_rational(Fraction(1, 2), p, 3)
-        assert g.value * g.value % p**3 == (-legendre(-1, p)) % p**3
+        assert g * g % p**3 == (-legendre(-1, p)) % p**3
 
 
 def test_rhs_vanhamme_b_agrees_with_full_precision_gamma():
@@ -142,24 +142,24 @@ def test_rhs_vanhamme_b_agrees_with_full_precision_gamma():
                 acc = acc * j % pm
         g = (-acc) % pm if n % 2 else acc
         expect = (-p) * pow(g * g % pm, -1, pm) % pm
-        assert rhs_vanhamme_b(p, 4).value == expect
+        assert rhs_vanhamme_b(p, 4) == expect
 
 
 def test_x_quantity():
     # hand value at p = 3: j=1 contributes (1/8)(3/2 + 9/8 - 3/8) = 9/32
     # (the j = 0 bracket vanishes identically)
     assert x_sum(3) == Fraction(9, 32)
-    assert x_quantity(3).value == 0
-    assert x_quantity(5).value == 0
-    assert residue_from_rational(x_sum(5), 5, 1).value == 0
+    assert x_quantity(3) == 0
+    assert x_quantity(5) == 0
+    assert residue_from_rational(x_sum(5), 5, 1) == 0
 
 
 def test_y_quantity():
     # hand value at p = 3: 1 + (1/8)(1 + 3/2 - 9/4) = 33/32
     assert y_sum(3) == Fraction(33, 32)
-    assert y_quantity(3).value == 0
-    assert y_quantity(7).value == 0
-    assert residue_from_rational(y_sum(7), 7, 1).value == 0
+    assert y_quantity(3) == 0
+    assert y_quantity(7) == 0
+    assert residue_from_rational(y_sum(7), 7, 1) == 0
 
 
 def test_telescoped_middle_term():
@@ -172,24 +172,24 @@ def test_telescoped_middle_term():
 
 
 def test_z_quantity():
-    assert z_quantity(3).value == residue_from_rational(Fraction(9, 8), 3, 3).value == 18
+    assert z_quantity(3) == residue_from_rational(Fraction(9, 8), 3, 3) == 18
     # equivalence with the alternating binom(-1/2,j)^3 form, exactly
     for p in PRIMES_TO_50:
         m = (p - 1) // 2
         lhs = sum(Fraction(math.comb(2 * j, j) ** 3, 64**j) for j in range(m + 1))
         rhs = sum((-1) ** j * binom_half(j) ** 3 for j in range(m + 1))
         assert lhs == rhs == central_sum(p, *Z)
-        assert z_quantity(p).value == residue_from_rational(lhs, p, 3).value
-    assert z_quantity(5).value == residue_from_rational(
+        assert z_quantity(p) == residue_from_rational(lhs, p, 3)
+    assert z_quantity(5) == residue_from_rational(
         sum(Fraction(math.comb(2 * j, j) ** 3, 64**j) for j in range(3)), 5, 3
-    ).value
+    )
 
 
 def test_prop3_examples():
     rec3 = prop3_check(3)
     assert rec3.passed and rec3.lhs == 0
     # rhs oracle at p = 3: (-1) * 3 * 9/8 = -27/8, which is 0 mod 27
-    assert residue_from_rational(Fraction(-27, 8), 3, 3).value == 0
+    assert residue_from_rational(Fraction(-27, 8), 3, 3) == 0
     rec5 = prop3_check(5)
     assert rec5.passed and rec5.lhs == rec5.rhs == 95
 
@@ -223,29 +223,59 @@ def test_record_invariants():
         for rec in (vanhamme_verify(p), prop3_check(p), lemma1_check(p), lemma2_check(p)):
             assert rec.passed == (rec.lhs == rec.rhs)
             assert rec.statement in STATEMENTS
-    # equal values at different moduli never pass
-    assert not sc._record("lemma1", 5, exactnum.Residue(0, 5, 1), exactnum.Residue(0, 5, 2)).passed
+    # each side is reduced at the record's one modulus, whatever its sign
+    assert sc._record("lemma1", 5, -1, 24, 25) == sc.VerificationRecord("lemma1", 5, 24, 24, 25, True)
+    assert not sc._record("lemma1", 5, 1, 5, 5).passed
 
 
 @pytest.mark.parametrize("p", (3, 5, 13))
 def test_each_record_modulus_is_the_modulus_of_the_sides_it_reads(p):
-    assert vanhamme_verify(p).modulus == lhs_vanhamme(p).modulus == rhs_vanhamme(p).modulus
-    assert vanhamme_verify(p, 5).modulus == lhs_vanhamme(p, 5).modulus == rhs_vanhamme(p, 5).modulus
-    assert vanhamme_b_verify(p).modulus == lhs_vanhamme_b(p).modulus == rhs_vanhamme_b(p).modulus
-    assert vanhamme_b_verify(p, 2).modulus == lhs_vanhamme_b(p, 2).modulus == rhs_vanhamme_b(p, 2).modulus
-    assert lemma1_check(p).modulus == y_quantity(p).modulus
-    assert lemma2_check(p).modulus == x_quantity(p).modulus
-    assert prop3_check(p).modulus == lhs_vanhamme(p, 3).modulus == z_quantity(p, 3).modulus
-    assert theorem_os_check(p).modulus == z_quantity(p, 3).modulus
-    assert cor5_check(p).modulus == rhs_vanhamme(p, 3).modulus
-    assert cor5_check(p, 5).modulus == rhs_vanhamme(p, 5).modulus
+    # every side is an int already reduced mod the p^m its record holds
+    def row(rec):
+        return rec.lhs, rec.rhs, rec.modulus
+
+    assert row(vanhamme_verify(p)) == (lhs_vanhamme(p), rhs_vanhamme(p), p**3)
+    assert row(vanhamme_verify(p, 5)) == (lhs_vanhamme(p, 5), rhs_vanhamme(p, 5), p**5)
+    assert row(vanhamme_b_verify(p)) == (lhs_vanhamme_b(p), rhs_vanhamme_b(p), p**4)
+    assert row(vanhamme_b_verify(p, 2)) == (lhs_vanhamme_b(p, 2), rhs_vanhamme_b(p, 2), p**2)
+    assert row(lemma1_check(p)) == (y_quantity(p), 0, p)
+    assert row(lemma2_check(p)) == (x_quantity(p), 0, p)
+    z = legendre(-1, p) * p * z_quantity(p, 3) % p**3
+    assert row(prop3_check(p)) == (lhs_vanhamme(p, 3), z, p**3)
+    assert theorem_os_check(p).modulus == p**3
+    assert theorem_os_check(p).lhs == gaussian_3f2(p) % p**3
+    assert row(cor5_check(p)) == (p * gaussian_3f2(p) % p**3, rhs_vanhamme(p, 3), p**3)
+    assert row(cor5_check(p, 5)) == (p * gaussian_3f2(p) % p**5, rhs_vanhamme(p, 5), p**5)
     lhs, rhs = whipple_instance_sides(p)
     rec = whipple_instance_check(p)
-    assert (rec.lhs, rec.rhs, rec.modulus) == (
-        residue_from_rational(lhs, p, 4).value,
-        residue_from_rational(rhs, p, 4).value,
-        residue_from_rational(lhs, p, 4).modulus,
-    )
+    assert row(rec) == (residue_from_rational(lhs, p, 4), residue_from_rational(rhs, p, 4), p**4)
+
+
+def test_every_quantity_is_an_int_below_its_modulus():
+    # each function returns an int v with 0 <= v < p^m, signs included: the
+    # odd-n sign of gamma_p_int, negative rationals, and both classes mod 4
+    primes = [p for p in range(3, 200) if is_odd_prime(p)]
+    assert {p % 4 for p in primes} == {1, 3}
+
+    def reduced(v, pm):
+        return type(v) is int and 0 <= v < pm
+
+    for p in primes:
+        assert reduced(x_quantity(p), p) and reduced(y_quantity(p), p)
+        for m in range(1, MAX_EXPONENT + 1):
+            pm = p**m
+            values = [
+                *(residue_from_rational(x, p, m) for x in (-1, Fraction(-3, 4), Fraction(7, 2))),
+                *(padic_gamma.product_bound(x, p, m) for x in (-2, Fraction(-1, 2))),
+                *(padic_gamma.gamma_p_int(n, p, m) for n in (0, 1, 2, p, p + 1, pm - 2, pm - 1)),
+                *(padic_gamma.gamma_p_rational(x, p, m) for x in (-3, Fraction(3, 4), Fraction(-3, 4))),
+                rhs_vanhamme(p, m),
+                rhs_vanhamme_b(p, m),
+                lhs_vanhamme(p, m),
+                lhs_vanhamme_b(p, m),
+                z_quantity(p, m),
+            ]
+            assert all(reduced(v, pm) for v in values), (p, m, values)
 
 
 def test_poch_congruences_small():
@@ -410,7 +440,7 @@ def test_poch_congruence_shift_square_spot_value():
     # p = 5, k = 2: C(4,2) C(2,2) = 6 against (3/8)^2 mod 25 - both reduce to 6
     lhs = residue_from_rational(Fraction(math.comb(4, 2) * math.comb(2, 2)), 5, 2)
     rhs = residue_from_rational(binom_half(2) ** 2, 5, 2)
-    assert lhs.value == rhs.value == 6
+    assert lhs == rhs == 6
 
 
 def test_whipple_instance_small():
@@ -465,7 +495,7 @@ def test_whipple_instance_matches_quintic_sum_termwise():
         for k, term in enumerate(lhs_terms):
             target = (4 * k + 1) * binom_half(k) ** 5
             diff = term - target
-            assert residue_from_rational(diff, p, 4).value == 0
+            assert residue_from_rational(diff, p, 4) == 0
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
@@ -485,7 +515,7 @@ def test_exact_vs_modular_accumulation_small():
     # the exact quintic sum against the kernel, the modular sums against the
     # exact oracle
     for p in (3, 5, 7, 11, 13):
-        assert lhs_vanhamme(p, 3).value == _central_sum(p, 3, *QUINTIC)
+        assert lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC)
         assert lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION)
         assert z_quantity(p, 3) == central_residue(p, 3, Z)
         assert x_quantity(p) == residue_from_rational(x_sum(p), p, 1)
@@ -498,7 +528,7 @@ def test_exact_vs_modular_spot_large():
     for p in (97, 199):
         assert x_quantity(p) == residue_from_rational(x_sum(p), p, 1)
         assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
-        assert lhs_vanhamme(p, 3).value == _central_sum(p, 3, *QUINTIC)
+        assert lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC)
     assert lhs_vanhamme_b(499, 4) == central_residue(499, 4, COMPANION)
     # theorem_os_check and prop3_check take the modular Z at every prime of
     # the finite_field and default_sweep benchmark ranges
@@ -512,9 +542,9 @@ def test_kept_quintic_sum_reduces_at_every_modulus(p):
     # the exact quintic sum is kept per prime and reduced at whatever
     # modulus is asked; the kernel matches the exact oracle on every row
     for m in range(1, MAX_EXPONENT + 1):
-        assert lhs_vanhamme(p, m).value == _central_sum(p, m, *QUINTIC)
+        assert lhs_vanhamme(p, m) == _central_sum(p, m, *QUINTIC)
         for row in ROWS:
-            assert _central_sum(p, m, *row) == central_residue(p, m, row).value
+            assert _central_sum(p, m, *row) == central_residue(p, m, row)
 
 
 def test_y_mod_p_squared_agrees_with_exact():
@@ -522,8 +552,8 @@ def test_y_mod_p_squared_agrees_with_exact():
     # against the exact sums there
     for p in filter(is_odd_prime, range(3, 200)):
         assert _xy_mod(p, p * p) == (
-            residue_from_rational(x_sum(p), p, 2).value,
-            residue_from_rational(y_sum(p), p, 2).value,
+            residue_from_rational(x_sum(p), p, 2),
+            residue_from_rational(y_sum(p), p, 2),
         )
 
 
@@ -583,5 +613,5 @@ def test_harmonic_tables_are_built_once_per_prime_and_precision(spy, capsys, sta
 def test_x_sum_random_p_integrality():
     # the exact reduced forms are p-integral and divisible by p: v_p >= 1
     for p in (3, 5, 7, 13, 31):
-        assert residue_from_rational(x_sum(p), p, 1).value == 0
-        assert residue_from_rational(y_sum(p), p, 1).value == 0
+        assert residue_from_rational(x_sum(p), p, 1) == 0
+        assert residue_from_rational(y_sum(p), p, 1) == 0
