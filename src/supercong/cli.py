@@ -1,6 +1,10 @@
 """Command-line front end: sweep primes, run selected congruence checks,
 and emit machine-readable reports.
 
+A sweep tests each odd n of its range with `exactnum.is_odd_prime`, the
+package's one primality test, and prints each record as a row: the record
+zipped with the column names, plus the `millis` its check took.
+
 Exit codes: 0 when every record passes, 1 when at least one fails,
 2 on usage errors.
 
@@ -34,7 +38,7 @@ from .classical_hg import (
     ramanujan_partial_sum,
     ramanujan_target,
 )
-from .exactnum import MAX_EXPONENT, MAX_PRIME, NotPIntegral
+from .exactnum import MAX_EXPONENT, MAX_PRIME, NotPIntegral, is_odd_prime
 from .padic_gamma import gamma_p_rational
 
 
@@ -42,19 +46,8 @@ from .padic_gamma import gamma_p_rational
 _CHUNK = 4
 #: characters of a rejected argument quoted in its error line
 _QUOTE = 40
-
-
-def _sieve_odd_primes(lo: int, hi: int) -> list:
-    """Odd primes in [lo, hi]; 2 is silently excluded."""
-    if hi < 3:
-        return []
-    size = hi + 1
-    flags = bytearray([1]) * size
-    flags[0:2] = b"\x00\x00"
-    for q in range(2, int(hi**0.5) + 1):
-        if flags[q]:
-            flags[q * q :: q] = b"\x00" * len(range(q * q, size, q))
-    return [n for n in range(max(lo, 3), size) if flags[n] and n % 2]
+#: the columns of a row, one per field of its record
+_COLUMNS = ("statement", "p", "lhs", "rhs", "modulus", "pass")
 
 
 def _shown(text: str) -> str:
@@ -79,17 +72,7 @@ def _prime_task(args) -> list:
         start = time.perf_counter()
         rec = entry.check(p, m)
         millis = (time.perf_counter() - start) * 1000.0
-        rows.append(
-            {
-                "statement": rec.statement,
-                "p": rec.p,
-                "lhs": rec.lhs,
-                "rhs": rec.rhs,
-                "modulus": rec.modulus,
-                "pass": rec.passed,
-                "millis": round(millis, 3),
-            }
-        )
+        rows.append(dict(zip(_COLUMNS, rec), millis=round(millis, 3)))
     return rows
 
 
@@ -99,7 +82,7 @@ def _emit(rows: list, fmt: str, out) -> None:
             out.write(json.dumps(row) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out)
-        writer.writerow(["statement", "p", "lhs", "rhs", "modulus", "pass", "millis"])
+        writer.writerow([*_COLUMNS, "millis"])
         for row in rows:
             *head, passed, millis = row.values()
             writer.writerow([*head, "true" if passed else "false", f"{millis:.3f}"])
@@ -121,7 +104,9 @@ def _emit(rows: list, fmt: str, out) -> None:
 def cmd_verify(
     lo: int, hi: int, statements: tuple, mod_power: Optional[int], workers: int, fmt: str, out
 ) -> int:
-    tasks = [(p, statements, mod_power) for p in _sieve_odd_primes(lo, hi)]
+    # the odd n of [lo, hi], each through the one primality test
+    odd = range(lo | 1, hi + 1, 2)
+    tasks = [(p, statements, mod_power) for p in odd if is_odd_prime(p)]
     # the pool forks all its workers at the first submit: never more than
     # the cores, nor than the chunks there are to hand out; a serial run
     # asks for neither

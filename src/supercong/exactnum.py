@@ -164,8 +164,11 @@ def prime_layer(fn):
 
 
 def rational(x: Fraction | int) -> Fraction:
-    """x as a Fraction.  A float or a str raises TypeError: Fraction(0.1)
-    is the binary double nearest 1/10, not 1/10, and a str is not a number."""
+    """x as a Fraction; a Fraction is immutable, so it is returned itself.
+    A float or a str raises TypeError: Fraction(0.1) is the binary double
+    nearest 1/10, not 1/10, and a str is not a number."""
+    if type(x) is Fraction:
+        return x
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
     return Fraction(x)

@@ -18,10 +18,11 @@ every exact terminating sum).  The Pochhammer-pair congruences, which need
 each value only mod p^4 or p^2, walk the ratios as residues
 (`_pochhammer_residues`): prefix quotients with one inverse per sequence.
 A residue mod p^m is a plain int in [0, p^m): each quantity function
-validates (p, m) once through `exactnum.check_modulus` and reduces once,
-and each record reduces both integer sides at the one modulus its
-statement uses (`_record`).  `tests/exact_oracle.py` holds what the
-suite checks production against: the exact twins of the
+validates (p, m) once through `exactnum.check_modulus` and reduces once.
+A record is a NamedTuple, the row (statement, p, lhs, rhs, modulus,
+passed) that `verify` prints, with both integer sides reduced at the one
+modulus its statement uses (`_record`).  `tests/exact_oracle.py` holds
+what the suite checks production against: the exact twins of the
 modular sums, the exact walk of the ratios in Fractions (the oracle of
 both routes: its terms summed for the instance, its values reduced side by
 side for the congruences), and the instance's four separate Pochhammer
@@ -41,10 +42,9 @@ through `exactnum.check_prime`; the statement registry reads those caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .classical_hg import _nested_sum
 from .exactnum import MAX_PRIME, check_modulus, check_prime, prime_layer, residue_from_rational
@@ -52,8 +52,7 @@ from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_3f2, legendre
 from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of one congruence check at one prime: the row `verify`
     prints, both sides reduced mod `modulus` (0 <= lhs, rhs < modulus)."""
 
@@ -409,8 +408,7 @@ def whipple_instance_check(p: int) -> VerificationRecord:
 # the statement registry of the sweep front end
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """One sweep statement: its default modulus exponent (None where the
     modulus is fixed and a --mod-power override does not apply),
     `check(p, m)`, which returns the statement's record at p, and `max_p`,

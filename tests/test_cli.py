@@ -5,7 +5,6 @@ import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +16,7 @@ from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME
 from supercong.padic_gamma import gamma_p_rational
+from test_acceptance import _primes_to
 
 
 def run_cli(capsys, *argv):
@@ -147,9 +147,33 @@ def test_range_above_a_statement_cap_exits_2(capsys, monkeypatch, statement, rec
     assert f"{statement} ({cap})" in err and "lemma1" not in err
 
 
+def _swept_primes(capsys, monkeypatch, lo, hi):
+    """(exit code, the p column) of a lemma1 sweep over lo..hi whose check
+    runs no kernel: its record is the same passing row at every p but for p."""
+    row = supercongruence.VerificationRecord("lemma1", 0, 0, 0, 1, True)
+    entry = supercongruence.Statement(None, lambda p, m: row._replace(p=p))
+    monkeypatch.setitem(supercongruence.STATEMENTS, "lemma1", entry)
+    code, out, _ = run_cli(
+        capsys, "verify", "--statements", "lemma1", "--primes", f"{lo}..{hi}", "--format", "json-lines"
+    )
+    return code, [json.loads(line)["p"] for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("lo, hi", ((3, 200000), (999000, 1000000)))
+def test_verify_sweeps_exactly_the_odd_primes_of_its_range(capsys, monkeypatch, lo, hi):
+    code, primes = _swept_primes(capsys, monkeypatch, lo, hi)
+    assert code == 0
+    assert primes == [p for p in _primes_to(hi) if p >= lo]
+
+
+@pytest.mark.parametrize("p, rows", ((2, 0), (3, 1), (4, 0), (9, 0), (999983, 1)))
+def test_a_one_number_range_gives_its_row_if_it_is_an_odd_prime(capsys, monkeypatch, p, rows):
+    assert _swept_primes(capsys, monkeypatch, p, p) == (0, [p] * rows)
+
+
 def test_statement_cap_boundary(capsys, monkeypatch):
     entry = supercongruence.STATEMENTS["thm_os"]
-    monkeypatch.setitem(supercongruence.STATEMENTS, "thm_os", replace(entry, max_p=7))
+    monkeypatch.setitem(supercongruence.STATEMENTS, "thm_os", entry._replace(max_p=7))
     args = ("verify", "--statements", "thm_os", "--format", "json-lines", "--primes")
     code, out, _ = run_cli(capsys, *args, "3..7")
     assert code == 0
@@ -402,7 +426,7 @@ def test_a_json_row_is_its_record(capsys, statement, mod_power):
             "--format", "json-lines", *extra,
         )
         [row] = rows_without_millis(out)
-        record = astuple(entry.check(p, m))
+        record = tuple(entry.check(p, m))
         assert list(row.items()) == list(zip(("statement", "p", "lhs", "rhs", "modulus", "pass"), record))
         assert 0 <= row["lhs"] < row["modulus"] and 0 <= row["rhs"] < row["modulus"]
 

@@ -240,6 +240,17 @@ def test_residue_takes_only_an_int_value():
         residue_from_rational(Fraction(1, 10), 5, 2)
 
 
+def test_rational_returns_a_fraction_itself_and_converts_an_int():
+    # a Fraction is immutable, so it is returned, not copied
+    x = Fraction(3, 4)
+    assert exactnum.rational(x) is x
+    one = exactnum.rational(1)
+    assert type(one) is Fraction and one == 1
+    for value in (0.75, "3/4"):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            exactnum.rational(value)
+
+
 def test_prime_gate_refuses_before_the_caller_works():
     assert exactnum.check_prime(7, 7, "test") is None
     with pytest.raises(ValueError, match="prime 11 exceeds the test cap 7"):

@@ -223,9 +223,15 @@ def test_record_invariants():
         for rec in (vanhamme_verify(p), prop3_check(p), lemma1_check(p), lemma2_check(p)):
             assert rec.passed == (rec.lhs == rec.rhs)
             assert rec.statement in STATEMENTS
-    # each side is reduced at the record's one modulus, whatever its sign
-    assert sc._record("lemma1", 5, -1, 24, 25) == sc.VerificationRecord("lemma1", 5, 24, 24, 25, True)
     assert not sc._record("lemma1", 5, 1, 5, 5).passed
+
+
+def test_a_record_is_its_row_as_a_tuple():
+    # each side is reduced at the record's one modulus, whatever its sign
+    assert sc._record("lemma1", 5, -1, 24, 25) == ("lemma1", 5, 24, 24, 25, True)
+    with pytest.raises(AttributeError):
+        sc._record("lemma1", 5, -1, 24, 25).passed = False
+    assert sc.Statement(None, lemma1_check).max_p == MAX_PRIME
 
 
 @pytest.mark.parametrize("p", (3, 5, 13))
