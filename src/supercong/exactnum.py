@@ -12,10 +12,11 @@ names its own cap, defined beside the work it bounds, and the gate refuses
 a larger p before any of that work starts.
 
 It also holds the least primitive root of a prime (`primitive_root`) and
-the walk over its powers (`powers`), from which every discrete-log sum of
-the package starts, and the one store of per-prime layers (`prime_layer`):
-the values several statements share at one prime, kept for the last prime
-asked and dropped as soon as any layer is asked at another.
+the walk over its powers (`powers`), the discrete-log points of
+`polyengine`'s chirp-z transform, and the one store of per-prime layers
+(`prime_layer`): the values several statements share at one prime, kept
+for the last prime asked and dropped as soon as any layer is asked at
+another.
 """
 
 from __future__ import annotations

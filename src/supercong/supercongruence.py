@@ -31,13 +31,12 @@ statements of one prime and kept in `exactnum`'s per-prime store
 (`prime_layer`), so each is computed once per prime: the exact quintic
 sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pair
 (X, Y) at each precision asked, mod p for the lemmas and mod p^2 for
-thm_os.  The third, p^2 * 3F2(1), which thm_os and cor5 share, is kept in
-the same store by `gaussian_hg.gaussian_3f2` when p = 1 (mod 4); when
-p = 3 (mod 4) it is 0, returned with no sum and nothing kept.
+thm_os.  The p^2 * 3F2(1) that thm_os and cor5 read is not kept: each
+computes Ono's closed form (`gaussian_hg.gaussian_3f2`) in microseconds.
 Every comparison is exact integer equality, never approximate.  The
-exact quintic sum, the 3F2 and the Pochhammer-pair routes refuse a prime
-above their caps before any work and before the store is touched,
-through `exactnum.check_prime`; the statement registry reads those caps.
+exact quintic sum and the Pochhammer-pair routes refuse a prime above
+their caps before any work and before the store is touched, through
+`exactnum.check_prime`; the statement registry reads those caps.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .classical_hg import _nested_sum
 from .exactnum import MAX_PRIME, check_modulus, check_prime, prime_layer, residue_from_rational
-from .gaussian_hg import FINITE_FIELD_MAX_P, gaussian_3f2, legendre
+from .gaussian_hg import gaussian_3f2, legendre
 from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
 
 
@@ -423,10 +422,11 @@ class Statement(NamedTuple):
 # fresh process, took about 5 s on a 2-vCPU host (Python 3.11).  Each cap
 # is defined and enforced by the layer whose cost it bounds, so the API
 # refuses what a sweep refuses: QUINTIC_SUM_MAX_P by lhs_vanhamme (the
-# exact quintic sum), gaussian_hg.FINITE_FIELD_MAX_P by gaussian_3f2
-# (the O(p^2) double sum) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
-# The modular kernel of vanhamme_b and Z and the X/Y pass of the lemmas
-# need no cap below MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s.
+# exact quintic sum) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
+# The modular kernel of vanhamme_b and Z, the X/Y pass of the lemmas and
+# thm_os, and Ono's closed form of the 3F2 need no cap below MAX_PRIME:
+# vanhamme_b_verify(999983, 8) takes under 1 s and theorem_os_check(999961)
+# 2-3 s, most of it the X/Y pass mod p^2.
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.
@@ -436,8 +436,8 @@ STATEMENTS = {
     "lemma1": Statement(None, lambda p, m: lemma1_check(p)),
     "lemma2": Statement(None, lambda p, m: lemma2_check(p)),
     "prop3": Statement(None, lambda p, m: prop3_check(p), QUINTIC_SUM_MAX_P),
-    "thm_os": Statement(None, lambda p, m: theorem_os_check(p), FINITE_FIELD_MAX_P),
-    "cor5": Statement(3, lambda p, m: cor5_check(p, m), FINITE_FIELD_MAX_P),
+    "thm_os": Statement(None, lambda p, m: theorem_os_check(p)),
+    "cor5": Statement(3, lambda p, m: cor5_check(p, m)),
     "whipple_inst": Statement(None, lambda p, m: whipple_instance_check(p), WHIPPLE_INST_MAX_P),
 }
 

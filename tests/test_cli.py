@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from supercong import cli, gaussian_hg, padic_gamma, supercongruence
+from supercong import cli, padic_gamma, supercongruence
 from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME
@@ -126,8 +126,6 @@ def test_tolerance_option_is_gone(capsys, flag):
     (
         ("vanhamme_a", "vanhamme_verify"),
         ("prop3", "prop3_check"),
-        ("thm_os", "theorem_os_check"),
-        ("cor5", "cor5_check"),
         ("whipple_inst", "whipple_instance_check"),
     ),
 )
@@ -145,6 +143,21 @@ def test_range_above_a_statement_cap_exits_2(capsys, monkeypatch, statement, rec
     assert code == 2 and out == ""
     assert err.startswith("supercong: error: ") and err.count("\n") == 1
     assert f"{statement} ({cap})" in err and "lemma1" not in err
+
+
+def test_finite_field_statements_take_the_api_wide_cap(capsys):
+    # Ono's closed form costs O(log^2 p), so thm_os and cor5 run to
+    # MAX_PRIME; 5107 is 3 (mod 4) and 5101 is 1 (mod 4)
+    assert supercongruence.STATEMENTS["thm_os"].max_p == supercongruence.STATEMENTS["cor5"].max_p == MAX_PRIME
+    code, out, err = run_cli(
+        capsys, "verify", "--statements", "thm_os,cor5", "--primes", "5101..5107", "--format", "json-lines"
+    )
+    assert (code, err) == (0, "")
+    rows = rows_without_millis(out)
+    assert sorted((row["statement"], row["p"]) for row in rows) == [
+        ("cor5", 5101), ("cor5", 5107), ("thm_os", 5101), ("thm_os", 5107)
+    ]
+    assert all(row["pass"] for row in rows)
 
 
 def _swept_primes(capsys, monkeypatch, lo, hi):
@@ -459,10 +472,8 @@ def test_verify_reaches_record_functions_through_the_module_global(capsys, monke
 )
 def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
     # vanhamme_a and prop3 read one exact quintic sum, each at its own
-    # modulus; thm_os and cor5 read one p^2 * 3F2(1), summed only at
-    # p = 1 (mod 4) since it is 0 at p = 3 (mod 4)
+    # modulus
     quintic = spy(supercongruence, "_quintic_sum")
-    series = spy(gaussian_hg, "_double_sum")
     argv = ("verify", "--primes", "3..97", "--workers", "1", "--format", "json-lines", *extra)
     code, out, _ = run_cli(capsys, *argv, "--statements", statements)
     rows = rows_without_millis(out)
@@ -472,7 +483,6 @@ def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
 
     reads_quintic = {"vanhamme_a", "prop3"} & set(statements.split(","))
     assert quintic == ([(p,) for p in primes] if reads_quintic else [])
-    assert series == ([(p,) for p in primes if p % 4 == 1] if "thm_os" in statements else [])
 
     alone = []
     for statement in sorted(statements.split(",")):

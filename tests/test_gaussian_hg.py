@@ -1,11 +1,13 @@
-"""The Legendre symbol, the least primitive root, the double sum
-p^2 * 3F2(1) over discrete logs and the oracles of the finite-field
-series: explicit quadratic-residue sets, the definitional complex
+"""The Legendre symbol, the least primitive root, p^2 * 3F2(1) by Ono's
+closed form with its Hermite-Serret sum of two squares, and the oracles
+of the finite-field series: explicit quadratic-residue sets, a
+brute-force search for the two squares, the definitional complex
 character sum of `charsum_oracle` (with its own character-table,
 Jacobi-sum and normalized-binomial tests), Greene's recursion over full
 tables at any n and lambda (checked against the character sum, and with
-its inverse-pair relation), an exact plus-minus-one computation at p = 3
-and Ono's closed form of p^2 * 3F2(1)."""
+its inverse-pair relation), that recursion unrolled into the exact double
+sum over discrete logs, and an exact plus-minus-one computation at
+p = 3."""
 
 import cmath
 import math
@@ -13,9 +15,11 @@ import random
 
 import pytest
 
+import charsum_oracle
 from charsum_oracle import (
     CharacterTable,
     RoundingResidualTooLarge,
+    _double_sum,
     _least_primitive_root,
     charsum_nFn_phi,
     greene_binom,
@@ -24,8 +28,8 @@ from charsum_oracle import (
 )
 from supercong import exactnum, gaussian_hg
 from supercong.exactnum import is_odd_prime, primitive_root
-from supercong.gaussian_hg import gaussian_3f2, legendre
-from supercong.supercongruence import cor5_check, theorem_os_check
+from supercong.gaussian_hg import _two_squares, gaussian_3f2, legendre
+from supercong.supercongruence import cor5_check
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -82,20 +86,18 @@ def test_primitive_root_matches_the_oracles_own():
 
 def test_double_sum_rejects_a_root_that_is_not_primitive(monkeypatch):
     # 4 has order 6 mod 13: the walk over g^i meets 1 at i = 6 and raises
-    # before any row is summed, and no value is filed in the store
-    monkeypatch.setattr(gaussian_hg, "primitive_root", lambda p: 4)
+    # before any row is summed
+    monkeypatch.setattr(charsum_oracle, "primitive_root", lambda p: 4)
     with pytest.raises(ArithmeticError, match="4 is not a primitive root mod 13"):
-        gaussian_3f2(13)
-    assert not any(exactnum._layers.values())
+        _double_sum(13)
 
 
 def test_double_sum_rejects_a_root_that_is_zero_mod_p(monkeypatch):
     # 13 is 0 mod 13: its walk is 1, 0, 0, ... and never meets 1 early, so
     # it is refused after the walk, where g^(p - 1) must be 1
-    monkeypatch.setattr(gaussian_hg, "primitive_root", lambda p: 13)
+    monkeypatch.setattr(charsum_oracle, "primitive_root", lambda p: 13)
     with pytest.raises(ArithmeticError, match="13 is not a primitive root mod 13"):
-        gaussian_3f2(13)
-    assert not any(exactnum._layers.values())
+        _double_sum(13)
 
 
 def test_char_eval_zero_extension():
@@ -227,7 +229,7 @@ def test_gaussian_series_p3_exact_oracle():
 def test_gaussian_series_real_and_integral():
     for p in (3, 5, 7, 13, 29, 53, 97):
         # tight residual: passing at tol 1e-8 certifies reality + integrality
-        # of the character sum, and the double sum must land on it
+        # of the character sum, and the closed form must land on it
         value = gaussian_3f2(p)
         assert isinstance(value, int)
         assert charsum_nFn_phi(p, 2, 1, tol=1e-8) == value
@@ -241,14 +243,14 @@ def test_gaussian_series_lambda_zero():
 
 
 def test_gaussian_series_rejects_bad_arguments(spy):
-    # the gate goes before the 0 branch: 5107 (the first prime above the
-    # cap) and the pseudoprime 3215031751 are 3 (mod 4) and would answer 0
-    # behind it; 9 and 1 are 1 (mod 4) and would reach the sum
-    builds = spy(gaussian_hg, "_double_sum")
-    for p in (1, 2, 9, 5107, 3215031751):
+    # the gate goes before the 0 branch: 1000003 (the first prime above
+    # MAX_PRIME) and the pseudoprime 3215031751 are 3 (mod 4) and would
+    # answer 0 behind it; 9 and 1 are 1 (mod 4) and would reach the squares
+    squares = spy(gaussian_hg, "_two_squares")
+    for p in (1, 2, 9, 1000003, 3215031751):
         with pytest.raises(ValueError):
             gaussian_3f2(p)
-    assert builds == []
+    assert squares == []
     assert not any(exactnum._layers.values())
 
 
@@ -266,28 +268,13 @@ def test_prime_checks_refuse_a_strong_pseudoprime_to_bases_2_3_5_7():
         gaussian_3f2(n)
 
 
-def test_series_refuses_a_p_above_its_cost_cap(monkeypatch, spy):
-    # the O(p^2) double sum stops at FINITE_FIELD_MAX_P; with the cap shrunk
-    # to 13, 13 runs and 17 is refused before the sum and before the store
-    assert gaussian_hg.FINITE_FIELD_MAX_P == 5101
-    monkeypatch.setattr(gaussian_hg, "FINITE_FIELD_MAX_P", 13)
-    builds = spy(gaussian_hg, "_double_sum")
-    assert gaussian_3f2(13) == charsum_nFn_phi(13, 2, 1, tol=1e-6)
-    kept = {p: dict(layers) for p, layers in exactnum._layers.items()}
-    for check in (gaussian_3f2, theorem_os_check, cor5_check):
-        with pytest.raises(ValueError, match="finite-field cap 13$"):
-            check(17)
-    assert builds == [(13,)]
-    assert exactnum._layers == kept
-
-
 @pytest.mark.parametrize("p", (7, 499))
 def test_series_is_zero_at_3_mod_4_without_the_sum(spy, p):
-    # p = 3 (mod 4): the value is 0 by the inverse-pair involution, so no
-    # double sum is built and nothing is filed in the store
-    builds = spy(gaussian_hg, "_double_sum")
+    # p = 3 (mod 4): the value is 0, so no two squares are sought and
+    # nothing is filed in the store
+    squares = spy(gaussian_hg, "_two_squares")
     assert gaussian_3f2(p) == 0
-    assert builds == []
+    assert squares == []
     assert not any(exactnum._layers.values())
 
 
@@ -319,16 +306,16 @@ def test_full_tables_match_charsum_oracle(n, p_max):
 
 
 def test_double_sum_matches_full_tables():
-    # the sum itself, at both classes mod 4, not the 0 branch in front of it
+    # the oracle's sum over discrete logs against Greene's full tables
     for p in filter(is_odd_prime, range(3, 500)):
-        assert gaussian_hg._double_sum(p) == greene_tables(p, 2)[2][1], p
+        assert _double_sum(p) == greene_tables(p, 2)[2][1], p
 
 
 def test_double_sum_is_zero_at_3_mod_4():
     # the theorem that gaussian_3f2's 0 branch returns, held on the sum
     for p in (*filter(is_odd_prime, range(3, 998, 4)), 5099):
         assert p % 4 == 3
-        assert gaussian_hg._double_sum(p) == 0, p
+        assert _double_sum(p) == 0, p
 
 
 def test_full_tables_reflect_over_inverse_pairs():
@@ -343,13 +330,28 @@ def test_full_tables_reflect_over_inverse_pairs():
                 assert table[pow(x, -1, p)] == flip * phi[x] * table[x], (p, k, x)
 
 
+def _brute_two_squares(p):
+    # every odd x below sqrt(p) with p - x^2 a square: exactly one for a
+    # prime p = 1 (mod 4)
+    (x,) = [x for x in range(1, math.isqrt(p) + 1, 2) if math.isqrt(p - x * x) ** 2 == p - x * x]
+    return x, math.isqrt(p - x * x)
+
+
 def _ono(p):
     # K. Ono, Trans. AMS 350 (1998): p^2 * 3F2(1) is 0 for p = 3 (mod 4) and
     # 4x^2 - 2p for p = x^2 + y^2 with x odd
     if p % 4 == 3:
         return 0
-    (x,) = [x for x in range(1, math.isqrt(p) + 1, 2) if math.isqrt(p - x * x) ** 2 == p - x * x]
+    x, _ = _brute_two_squares(p)
     return 4 * x * x - 2 * p
+
+
+def test_two_squares_matches_a_brute_force_search():
+    for p in (*filter(is_odd_prime, range(5, 10**4, 4)), 999917, 999953, 999961):
+        assert p % 4 == 1 and is_odd_prime(p)
+        x, y = _two_squares(p)
+        assert x % 2 == 1 and x * x + y * y == p, p
+        assert (x, y) == _brute_two_squares(p), p
 
 
 def test_ono_closed_form():
@@ -357,10 +359,11 @@ def test_ono_closed_form():
         assert gaussian_3f2(p) == _ono(p), p
 
 
-@pytest.mark.parametrize("p", (5099, 5101))
-def test_ono_closed_form_at_the_cap(p):
-    # the longest rows, one prime of each class mod 4; 5101 is the cap
-    assert gaussian_3f2(p) == _ono(p)
+def test_closed_form_matches_the_double_sum():
+    # the production closed form against the oracle's exact character sum,
+    # at both classes mod 4, up to the rows of 5099 and 5101
+    for p in (*filter(is_odd_prime, range(3, 2000)), 5099, 5101):
+        assert gaussian_3f2(p) == _double_sum(p), p
 
 
 def test_corollary5_small():

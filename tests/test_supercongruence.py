@@ -23,7 +23,7 @@ from exact_oracle import (
     x_sum,
     y_sum,
 )
-from supercong import exactnum, gaussian_hg, padic_gamma, polyengine
+from supercong import exactnum, padic_gamma, polyengine
 from supercong import supercongruence as sc
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME, is_odd_prime, residue_from_rational
@@ -377,17 +377,13 @@ def test_pochhammer_walkers_reject_a_prime_above_the_cap_promptly(walker):
 _LAYER_CAPS = {
     "vanhamme_a": (sc, "QUINTIC_SUM_MAX_P"),
     "prop3": (sc, "QUINTIC_SUM_MAX_P"),
-    "thm_os": (gaussian_hg, "FINITE_FIELD_MAX_P"),
-    "cor5": (gaussian_hg, "FINITE_FIELD_MAX_P"),
     "whipple_inst": (sc, "WHIPPLE_INST_MAX_P"),
 }
 
 
 def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch, spy):
     # shrink each layer constant to 7: the check itself, not the sweep's
-    # registry, then stops above it; a finite-field check stops at the
-    # gate of the 3F2, before its double sum is built for 11
-    series = spy(gaussian_hg, "_double_sum")
+    # registry, then stops above it
     for statement, entry in STATEMENTS.items():
         if statement not in _LAYER_CAPS:
             assert entry.max_p == MAX_PRIME, statement
@@ -397,28 +393,19 @@ def test_every_statement_cap_is_the_constant_its_layer_enforces(monkeypatch, spy
         with monkeypatch.context() as patch:
             patch.setattr(module, name, 7)
             assert entry.check(7, entry.default_m).passed, statement
-            series.clear()
             with pytest.raises(ValueError, match="cap 7$"):
                 entry.check(11, entry.default_m)
-            assert series == [], statement
 
 
 def test_entry_points_refuse_the_first_prime_above_their_cap_promptly():
-    # below these caps one call takes up to about 5 s, and the cost grows
-    # like p^2 (the series) or p^3 (the exact sum); the walker's cap is
-    # checked at 4001 above
-    groups = (
-        (5107, gaussian_hg.FINITE_FIELD_MAX_P,
-         (gaussian_3f2, theorem_os_check, cor5_check)),
-        (7717, sc.QUINTIC_SUM_MAX_P,
-         (lambda p: lhs_vanhamme(p, 3), vanhamme_verify, prop3_check)),
-    )
+    # below the cap one call takes up to about 5 s, and the cost of the
+    # exact sum grows like p^3; the walker's cap is checked at 4001 above
+    p, cap = 7717, sc.QUINTIC_SUM_MAX_P
+    assert is_odd_prime(p) and not any(map(is_odd_prime, range(cap + 1, p)))
     start = time.perf_counter()
-    for p, cap, calls in groups:
-        assert is_odd_prime(p) and not any(map(is_odd_prime, range(cap + 1, p)))
-        for call in calls:
-            with pytest.raises(ValueError, match=f"prime {p} exceeds the .* cap {cap}$"):
-                call(p)
+    for call in (lambda p: lhs_vanhamme(p, 3), vanhamme_verify, prop3_check):
+        with pytest.raises(ValueError, match=f"prime {p} exceeds the quintic-sum cap {cap}$"):
+            call(p)
     assert time.perf_counter() - start < 1
 
 
@@ -583,18 +570,16 @@ def test_harmonic_tables_are_built_once_per_prime(spy, statements, m):
 
 def test_every_order_of_the_statements_builds_each_layer_once(spy):
     # at one prime, p = 1 (mod 4) so that vanhamme_a and cor5 read Gamma_p:
-    # the quintic once, X/Y once per precision, the 3F2 once, and the
-    # Gamma_p block table once for its (p, m), in whatever order the
-    # statements come
+    # the quintic once, X/Y once per precision, and the Gamma_p block
+    # table once for its (p, m), in whatever order the statements come
     p = 13
     quintic = spy(sc, "_quintic_sum")
     tables = spy(sc, "_harmonic_tables_mod")
-    series = spy(gaussian_hg, "_double_sum")
     blocks = spy(padic_gamma, "_block_table")
     expected = None
     for order in itertools.permutations(("vanhamme_a", "prop3", "lemma1", "lemma2", "thm_os", "cor5")):
         exactnum._layers.clear()
-        for calls in (quintic, tables, series, blocks):
+        for calls in (quintic, tables, blocks):
             calls.clear()
         records = {name: STATEMENTS[name].check(p, STATEMENTS[name].default_m) for name in order}
         assert all(rec.passed for rec in records.values())
@@ -602,7 +587,6 @@ def test_every_order_of_the_statements_builds_each_layer_once(spy):
         expected = records
         assert quintic == [(p,)]
         assert sorted(tables) == [(p, p), (p, p * p)]
-        assert series == [(p,)]
         assert blocks == [(p, 2)]
 
 
