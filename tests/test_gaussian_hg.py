@@ -359,6 +359,13 @@ def test_ono_closed_form():
         assert gaussian_3f2(p) == _ono(p), p
 
 
+@pytest.mark.parametrize("p", (5099, 5101))
+def test_ono_closed_form_at_the_cap(p):
+    # one prime of each class mod 4 at 5101, the largest p the double sum
+    # was once run at; the closed form now has no cap below MAX_PRIME
+    assert gaussian_3f2(p) == _ono(p)
+
+
 def test_closed_form_matches_the_double_sum():
     # the production closed form against the oracle's exact character sum,
     # at both classes mod 4, up to the rows of 5099 and 5101
