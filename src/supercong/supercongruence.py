@@ -7,9 +7,11 @@ through gamma_p and the companion's in closed form, p (-1/p).
 The truncated sums share one shape, the sum over k <= (p-1)/2 of
 (ak+b) C(2k,k)^e / r^k, and one modular kernel, `_central_sum`, evaluates
 it mod p^m (every denominator in range is a p-unit).  Production runs two
-routes: the kernel, for the mod-p^4 companion and Z, and the exact
+routes: the kernel, for the mod-p^4 companion and prop3's Z, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
-X and Y are per-term residue sums from one pass over j.  The paired
+X and Y are per-term residue sums from one pass over j; the pass also
+carries Z's weights C(2j,j)^3 / 64^j, so thm_os reads X, Y and Z from its
+one pass mod p^3 and never runs the kernel.  The paired
 Pochhammer ratios are one list of integer ratios, `_pair_ratios`, read two
 ways.  The well-poised instance, which decides by rational equality, sums
 each side as one unreduced integer fraction nested from the last term
@@ -29,8 +31,8 @@ side for the congruences), and the instance's four separate Pochhammer
 products (the oracle of that walk).  Two layers here are shared by the
 statements of one prime and kept in `exactnum`'s per-prime store
 (`prime_layer`), so each is computed once per prime: the exact quintic
-sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pair
-(X, Y) at each precision asked, mod p for the lemmas and mod p^2 for
+sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pass
+(X, Y, Z) at each precision asked, mod p for the lemmas and mod p^3 for
 thm_os.  The p^2 * 3F2(1) that thm_os and cor5 read is not kept: each
 computes Ono's closed form (`gaussian_hg.gaussian_3f2`) in microseconds.
 Every comparison is exact integer equality, never approximate.  The
@@ -162,29 +164,32 @@ def _harmonic_tables_mod(p: int, pm: int):
 
 @prime_layer
 def _xy_mod(p: int, pm: int) -> tuple:
-    """(X, Y) mod pm from one pass over j, a kept layer for each pm.  The
-    reduced binom(-1/2,j)^3 form determines them at the precision they are
-    read at: mod p in the lemmas, mod p^2 in the decomposition check, so a
-    sweep that asks both keeps both passes of its prime, in whatever order
-    the statements come.
+    """(X, Y, Z) mod pm from one pass over j, a kept layer for each pm.
+    The reduced binom(-1/2,j)^3 form determines X and Y at the precision
+    they are read at: mod p in the lemmas, mod p^2 in the decomposition
+    check, which reads all three from its pass mod p^3; a sweep that asks
+    both keeps both passes of its prime, in whatever order the statements
+    come.
 
-    The weight C(2j,j)^3 / 64^j = binom(-1/2,j)^3 (-1)^j steps by t^3,
-    t = (2j-1) / (2j).  With b = 3j (H_{m+j} - H_j) the doubled brackets
-    are b^2 + 2b - 3j^2 (H2_{m+j} - H2_j) for X and 2 + 2b - 3j (H_{m+j} -
-    H_{m-j}) for Y (0 and 2 at j = 0); each sum is halved once at the end.
+    The weight w_j = C(2j,j)^3 / 64^j = binom(-1/2,j)^3 (-1)^j steps by
+    t^3, t = (2j-1) / (2j), and Z is 1 + the sum of the w_j.  With
+    b = 3j (H_{m+j} - H_j) the doubled brackets are b^2 + 2b - 3j^2
+    (H2_{m+j} - H2_j) for X and 2 + 2b - 3j (H_{m+j} - H_{m-j}) for Y (0
+    and 2 at j = 0); each sum is halved once at the end.
     """
     m = (p - 1) // 2
     inv, h1, h2 = _harmonic_tables_mod(p, pm)
-    w, x2, y2 = 1, 0, 2
+    w, x2, y2, z = 1, 0, 2, 1
     for j in range(1, m + 1):
         t = (2 * j - 1) * inv[2 * j] % pm
         w = w * t * t * t % pm
+        z += w
         hm = h1[m + j]
         b = 3 * j * (hm - h1[j]) % pm
         x2 += w * (b * (b + 2) - 3 * j * j * (h2[m + j] - h2[j]))
         y2 += w * (2 + 2 * b - 3 * j * (hm - h1[m - j]))
     half = (pm + 1) // 2
-    return x2 * half % pm, y2 * half % pm
+    return x2 * half % pm, y2 * half % pm, z % pm
 
 
 def x_quantity(p: int) -> int:
@@ -200,7 +205,8 @@ def y_quantity(p: int) -> int:
 
 
 def z_quantity(p: int, m: int = 3) -> int:
-    """Sum of C(2j,j)^3 / 64^j for j <= (p-1)/2 mod p^m.
+    """Sum of C(2j,j)^3 / 64^j for j <= (p-1)/2 mod p^m, the kernel row
+    prop3 reads (thm_os reads Z from its X/Y pass).
 
     The 16^(-3j/2) weight of the defining sum resolves to 64^-j;
     equivalently this is the sum of (-1)^j binom(-1/2,j)^3.
@@ -245,12 +251,13 @@ def theorem_os_check(p: int) -> VerificationRecord:
     """p^2 * 3F2(1) against phi(-1) [p^2 X + p Y + Z] mod p^3.
 
     The p-power prefactors set the precision each reduced quantity is
-    needed at: X mod p (from the pass mod p^2), Y mod p^2, Z mod p^3.
+    needed at, X mod p, Y mod p^2 and Z mod p^3, and one pass mod p^3
+    yields all three.
     """
     pm = check_modulus(p, 3)
     lhs = gaussian_3f2(p)
-    x, y = _xy_mod(p, p * p)
-    rhs = legendre(-1, p) * (p * p * (x % p) + p * y + z_quantity(p, 3))
+    x, y, z = _xy_mod(p, pm)
+    rhs = legendre(-1, p) * (p * p * x + p * y + z)
     return _record("thm_os", p, lhs, rhs, pm)
 
 
@@ -423,10 +430,11 @@ class Statement(NamedTuple):
 # is defined and enforced by the layer whose cost it bounds, so the API
 # refuses what a sweep refuses: QUINTIC_SUM_MAX_P by lhs_vanhamme (the
 # exact quintic sum) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
-# The modular kernel of vanhamme_b and Z, the X/Y pass of the lemmas and
-# thm_os, and Ono's closed form of the 3F2 need no cap below MAX_PRIME:
-# vanhamme_b_verify(999983, 8) takes under 1 s and theorem_os_check(999961)
-# 2-3 s, most of it the X/Y pass mod p^2.
+# The modular kernel of vanhamme_b and prop3's Z, the X/Y pass of the
+# lemmas and thm_os, and Ono's closed form of the 3F2 need no cap below
+# MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s, and thm_os with
+# cor5 at 999961 1.8-2.6 s, nearly all of it thm_os's one pass mod p^3,
+# which yields X, Y and Z.
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.

@@ -523,8 +523,8 @@ def test_exact_vs_modular_spot_large():
         assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
         assert lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC)
     assert lhs_vanhamme_b(499, 4) == central_residue(499, 4, COMPANION)
-    # theorem_os_check and prop3_check take the modular Z at every prime of
-    # the finite_field and default_sweep benchmark ranges
+    # the kernel's Z, which prop3_check takes and thm_os's pass matches, at
+    # every prime of the finite_field and default_sweep benchmark ranges
     for p in range(3, 1000, 2):
         if is_odd_prime(p):
             assert z_quantity(p, 3) == central_residue(p, 3, Z)
@@ -541,26 +541,43 @@ def test_kept_quintic_sum_reduces_at_every_modulus(p):
 
 
 def test_y_mod_p_squared_agrees_with_exact():
-    # theorem_os_check consumes X and Y from one pass mod p^2; validate both
-    # against the exact sums there
+    # theorem_os_check reads X mod p, Y mod p^2 and Z mod p^3 from one pass
+    # mod p^3; validate each against the exact sums at that precision
     for p in filter(is_odd_prime, range(3, 200)):
-        assert _xy_mod(p, p * p) == (
-            residue_from_rational(x_sum(p), p, 2),
+        x, y, z = _xy_mod(p, p**3)
+        assert (x % p, y % p**2, z) == (
+            residue_from_rational(x_sum(p), p, 1),
             residue_from_rational(y_sum(p), p, 2),
+            central_residue(p, 3, Z),
         )
 
 
-def test_xy_mod_p_is_the_mod_p_squared_pass_reduced():
-    # the lemmas' pass mod p and thm_os's pass mod p^2 agree mod p
+def test_xy_mod_p_is_the_mod_p_cubed_pass_reduced():
+    # the lemmas' pass mod p and thm_os's pass mod p^3 agree mod p, and the
+    # pass's Z is prop3's kernel row, at every prime of the finite_field and
+    # default_sweep benchmark ranges
     for p in filter(is_odd_prime, range(3, 998)):
-        x, y = _xy_mod(p, p * p)
-        assert _xy_mod(p, p) == (x % p, y % p)
+        x, y, z = _xy_mod(p, p**3)
+        assert _xy_mod(p, p)[:2] == (x % p, y % p)
+        assert z == z_quantity(p, 3)
 
 
-@pytest.mark.parametrize("statements, m", [(("lemma1", "lemma2"), 1), (("thm_os",), 2)])
+def test_thm_os_reads_z_from_its_pass_and_prop3_from_the_kernel(spy):
+    # at both classes mod 4: thm_os alone never runs the modular kernel,
+    # prop3 runs its Z row once
+    kernel = spy(sc, "_central_sum")
+    for p in (101, 103):
+        assert STATEMENTS["thm_os"].check(p, None).passed
+        assert kernel == []
+        assert STATEMENTS["prop3"].check(p, None).passed
+        assert kernel == [(p, 3, 0, 1, 3, 64)]
+        kernel.clear()
+
+
+@pytest.mark.parametrize("statements, m", [(("lemma1", "lemma2"), 1), (("thm_os",), 3)])
 def test_harmonic_tables_are_built_once_per_prime(spy, statements, m):
-    # lemma1 and lemma2 share one pass mod p; thm_os reads X and Y from one
-    # pass mod p^2: either way one table build per prime
+    # lemma1 and lemma2 share one pass mod p; thm_os reads X, Y and Z from
+    # one pass mod p^3: either way one table build per prime
     builds = spy(sc, "_harmonic_tables_mod")
     p = 101
     for name in statements:
@@ -586,18 +603,18 @@ def test_every_order_of_the_statements_builds_each_layer_once(spy):
         assert expected in (None, records)
         expected = records
         assert quintic == [(p,)]
-        assert sorted(tables) == [(p, p), (p, p * p)]
+        assert sorted(tables) == [(p, p), (p, p**3)]
         assert blocks == [(p, 2)]
 
 
 @pytest.mark.parametrize("statements", ("lemma1,thm_os,lemma2", "lemma2,thm_os,lemma1"))
 def test_harmonic_tables_are_built_once_per_prime_and_precision(spy, capsys, statements):
-    # the lemmas read X and Y mod p and thm_os mod p^2: both passes of a
+    # the lemmas read X and Y mod p and thm_os mod p^3: both passes of a
     # prime stay kept, so interleaving the statements rebuilds neither
     builds = spy(sc, "_harmonic_tables_mod")
     assert main(["verify", "--statements", statements, "--primes", "101..103", "--format", "json-lines"]) == 0
     assert capsys.readouterr().out.count('"pass": true') == 6
-    assert sorted(builds) == [(101, 101), (101, 101**2), (103, 103), (103, 103**2)]
+    assert sorted(builds) == [(101, 101), (101, 101**3), (103, 103), (103, 103**3)]
 
 
 def test_x_sum_random_p_integrality():
