@@ -311,6 +311,13 @@ def test_double_sum_matches_full_tables():
         assert _double_sum(p) == greene_tables(p, 2)[2][1], p
 
 
+def test_double_sum_is_zero_at_3_mod_4():
+    # the theorem that gaussian_3f2's 0 branch returns, held on the sum
+    for p in (*filter(is_odd_prime, range(3, 998, 4)), 5099):
+        assert p % 4 == 3
+        assert _double_sum(p) == 0, p
+
+
 def test_full_tables_reflect_over_inverse_pairs():
     # T_k(1/x) = phi(-1)^(k+1) phi(x) T_k(x) for x != 0: at k = 0 because
     # phi(1 - 1/x) = phi(-1) phi(x) phi(1 - x), and at k > 0 by y -> 1/y in
@@ -361,12 +368,9 @@ def test_ono_closed_form_at_the_cap(p):
 
 def test_closed_form_matches_the_double_sum():
     # the production closed form against the oracle's exact character sum,
-    # at both classes mod 4, up to the rows of 5099 and 5101; at p = 3
-    # (mod 4) the sum is 0, the theorem that gaussian_3f2's 0 branch returns
+    # at both classes mod 4, up to the rows of 5099 and 5101
     for p in (*filter(is_odd_prime, range(3, 2000)), 5099, 5101):
-        total = _double_sum(p)
-        assert gaussian_3f2(p) == total, p
-        assert p % 4 == 1 or total == 0, p
+        assert gaussian_3f2(p) == _double_sum(p), p
 
 
 def test_corollary5_small():
