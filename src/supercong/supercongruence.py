@@ -1,8 +1,9 @@
 """Truncated Van Hamme sums, the harmonic-sum quantities X/Y/Z at
 (lambda, n) = (1, 2), the specialized well-poised transformation with
 conjugate-paired parameters, and the per-prime verification records; the
-Gamma sides of both congruences come from `padic_gamma`, the quintic's
-through gamma_p and the companion's in closed form, p (-1/p).
+Gamma sides of both congruences come from `padic_gamma` in closed form,
+the quintic's p J_4^2 by Gross-Koblitz and the companion's p (-1/p) by
+reflection.
 
 The truncated sums share one shape, the sum over k <= (p-1)/2 of
 (ak+b) C(2k,k)^e / r^k, and one modular kernel, `_central_sum`, evaluates
@@ -262,7 +263,15 @@ def theorem_os_check(p: int) -> VerificationRecord:
 
 
 def cor5_check(p: int, m: int = 3) -> VerificationRecord:
-    """p^3 * 3F2(1) = p * (p^2 * 3F2(1)) against the Gamma branch mod p^m."""
+    """p^3 * 3F2(1) = p * (p^2 * 3F2(1)) against the Gamma branch mod p^m.
+
+    Both sides are closed forms in the same two squares p = x^2 + y^2:
+    Ono's p (4x^2 - 2p) and Gross-Koblitz's p J_4^2, J_4 = x + y i.  So at
+    p = 1 (mod 4) the row checks J_4^2 = 4x^2 - 2p (mod p^2), an identity
+    in x: J' = x - y i has J_4 + J' = 2x and J_4 J' = p, and p divides J',
+    so J_4^2 = 4x^2 - 2p - J'^2.  The Gamma_p content of cor5 lives in the
+    tests that hold `rhs_vanhamme` against the block route of gamma_p.
+    """
     pm = check_modulus(p, m)
     return _record("cor5", p, p * gaussian_3f2(p), rhs_vanhamme(p, m), pm)
 

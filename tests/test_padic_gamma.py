@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import exactnum
-from supercong.exactnum import NotPIntegral
+from supercong import exactnum, padic_gamma
+from supercong.exactnum import NotPIntegral, is_odd_prime
 from supercong.padic_gamma import (
     gamma_p_int,
     gamma_p_rational,
@@ -127,6 +127,52 @@ def test_rhs_at_the_prime_cap():
     p = 999961
     g = gamma_p_rational(Fraction(1, 4), p, 2)
     assert rhs_vanhamme(p, 3) == -p * pow(g, 4, p**2) % p**3
+
+
+def block_route_rhs(p):
+    """-p gamma_p(1/4)^4 = -p / gamma_p(3/4)^4 mod p^8 through the block
+    route, from one gamma_p(1/4) mod p^7: reduced mod p^m it serves every
+    m <= 8, the leading p supplying the last digit."""
+    g = gamma_p_rational(Fraction(1, 4), p, 7)
+    return -p * pow(g, 4, p**8)
+
+
+def test_rhs_vanhamme_against_the_block_route():
+    # the closed form p J_4^2 (Gross-Koblitz) is the production route; the
+    # block route is its oracle at every odd prime below 2000, in both
+    # classes mod 4, at every m = 1..8
+    for p in filter(is_odd_prime, range(3, 2000, 2)):
+        expect = block_route_rhs(p) if p % 4 == 1 else 0
+        for m in range(1, 9):
+            assert rhs_vanhamme(p, m) == expect % p**m, (p, m)
+
+
+def test_rhs_vanhamme_against_the_block_route_near_the_cap():
+    # the largest prime of each class up to MAX_PRIME, at m = 8, where the
+    # block route needs its longest tables
+    assert rhs_vanhamme(999961, 8) == block_route_rhs(999961) % 999961**8
+    assert rhs_vanhamme(999983, 8) == 0  # 999983 = 3 (mod 4)
+
+
+def test_rhs_vanhamme_gate_runs_before_the_squares(spy):
+    # 1 and 9 are 1 (mod 4) and would reach the squares behind the gate;
+    # 1000003 (the first prime above MAX_PRIME) and the pseudoprime
+    # 3215031751 are 3 (mod 4) and would answer 0 behind it
+    squares = spy(padic_gamma, "_two_squares")
+    for p in (1, 9, 1000003, 3215031751):
+        with pytest.raises(ValueError):
+            rhs_vanhamme(p, 3)
+    assert squares == []
+    assert not any(exactnum._layers.values())
+    # p = 3 (mod 4): the value is 0 and no squares are sought
+    for p in (3, 7, 499, 999983):
+        assert rhs_vanhamme(p, 3) == 0
+    assert squares == []
+    # p = 1 (mod 4): one pair of squares, and nothing kept in the store
+    value = rhs_vanhamme(13, 8)
+    assert squares == [(13,)]
+    assert not any(exactnum._layers.values())
+    assert value == block_route_rhs(13) % 13**8
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 997, 999961, 999983])
