@@ -8,11 +8,11 @@ reflection.
 The truncated sums share one shape, the sum over k <= (p-1)/2 of
 (ak+b) C(2k,k)^e / r^k, and one modular kernel, `_central_sum`, evaluates
 it mod p^m (every denominator in range is a p-unit).  Production runs two
-routes: the kernel, for the mod-p^4 companion and prop3's Z, and the exact
+routes: the kernel, for the mod-p^4 companion only, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
-X and Y are per-term residue sums from one pass over j; the pass also
-carries Z's weights C(2j,j)^3 / 64^j, so thm_os reads X, Y and Z from its
-one pass mod p^3 and never runs the kernel.  The paired
+X, Y and Z are per-term residue sums from one pass over j mod p^3 (Z
+sums its weights C(2j,j)^3 / 64^j); the lemmas, prop3 and thm_os all read
+that pass, and the kernel's Z row is its oracle in the tests.  The paired
 Pochhammer ratios are one list of integer ratios, `_pair_ratios`, read two
 ways.  The well-poised instance, which decides by rational equality, sums
 each side as one unreduced integer fraction nested from the last term
@@ -33,13 +33,13 @@ products (the oracle of that walk).  Two layers here are shared by the
 statements of one prime and kept in `exactnum`'s per-prime store
 (`prime_layer`), so each is computed once per prime: the exact quintic
 sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pass
-(X, Y, Z) at each precision asked, mod p for the lemmas and mod p^3 for
-thm_os.  The p^2 * 3F2(1) that thm_os and cor5 read is not kept: each
-computes Ono's closed form (`gaussian_hg.gaussian_3f2`) in microseconds.
-Every comparison is exact integer equality, never approximate.  The
-exact quintic sum and the Pochhammer-pair routes refuse a prime above
-their caps before any work and before the store is touched, through
-`exactnum.check_prime`; the statement registry reads those caps.
+(X, Y, Z) mod p^3 (the lemmas, prop3, thm_os).  The p^2 * 3F2(1) that
+thm_os and cor5 read is not kept: each computes Ono's closed form
+(`gaussian_hg.gaussian_3f2`) in microseconds.  Every comparison is exact
+integer equality, never approximate.  The exact quintic sum and the
+Pochhammer-pair routes refuse a prime above their caps before any work
+and before the store is touched, through `exactnum.check_prime`; the
+statement registry reads those caps.
 """
 
 from __future__ import annotations
@@ -164,13 +164,12 @@ def _harmonic_tables_mod(p: int, pm: int):
 
 
 @prime_layer
-def _xy_mod(p: int, pm: int) -> tuple:
-    """(X, Y, Z) mod pm from one pass over j, a kept layer for each pm.
+def _xy_mod(p: int) -> tuple:
+    """(X, Y, Z) mod p^3 from one pass over j, the kept X/Y/Z layer of p.
     The reduced binom(-1/2,j)^3 form determines X and Y at the precision
-    they are read at: mod p in the lemmas, mod p^2 in the decomposition
-    check, which reads all three from its pass mod p^3; a sweep that asks
-    both keeps both passes of its prime, in whatever order the statements
-    come.
+    they are read at: mod p in the lemmas and mod p^2 in the decomposition
+    check, which reads all three; prop3 reads Z.  Whatever the statements
+    and their order, a prime runs this pass once.
 
     The weight w_j = C(2j,j)^3 / 64^j = binom(-1/2,j)^3 (-1)^j steps by
     t^3, t = (2j-1) / (2j), and Z is 1 + the sum of the w_j.  With
@@ -178,7 +177,7 @@ def _xy_mod(p: int, pm: int) -> tuple:
     (H2_{m+j} - H2_j) for X and 2 + 2b - 3j (H_{m+j} - H_{m-j}) for Y (0
     and 2 at j = 0); each sum is halved once at the end.
     """
-    m = (p - 1) // 2
+    m, pm = (p - 1) // 2, p**3
     inv, h1, h2 = _harmonic_tables_mod(p, pm)
     w, x2, y2, z = 1, 0, 2, 1
     for j in range(1, m + 1):
@@ -196,24 +195,24 @@ def _xy_mod(p: int, pm: int) -> tuple:
 def x_quantity(p: int) -> int:
     """The reduced X quantity mod p (expected 0 at every odd prime)."""
     check_modulus(p, 1)
-    return _xy_mod(p, p)[0]
+    return _xy_mod(p)[0] % p
 
 
 def y_quantity(p: int) -> int:
     """The reduced Y quantity mod p (expected 0 at every odd prime)."""
     check_modulus(p, 1)
-    return _xy_mod(p, p)[1]
+    return _xy_mod(p)[1] % p
 
 
-def z_quantity(p: int, m: int = 3) -> int:
-    """Sum of C(2j,j)^3 / 64^j for j <= (p-1)/2 mod p^m, the kernel row
-    prop3 reads (thm_os reads Z from its X/Y pass).
+def z_quantity(p: int) -> int:
+    """Sum of C(2j,j)^3 / 64^j for j <= (p-1)/2 mod p^3, read from the
+    X/Y/Z pass (the kernel row (0, 1, 3, 64) is its oracle in the tests).
 
     The 16^(-3j/2) weight of the defining sum resolves to 64^-j;
     equivalently this is the sum of (-1)^j binom(-1/2,j)^3.
     """
-    check_modulus(p, m)
-    return _central_sum(p, m, 0, 1, 3, 64)
+    check_modulus(p, 3)
+    return _xy_mod(p)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,7 @@ def lemma2_check(p: int) -> VerificationRecord:
 def prop3_check(p: int) -> VerificationRecord:
     """Truncated quintic sum vs phi(-1) * p * Z mod p^3."""
     lhs = lhs_vanhamme(p, 3)  # the quintic-sum gate runs first
-    return _record("prop3", p, lhs, legendre(-1, p) * p * z_quantity(p, 3), p**3)
+    return _record("prop3", p, lhs, legendre(-1, p) * p * z_quantity(p), p**3)
 
 
 def theorem_os_check(p: int) -> VerificationRecord:
@@ -257,7 +256,7 @@ def theorem_os_check(p: int) -> VerificationRecord:
     """
     pm = check_modulus(p, 3)
     lhs = gaussian_3f2(p)
-    x, y, z = _xy_mod(p, pm)
+    x, y, z = _xy_mod(p)
     rhs = legendre(-1, p) * (p * p * x + p * y + z)
     return _record("thm_os", p, lhs, rhs, pm)
 
@@ -439,11 +438,11 @@ class Statement(NamedTuple):
 # is defined and enforced by the layer whose cost it bounds, so the API
 # refuses what a sweep refuses: QUINTIC_SUM_MAX_P by lhs_vanhamme (the
 # exact quintic sum) and WHIPPLE_INST_MAX_P by the Pochhammer-pair walker.
-# The modular kernel of vanhamme_b and prop3's Z, the X/Y pass of the
-# lemmas and thm_os, and Ono's closed form of the 3F2 need no cap below
-# MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s, and thm_os with
-# cor5 at 999961 1.8-2.6 s, nearly all of it thm_os's one pass mod p^3,
-# which yields X, Y and Z.
+# The modular kernel of vanhamme_b, the X/Y/Z pass of the lemmas, prop3
+# and thm_os, and Ono's closed form of the 3F2 need no cap below
+# MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s, and
+# lemma1,thm_os,lemma2,cor5 at 999961 1.7-2.3 s, nearly all of it the one
+# pass mod p^3, which yields X, Y and Z.
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.

@@ -260,7 +260,7 @@ def test_criterion_11_oracle_equivalence():
             lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION),
             x_quantity(p) == residue_from_rational(x_sum(p), p, 1),
             y_quantity(p) == residue_from_rational(y_sum(p), p, 1),
-            z_quantity(p, 3) == central_residue(p, 3, Z),
+            z_quantity(p) == central_residue(p, 3, Z),
         )
         if not all(checks):
             failures.append(p)

@@ -246,7 +246,7 @@ def test_each_record_modulus_is_the_modulus_of_the_sides_it_reads(p):
     assert row(vanhamme_b_verify(p, 2)) == (lhs_vanhamme_b(p, 2), rhs_vanhamme_b(p, 2), p**2)
     assert row(lemma1_check(p)) == (y_quantity(p), 0, p)
     assert row(lemma2_check(p)) == (x_quantity(p), 0, p)
-    z = legendre(-1, p) * p * z_quantity(p, 3) % p**3
+    z = legendre(-1, p) * p * z_quantity(p) % p**3
     assert row(prop3_check(p)) == (lhs_vanhamme(p, 3), z, p**3)
     assert theorem_os_check(p).modulus == p**3
     assert theorem_os_check(p).lhs == gaussian_3f2(p) % p**3
@@ -268,6 +268,7 @@ def test_every_quantity_is_an_int_below_its_modulus():
 
     for p in primes:
         assert reduced(x_quantity(p), p) and reduced(y_quantity(p), p)
+        assert reduced(z_quantity(p), p**3)
         for m in range(1, MAX_EXPONENT + 1):
             pm = p**m
             values = [
@@ -279,7 +280,7 @@ def test_every_quantity_is_an_int_below_its_modulus():
                 rhs_vanhamme_b(p, m),
                 lhs_vanhamme(p, m),
                 lhs_vanhamme_b(p, m),
-                z_quantity(p, m),
+                _central_sum(p, m, *Z),
             ]
             assert all(reduced(v, pm) for v in values), (p, m, values)
 
@@ -510,7 +511,7 @@ def test_exact_vs_modular_accumulation_small():
     for p in (3, 5, 7, 11, 13):
         assert lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC)
         assert lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION)
-        assert z_quantity(p, 3) == central_residue(p, 3, Z)
+        assert z_quantity(p) == central_residue(p, 3, Z)
         assert x_quantity(p) == residue_from_rational(x_sum(p), p, 1)
         assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
 
@@ -523,11 +524,11 @@ def test_exact_vs_modular_spot_large():
         assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
         assert lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC)
     assert lhs_vanhamme_b(499, 4) == central_residue(499, 4, COMPANION)
-    # the kernel's Z, which prop3_check takes and thm_os's pass matches, at
+    # the pass's Z, which prop3 and thm_os read, against the exact oracle at
     # every prime of the finite_field and default_sweep benchmark ranges
     for p in range(3, 1000, 2):
         if is_odd_prime(p):
-            assert z_quantity(p, 3) == central_residue(p, 3, Z)
+            assert z_quantity(p) == central_residue(p, 3, Z)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 97, 199))
@@ -544,7 +545,7 @@ def test_y_mod_p_squared_agrees_with_exact():
     # theorem_os_check reads X mod p, Y mod p^2 and Z mod p^3 from one pass
     # mod p^3; validate each against the exact sums at that precision
     for p in filter(is_odd_prime, range(3, 200)):
-        x, y, z = _xy_mod(p, p**3)
+        x, y, z = _xy_mod(p)
         assert (x % p, y % p**2, z) == (
             residue_from_rational(x_sum(p), p, 1),
             residue_from_rational(y_sum(p), p, 2),
@@ -553,43 +554,47 @@ def test_y_mod_p_squared_agrees_with_exact():
 
 
 def test_xy_mod_p_is_the_mod_p_cubed_pass_reduced():
-    # the lemmas' pass mod p and thm_os's pass mod p^3 agree mod p, and the
-    # pass's Z is prop3's kernel row, at every prime of the finite_field and
-    # default_sweep benchmark ranges
+    # the lemmas read X and Y as the pass mod p^3 reduced mod p, where both
+    # vanish, and the pass's Z, which prop3 and thm_os read, is the
+    # kernel's Z row, at every prime of the finite_field and default_sweep
+    # benchmark ranges
     for p in filter(is_odd_prime, range(3, 998)):
-        x, y, z = _xy_mod(p, p**3)
-        assert _xy_mod(p, p)[:2] == (x % p, y % p)
-        assert z == z_quantity(p, 3)
+        x, y, z = _xy_mod(p)
+        assert (x_quantity(p), y_quantity(p)) == (x % p, y % p) == (0, 0)
+        assert z == z_quantity(p) == _central_sum(p, 3, *Z)
 
 
-def test_thm_os_reads_z_from_its_pass_and_prop3_from_the_kernel(spy):
-    # at both classes mod 4: thm_os alone never runs the modular kernel,
-    # prop3 runs its Z row once
+def test_only_vanhamme_b_runs_the_modular_kernel(spy):
+    # at both classes mod 4: lemma1, lemma2, prop3 and thm_os read the one
+    # X/Y/Z pass, and no statement but vanhamme_b runs the modular kernel
     kernel = spy(sc, "_central_sum")
     for p in (101, 103):
-        assert STATEMENTS["thm_os"].check(p, None).passed
+        for name, statement in STATEMENTS.items():
+            if name != "vanhamme_b":
+                assert statement.check(p, statement.default_m).passed, name
         assert kernel == []
-        assert STATEMENTS["prop3"].check(p, None).passed
-        assert kernel == [(p, 3, 0, 1, 3, 64)]
+        assert STATEMENTS["vanhamme_b"].check(p, 4).passed
+        assert kernel == [(p, 4, *COMPANION)]
         kernel.clear()
 
 
 @pytest.mark.parametrize("statements, m", [(("lemma1", "lemma2"), 1), (("thm_os",), 3)])
 def test_harmonic_tables_are_built_once_per_prime(spy, statements, m):
-    # lemma1 and lemma2 share one pass mod p; thm_os reads X, Y and Z from
-    # one pass mod p^3: either way one table build per prime
+    # lemma1 and lemma2 read X and Y mod p, thm_os reads X, Y and Z mod
+    # p^3: either way from one pass mod p^3, one table build per prime
     builds = spy(sc, "_harmonic_tables_mod")
     p = 101
     for name in statements:
-        assert STATEMENTS[name].check(p, None).passed
-    assert builds == [(p, p**m)]
+        rec = STATEMENTS[name].check(p, None)
+        assert rec.passed and rec.modulus == p**m
+    assert builds == [(p, p**3)]
 
 
 def test_every_order_of_the_statements_builds_each_layer_once(spy):
     # at one prime, p = 1 (mod 4) so that vanhamme_a and cor5 read Gamma_p:
-    # the quintic once and X/Y once per precision, in whatever order the
-    # statements come; their Gamma_p side is the closed form p J_4^2, so
-    # no statement builds a Gamma_p block table
+    # the quintic once and the X/Y/Z pass once, mod p^3, in whatever order
+    # the statements come; their Gamma_p side is the closed form p J_4^2,
+    # so no statement builds a Gamma_p block table
     p = 13
     quintic = spy(sc, "_quintic_sum")
     tables = spy(sc, "_harmonic_tables_mod")
@@ -604,18 +609,19 @@ def test_every_order_of_the_statements_builds_each_layer_once(spy):
         assert expected in (None, records)
         expected = records
         assert quintic == [(p,)]
-        assert sorted(tables) == [(p, p), (p, p**3)]
+        assert tables == [(p, p**3)]
         assert blocks == []
 
 
 @pytest.mark.parametrize("statements", ("lemma1,thm_os,lemma2", "lemma2,thm_os,lemma1"))
 def test_harmonic_tables_are_built_once_per_prime_and_precision(spy, capsys, statements):
-    # the lemmas read X and Y mod p and thm_os mod p^3: both passes of a
-    # prime stay kept, so interleaving the statements rebuilds neither
+    # the lemmas read X and Y mod p and thm_os mod p^3, all from the one
+    # pass mod p^3 of each prime, so interleaving the statements rebuilds
+    # nothing
     builds = spy(sc, "_harmonic_tables_mod")
     assert main(["verify", "--statements", statements, "--primes", "101..103", "--format", "json-lines"]) == 0
     assert capsys.readouterr().out.count('"pass": true') == 6
-    assert sorted(builds) == [(101, 101), (101, 101**3), (103, 103), (103, 103**3)]
+    assert builds == [(101, 101**3), (103, 103**3)]
 
 
 def test_x_sum_random_p_integrality():
