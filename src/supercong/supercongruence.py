@@ -10,15 +10,16 @@ The truncated sums share one shape, the sum over k <= (p-1)/2 of
 it mod p^m (every denominator in range is a p-unit).  Production runs two
 routes: the kernel, for the mod-p^4 companion only, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
-X, Y and Z are per-term residue sums from one pass over j mod p^3 (Z
-sums its weights C(2j,j)^3 / 64^j); the lemmas, prop3 and thm_os all read
-that pass, and the kernel's Z row is its oracle in the tests.  The paired
-Pochhammer ratios are one list of integer ratios, `_pair_ratios`, read two
-ways.  The well-poised instance, which decides by rational equality, sums
-each side as one unreduced integer fraction nested from the last term
-inward and reduces it once (`classical_hg._nested_sum`, the one kernel of
-every exact terminating sum).  The Pochhammer-pair congruences, which need
-each value only mod p^4 or p^2, walk the ratios as residues
+X, Y and Z are per-term residue sums from one pass over j mod p^3 that
+steps its harmonic differences over one table of inverses (Z sums the
+weights C(2j,j)^3 / 64^j); the lemmas, prop3 and thm_os read it, and the
+kernel's Z row and the table-based loop are its oracles in the tests.  The
+paired Pochhammer ratios are one list of integer ratios, `_pair_ratios`,
+read two ways.  The well-poised instance, which decides by rational
+equality, sums each side as one unreduced integer fraction nested from the
+last term inward and reduces it once (`classical_hg._nested_sum`, the one
+kernel of every exact terminating sum).  The Pochhammer-pair congruences,
+which need each value only mod p^4 or p^2, walk the ratios as residues
 (`_pochhammer_residues`): prefix quotients with one inverse per sequence.
 A residue mod p^m is a plain int in [0, p^m): each quantity function
 validates (p, m) once through `exactnum.check_modulus` and reduces once.
@@ -45,7 +46,6 @@ statement registry reads those caps.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 from .classical_hg import _nested_sum
@@ -74,7 +74,8 @@ def _record(statement: str, p: int, lhs: int, rhs: int, pm: int) -> Verification
 
 
 def _inverses(n: int, pm: int) -> list:
-    """Modular inverses of 1..n mod pm = p^m, for n < p, at index i.
+    """Modular inverses of 1..n mod pm = p^m, for n < p, at index i: the
+    one table of the X/Y/Z pass, at n = p - 1 and pm = p^3.
 
     pm = (pm // i) i + pm % i, and pm % i is a nonzero unit below i, so
     1/i = -(pm // i) / (pm % i): one multiplication per entry, no inversion.
@@ -154,42 +155,41 @@ def lhs_vanhamme_b(p: int, m: int = 4) -> int:
 # the X / Y / Z quantities at (lambda, n) = (1, 2)
 
 
-def _harmonic_tables_mod(p: int, pm: int):
-    """(inv, h1, h2): the inverses of 1..p-1 mod pm and the prefix sums of
-    inv[n] and of inv[n]^2 mod pm, left unreduced (each below p * pm)."""
-    inv = _inverses(p - 1, pm)
-    h1 = list(accumulate(inv))
-    h2 = list(accumulate([i * i % pm for i in inv]))
-    return inv, h1, h2
-
-
 @prime_layer
 def _xy_mod(p: int) -> tuple:
     """(X, Y, Z) mod p^3 from one pass over j, the kept X/Y/Z layer of p.
     The reduced binom(-1/2,j)^3 form determines X and Y at the precision
     they are read at: mod p in the lemmas and mod p^2 in the decomposition
     check, which reads all three; prop3 reads Z.  Whatever the statements
-    and their order, a prime runs this pass once.
+    and their order, a prime runs this pass once, over one inverse table.
 
     The weight w_j = C(2j,j)^3 / 64^j = binom(-1/2,j)^3 (-1)^j steps by
-    t^3, t = (2j-1) / (2j), and Z is 1 + the sum of the w_j.  With
-    b = 3j (H_{m+j} - H_j) the doubled brackets are b^2 + 2b - 3j^2
-    (H2_{m+j} - H2_j) for X and 2 + 2b - 3j (H_{m+j} - H_{m-j}) for Y (0
-    and 2 at j = 0); each sum is halved once at the end.
+    t^3, t = 1 - 1/(2j), and Z is 1 + the sum of the w_j.  The differences
+    A_j = H_{m+j} - H_j, B_j = H2_{m+j} - H2_j and C_j = H_{m+j} - H_{m-j}
+    start at H_m, H2_m and 0 and step by 1/(m+j) - 1/j, 1/(m+j)^2 - 1/j^2
+    and 1/(m+j) + 1/(m+1-j).  With v_j = j w_j the doubled sums X2 = 3 sum
+    v_j (A_j (3j A_j + 2) - j B_j) and Y2 = 2Z + 3 sum v_j (2A_j - C_j) are
+    each halved once at the end.
     """
     m, pm = (p - 1) // 2, p**3
-    inv, h1, h2 = _harmonic_tables_mod(p, pm)
-    w, x2, y2, z = 1, 0, 2, 1
+    inv = _inverses(p - 1, pm)
+    a = sum(inv[: m + 1]) % pm
+    b = sum(i * i for i in inv[: m + 1]) % pm
+    w, z, c, x2, y2 = 1, 1, 0, 0, 0
     for j in range(1, m + 1):
-        t = (2 * j - 1) * inv[2 * j] % pm
+        t = 1 - inv[2 * j]
         w = w * t * t * t % pm
         z += w
-        hm = h1[m + j]
-        b = 3 * j * (hm - h1[j]) % pm
-        x2 += w * (b * (b + 2) - 3 * j * j * (h2[m + j] - h2[j]))
-        y2 += w * (2 + 2 * b - 3 * j * (hm - h1[m - j]))
+        u, d = inv[m + j], inv[j]
+        a = (a + u - d) % pm
+        b = (b + (u - d) * (u + d)) % pm
+        c += u + inv[m + 1 - j]
+        v = j * w
+        x2 += v * (a * (3 * j * a + 2) - j * b)
+        y2 += v * (2 * a - c)
+    z %= pm
     half = (pm + 1) // 2
-    return x2 * half % pm, y2 * half % pm, z % pm
+    return 3 * x2 * half % pm, (2 * z + 3 * y2) * half % pm, z
 
 
 def x_quantity(p: int) -> int:
@@ -441,8 +441,8 @@ class Statement(NamedTuple):
 # The modular kernel of vanhamme_b, the X/Y/Z pass of the lemmas, prop3
 # and thm_os, and Ono's closed form of the 3F2 need no cap below
 # MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s, and
-# lemma1,thm_os,lemma2,cor5 at 999961 1.7-2.3 s, nearly all of it the one
-# pass mod p^3, which yields X, Y and Z.
+# lemma1,thm_os,lemma2,cor5 at 999961 1.3-1.5 s, nearly all of it the one
+# X/Y/Z pass mod p^3 and its table of inverses.
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.

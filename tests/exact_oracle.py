@@ -14,7 +14,9 @@ sums are rows (a, b, e, r) of
 
 with C(2k,k) from `math.comb`, not from the term ratio the production
 kernel steps by.  X and Y are the reduced binom(-1/2,j)^3 forms over
-exact harmonic prefix sums.
+exact harmonic prefix sums.  The X/Y/Z pass mod p^3 has a second, modular
+oracle for the primes where Fractions are too slow: the loop over full
+harmonic prefix tables that the stepped production pass replaced.
 
 The two float loops sum Ramanujan's two series each in its own variables;
 the one float kernel of `supercong.classical_hg` must reproduce them bit
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from supercong.exactnum import residue_from_rational
 from supercong.supercongruence import VerificationRecord, _pair_ratios
@@ -92,6 +95,27 @@ def y_sum(p: int) -> Fraction:
         dmid = h1[m + j] - h1[m - j]
         total += w * (1 + 3 * j * d1 - Fraction(3, 2) * j * dmid)
     return total
+
+
+def xyz_from_prefix_tables(p: int) -> tuple:
+    """(X, Y, Z) mod p^3 read from full tables: the inverses of 1..p-1 by
+    `pow`, and the prefix sums h1 of inv[n] and h2 of inv[n]^2, whose
+    differences are the harmonic differences of `x_sum` and `y_sum`."""
+    m, pm = (p - 1) // 2, p**3
+    inv = [0] + [pow(i, -1, pm) for i in range(1, p)]
+    h1 = list(accumulate(inv))
+    h2 = list(accumulate([i * i % pm for i in inv]))
+    w, x2, y2, z = 1, 0, 2, 1
+    for j in range(1, m + 1):
+        t = (2 * j - 1) * inv[2 * j] % pm
+        w = w * t * t * t % pm
+        z += w
+        hm = h1[m + j]
+        b = 3 * j * (hm - h1[j]) % pm
+        x2 += w * (b * (b + 2) - 3 * j * j * (h2[m + j] - h2[j]))
+        y2 += w * (2 + 2 * b - 3 * j * (hm - h1[m - j]))
+    half = (pm + 1) // 2
+    return x2 * half % pm, y2 * half % pm, z % pm
 
 
 def pochhammer_pairs(p: int):

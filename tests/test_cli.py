@@ -475,7 +475,7 @@ def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
     # vanhamme_a and prop3 read one exact quintic sum, each at its own
     # modulus; the lemmas, prop3 and thm_os read one X/Y/Z pass mod p^3
     quintic = spy(supercongruence, "_quintic_sum")
-    tables = spy(supercongruence, "_harmonic_tables_mod")
+    tables = spy(supercongruence, "_inverses")
     argv = ("verify", "--primes", "3..97", "--workers", "1", "--format", "json-lines", *extra)
     code, out, _ = run_cli(capsys, *argv, "--statements", statements)
     rows = rows_without_millis(out)
@@ -486,7 +486,7 @@ def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
     reads_quintic = {"vanhamme_a", "prop3"} & set(statements.split(","))
     assert quintic == ([(p,) for p in primes] if reads_quintic else [])
     reads_pass = {"lemma1", "lemma2", "prop3", "thm_os"} & set(statements.split(","))
-    assert tables == ([(p, p**3) for p in primes] if reads_pass else [])
+    assert tables == ([(p - 1, p**3) for p in primes] if reads_pass else [])
 
     alone = []
     for statement in sorted(statements.split(",")):

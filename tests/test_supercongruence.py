@@ -21,6 +21,7 @@ from exact_oracle import (
     poch_congruence_records,
     whipple_instance_terms,
     x_sum,
+    xyz_from_prefix_tables,
     y_sum,
 )
 from supercong import exactnum, padic_gamma, polyengine
@@ -564,6 +565,14 @@ def test_xy_mod_p_is_the_mod_p_cubed_pass_reduced():
         assert z == z_quantity(p) == _central_sum(p, 3, *Z)
 
 
+def test_stepped_pass_equals_the_prefix_table_loop():
+    # the whole triple mod p^3, X and Y too, not only at the precision the
+    # statements read them at, against the loop over full harmonic prefix
+    # tables, at both classes mod 4 and well past the exact oracle's range
+    for p in (*filter(is_odd_prime, range(3, 2000)), 7681, 7703, 99991):
+        assert _xy_mod(p) == xyz_from_prefix_tables(p), p
+
+
 def test_only_vanhamme_b_runs_the_modular_kernel(spy):
     # at both classes mod 4: lemma1, lemma2, prop3 and thm_os read the one
     # X/Y/Z pass, and no statement but vanhamme_b runs the modular kernel
@@ -581,13 +590,13 @@ def test_only_vanhamme_b_runs_the_modular_kernel(spy):
 @pytest.mark.parametrize("statements, m", [(("lemma1", "lemma2"), 1), (("thm_os",), 3)])
 def test_harmonic_tables_are_built_once_per_prime(spy, statements, m):
     # lemma1 and lemma2 read X and Y mod p, thm_os reads X, Y and Z mod
-    # p^3: either way from one pass mod p^3, one table build per prime
-    builds = spy(sc, "_harmonic_tables_mod")
+    # p^3: either way from one pass mod p^3, one inverse table per prime
+    builds = spy(sc, "_inverses")
     p = 101
     for name in statements:
         rec = STATEMENTS[name].check(p, None)
         assert rec.passed and rec.modulus == p**m
-    assert builds == [(p, p**3)]
+    assert builds == [(p - 1, p**3)]
 
 
 def test_every_order_of_the_statements_builds_each_layer_once(spy):
@@ -597,7 +606,7 @@ def test_every_order_of_the_statements_builds_each_layer_once(spy):
     # so no statement builds a Gamma_p block table
     p = 13
     quintic = spy(sc, "_quintic_sum")
-    tables = spy(sc, "_harmonic_tables_mod")
+    tables = spy(sc, "_inverses")
     blocks = spy(padic_gamma, "_block_table")
     expected = None
     for order in itertools.permutations(("vanhamme_a", "prop3", "lemma1", "lemma2", "thm_os", "cor5")):
@@ -609,7 +618,7 @@ def test_every_order_of_the_statements_builds_each_layer_once(spy):
         assert expected in (None, records)
         expected = records
         assert quintic == [(p,)]
-        assert tables == [(p, p**3)]
+        assert tables == [(p - 1, p**3)]
         assert blocks == []
 
 
@@ -618,10 +627,10 @@ def test_harmonic_tables_are_built_once_per_prime_and_precision(spy, capsys, sta
     # the lemmas read X and Y mod p and thm_os mod p^3, all from the one
     # pass mod p^3 of each prime, so interleaving the statements rebuilds
     # nothing
-    builds = spy(sc, "_harmonic_tables_mod")
+    builds = spy(sc, "_inverses")
     assert main(["verify", "--statements", statements, "--primes", "101..103", "--format", "json-lines"]) == 0
     assert capsys.readouterr().out.count('"pass": true') == 6
-    assert builds == [(101, 101**3), (103, 103**3)]
+    assert builds == [(100, 101**3), (102, 103**3)]
 
 
 def test_x_sum_random_p_integrality():
