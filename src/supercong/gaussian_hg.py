@@ -13,9 +13,11 @@ squares", Math. Comp. 26, 1972): with c the least quadratic non-residue,
 t = c^((p-1)/4) is a square root of -1 mod p, and Euclid's algorithm on
 (p, t) stops at the first remainder below sqrt(p); that remainder and the
 next are x and y in some order.  The cost is a few modular powers and
-O(log p) Euclid steps, about 20 us near p = 10^6 against seconds for the
-statements that read it, so the value is not kept in `exactnum`'s
-per-prime store: thm_os and cor5 each compute it.
+O(log p) Euclid steps, about 20 us near p = 10^6.  The pair is a kept
+layer in `exactnum`'s per-prime store, so a request that reads it twice
+at one prime (thm_os and cor5 through `gaussian_3f2`, cor5 and vanhamme_a
+through `padic_gamma.rhs_vanhamme`, which reaches it as
+`gaussian_hg._two_squares`) builds it once.
 
 The tests hold this against an independent route: Greene's character sum
 unrolled twice at lambda = 1, summed over discrete logs in exact integers
@@ -24,7 +26,7 @@ unrolled twice at lambda = 1, summed over discrete logs in exact integers
 
 from __future__ import annotations
 
-from .exactnum import check_modulus
+from .exactnum import check_modulus, prime_layer
 
 
 def legendre(a: int, p: int) -> int:
@@ -45,9 +47,11 @@ def gaussian_3f2(p: int) -> int:
     return 4 * x * x - 2 * p
 
 
+@prime_layer
 def _two_squares(p: int) -> tuple:
     """(x, y) with x^2 + y^2 = p, x odd and y even, for a prime p = 1
-    (mod 4), by Hermite-Serret (module docstring)."""
+    (mod 4), by Hermite-Serret (module docstring); a kept layer, so
+    callers pass p through their gate first."""
     c = 2
     while pow(c, (p - 1) // 2, p) != p - 1:
         c += 1

@@ -80,8 +80,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import gaussian_hg
 from .exactnum import check_modulus, prime_layer, residue_from_rational
-from .gaussian_hg import _two_squares
 
 
 _CHUNK = 64  # factors multiplied as plain integers before each reduction
@@ -237,7 +237,7 @@ def rhs_vanhamme(p: int, m: int = 3) -> int:
     pm = check_modulus(p, m)
     if p % 4 == 3:
         return 0
-    x, y = _two_squares(p)
+    x, y = gaussian_hg._two_squares(p)  # the kept pair, as gaussian_3f2 reads it
     k = max(m - 1, 1)
     pk = p**k
     i = pow(x * pow(y, -1, pk), p ** (k - 1), pk)

@@ -53,9 +53,10 @@ product (`_cube_mod`: slots of bits(n^2 (p-1)^3) bits, rounded up to
 bytes, for n coefficients below p; one square and one product), and P and
 Q mod p follow from F^3 mod p by the same rule, so the full-size P and Q
 are never reduced.  Their values at every j != 0 come from one chirp-z
-transform (L. Bluestein, 1970) each, over one primitive root g
-(`exactnum.primitive_root`) and one chirp table.  With n = p - 1 and
-j^n = 1, exponents fold mod n, and ik = C(i+k,2) - C(i,2) - C(k,2) turns
+transform (L. Bluestein, 1970) each, over the kept walk g^i of one
+primitive root g (`exactnum.primitive_root`, `exactnum.powers`) and one
+chirp table read from that walk.  With n = p - 1 and j^n = 1, exponents
+fold mod n, and ik = C(i+k,2) - C(i,2) - C(k,2) turns
 
     f(g^i) = g^-C(i,2) * sum_k [c_k g^-C(k,2)] g^C(i+k,2)
 
@@ -66,12 +67,15 @@ slots are unpacked in one place.  The walk over g^i (`exactnum.powers`)
 raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
 value unset.
 
-Kept layers.  The layers above and the power sums of `exp_sum_check`
-(`_power_sum`, one per folded exponent asked) sit in `exactnum`'s
-per-prime store (`prime_layer`), which keeps the layers of the last prime
-asked only, so nothing is kept across a sweep.  A sweep that asks
-k = 1..3(p-1) sums each exponent class once, and a single call costs one
-O(p) sum, as it would unkept.
+Kept layers.  The layers above, the walk over one primitive root (`_walk`)
+and the power sums of `exp_sum_check` (`_power_sum`, one per folded
+exponent asked) sit in `exactnum`'s per-prime store (`prime_layer`), which
+keeps the layers of the last prime asked only, so nothing is kept across a
+sweep.  The walk serves both readers of a prime: the chirp-z values take
+their generator, chirp tables and points from it, and each power sum is a
+subgroup sum over it.  The first class asked at a prime builds the walk in
+O(p), and each further class costs O(p/d), d = gcd(k, p - 1); a sweep that
+asks k = 1..3(p-1) sums each exponent class once.
 
 Inputs.  Every entry point passes `exactnum.check_prime` with the cap
 `POLY_MAX_P` (`exp_sum_check`: `exactnum.check_modulus`, so at most
@@ -86,7 +90,7 @@ the exact products grow like p^3.2.  `pochhammer_poly(m)` takes m up to
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .exactnum import check_modulus, check_prime, powers, prime_layer, primitive_root
@@ -345,8 +349,10 @@ def exp_sum_check(p: int, k: int) -> bool:
 
     k is folded to 1 + (k - 1) mod (p - 1) first (Fermat: j^(p-1) = 1 for
     every j in range), so the time does not grow with the digits of k; the
-    sum of each folded exponent is a kept layer (`_power_sum`).  A k that is
-    not an int raises TypeError before any check and before the store.
+    sum of each folded exponent is a kept layer (`_power_sum`), read off the
+    kept walk: the first class asked at a prime costs O(p), each further
+    class O(p/d), d = gcd(k, p - 1).  A k that is not an int raises
+    TypeError before any check and before the store.
     """
     if not isinstance(k, int):
         raise TypeError("k must be an integer")
@@ -359,29 +365,34 @@ def exp_sum_check(p: int, k: int) -> bool:
 
 
 @prime_layer
+def _walk(p: int) -> list:
+    """[g^i mod p for i < p - 1] for the least primitive root g: the one
+    walk of a prime, read by the chirp-z values and the power sums."""
+    return powers(primitive_root(p), p)
+
+
+@prime_layer
 def _power_sum(p: int, k: int) -> int:
-    """sum_{j=1}^{p-1} j^k mod p: each exponent class is summed once however
-    many k fold to it, and only the classes asked are summed."""
-    return sum(map(pow, range(1, p), repeat(k), repeat(p))) % p
+    """sum_{j=1}^{p-1} j^k mod p as a subgroup sum over the walk: with
+    j = g^i, as i runs over 0..p-2 the exponent ik mod (p - 1) hits each
+    multiple of d = gcd(k, p - 1) exactly d times, so the sum is d times
+    the sum of walk[::d], an O(p/d) slice.  This holds only because g has
+    order p - 1, which `exactnum.powers` checks as it builds the walk.
+    Each exponent class is summed once however many k fold to it, and only
+    the classes asked are summed."""
+    d = math.gcd(k, p - 1)
+    return d * sum(_walk(p)[::d]) % p
 
 
 def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
     """[[f(j) mod p for 0 <= j < p] for each f = sum_k coeffs[k] z^k in
-    polys]: one primitive root g and one chirp table, and one chirp-z
-    correlation per polynomial (module docstring)."""
+    polys]: the kept walk g^i gives the points and the chirp tables, and
+    one chirp-z correlation per polynomial (module docstring)."""
     n = p - 1
-    g = primitive_root(p)
-    g_inv = pow(g, -1, p)
-    chirp = []  # g^C(t,2) for t < 2n - 1
-    unchirp = []  # g^-C(t,2) for t < n
-    c = c_inv = step = step_inv = 1
-    for t in range(2 * n - 1):
-        chirp.append(c)
-        c, step = c * step % p, step * g % p
-        if t < n:
-            unchirp.append(c_inv)
-            c_inv, step_inv = c_inv * step_inv % p, step_inv * g_inv % p
-    points = powers(g, p)
+    walk = _walk(p)
+    exps = [e % n for e in accumulate(range(2 * n - 2), initial=0)]  # C(t,2) mod n, t < 2n - 1
+    chirp = [walk[e] for e in exps]  # g^C(t,2) for t < 2n - 1
+    unchirp = [walk[-e] for e in exps[:n]]  # g^-C(t,2) = g^(n - C(t,2)) for t < n
     # sum_k u_k chirp[i + k] is the z^(n-1+i) coefficient of U V, with U the
     # reversed u; every slot sum is at most n (p-1)^2 = (p-1)^3
     width = ((p - 1) ** 3).bit_length() // 8 + 1
@@ -395,7 +406,7 @@ def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
         vals = [0] * p
         vals[0] = coeffs[0] % p if coeffs else 0
         slots = _digits((u * v) >> (8 * width * (n - 1)), n, width)
-        for j, slot, w in zip(points, slots, unchirp):
+        for j, slot, w in zip(walk, slots, unchirp):
             vals[j] = slot * w % p
         out.append(vals)
     return out

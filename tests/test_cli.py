@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from supercong import cli, padic_gamma, supercongruence
+from supercong import cli, gaussian_hg, padic_gamma, supercongruence
 from supercong.classical_hg import MAX_SERIES_TERMS
 from supercong.cli import main
 from supercong.exactnum import MAX_EXPONENT, MAX_PRIME
@@ -473,9 +473,12 @@ def test_verify_reaches_record_functions_through_the_module_global(capsys, monke
 )
 def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
     # vanhamme_a and prop3 read one exact quintic sum, each at its own
-    # modulus; the lemmas, prop3 and thm_os read one X/Y/Z pass mod p^3
+    # modulus; the lemmas, prop3 and thm_os read one X/Y/Z pass mod p^3;
+    # at p = 1 (mod 4) thm_os, cor5 and vanhamme_a read one pair of
+    # Hermite-Serret squares
     quintic = spy(supercongruence, "_quintic_sum")
     tables = spy(supercongruence, "_inverses")
+    squares = spy(gaussian_hg, "_two_squares")
     argv = ("verify", "--primes", "3..97", "--workers", "1", "--format", "json-lines", *extra)
     code, out, _ = run_cli(capsys, *argv, "--statements", statements)
     rows = rows_without_millis(out)
@@ -487,6 +490,8 @@ def test_shared_layers_run_once_per_prime(capsys, spy, statements, extra):
     assert quintic == ([(p,) for p in primes] if reads_quintic else [])
     reads_pass = {"lemma1", "lemma2", "prop3", "thm_os"} & set(statements.split(","))
     assert tables == ([(p - 1, p**3) for p in primes] if reads_pass else [])
+    reads_squares = {"vanhamme_a", "thm_os", "cor5"} & set(statements.split(","))
+    assert squares == ([(p,) for p in primes if p % 4 == 1] if reads_squares else [])
 
     alone = []
     for statement in sorted(statements.split(",")):

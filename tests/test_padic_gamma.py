@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import exactnum, padic_gamma
+from supercong import exactnum, gaussian_hg, padic_gamma
 from supercong.exactnum import NotPIntegral, is_odd_prime
 from supercong.padic_gamma import (
     gamma_p_int,
@@ -158,7 +158,7 @@ def test_rhs_vanhamme_gate_runs_before_the_squares(spy):
     # 1 and 9 are 1 (mod 4) and would reach the squares behind the gate;
     # 1000003 (the first prime above MAX_PRIME) and the pseudoprime
     # 3215031751 are 3 (mod 4) and would answer 0 behind it
-    squares = spy(padic_gamma, "_two_squares")
+    squares = spy(gaussian_hg, "_two_squares")
     for p in (1, 9, 1000003, 3215031751):
         with pytest.raises(ValueError):
             rhs_vanhamme(p, 3)
@@ -168,10 +168,14 @@ def test_rhs_vanhamme_gate_runs_before_the_squares(spy):
     for p in (3, 7, 499, 999983):
         assert rhs_vanhamme(p, 3) == 0
     assert squares == []
-    # p = 1 (mod 4): one pair of squares, and nothing kept in the store
+    # p = 1 (mod 4): one pair of squares, kept for the prime, so a second
+    # precision and Ono's closed form read it without a second build
     value = rhs_vanhamme(13, 8)
     assert squares == [(13,)]
-    assert not any(exactnum._layers.values())
+    assert list(exactnum._layers) == [13]
+    assert rhs_vanhamme(13, 3) == value % 13**3
+    gaussian_hg.gaussian_3f2(13)
+    assert squares == [(13,)]
     assert value == block_route_rhs(13) % 13**8
 
 

@@ -204,15 +204,37 @@ def test_exp_sum_memo_keeps_only_the_last_prime(spy):
     # interleaved primes and exponents over three folds: every answer from
     # the kept power sums matches the unfolded sum, each exponent class is
     # summed once per visit of its prime, and a return to an earlier prime
-    # sums its classes again
+    # sums its classes again; the walk they read is built once per visit,
+    # again on a return, and lemma_sum_checks reads the same kept walk, so
+    # each visit seeks one primitive root
     sums = spy(polyengine, "_power_sum")
+    walks = spy(polyengine, "_walk")
+    roots = spy(polyengine, "primitive_root")
     for p in (5, 7, 5):
         for k in range(1, 3 * (p - 1) + 1):
             assert exp_sum_check(p, k) == _exp_sum_unfolded(p, k)
     assert sums == [(5, k) for k in range(1, 5)] + [(7, k) for k in range(1, 7)] + [(5, k) for k in range(1, 5)]
+    assert walks == [(5,), (7,), (5,)]
     exp_sum_check(5, 7)
+    assert lemma_sum_checks(5)
+    assert walks == [(5,), (7,), (5,)]
     exp_sum_check(7, 3)
+    assert lemma_sum_checks(7)
     assert sums[14:] == [(7, 3)]
+    assert walks[3:] == [(7,)]
+    assert lemma_sum_checks(11)
+    exp_sum_check(11, 2)
+    assert walks[4:] == [(11,)]
+    assert roots == walks
+
+
+@pytest.mark.parametrize("p", [n for n in range(3, 300, 2) if is_odd_prime(n)] + [7919, 104729])
+def test_power_sum_matches_the_direct_sum(p):
+    # the subgroup sum over the walk against the direct sum of powers, at
+    # every exponent class below 300 and at sampled classes above
+    classes = range(1, p) if p < 300 else (1, 2, 3, 4, 6, 12, (p - 1) // 2, p - 1)
+    for k in classes:
+        assert polyengine._power_sum(p, k) == sum(pow(j, k, p) for j in range(1, p)) % p, (p, k)
 
 
 def test_lemma_sums_p3_recomputed_oracle():
