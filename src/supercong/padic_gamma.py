@@ -1,25 +1,6 @@
-"""The p-adic Gamma function at integers and at p-integral rationals, and
-the Gamma sides of both Van Hamme congruences, each in closed form:
--p / gamma_p(3/4)^4 = p J_4^2 for the quintic, by the Gross-Koblitz
-formula, and -p / gamma_p(1/2)^2 = p (-1/p) for the mod-p^4 companion, by
-the reflection formula.  Each value is a plain int in [0, p^m), validated
-once by `check_modulus` and reduced once, its sign included.
-
-Quintic side.  For p = 1 (mod 4) write p = x^2 + y^2 (Hermite-Serret,
-`gaussian_hg._two_squares`) and let i be the square root of -1 in Z_p with
-y i = x (mod p).  The Gross-Koblitz formula (B. H. Gross and N. Koblitz,
-"Gauss sums and the p-adic Gamma-function", Ann. of Math. 109, 1979)
-writes each Gauss sum as a power of Dwork's uniformizer times gamma_p at
-j/(p-1).  A Jacobi sum is a quotient of Gauss sums in which those powers
-cancel; for the quartic Jacobi sum J_4 = x + y i, of norm p, this gives
-gamma_p(1/4)^4 = -J_4^2 exactly in Z_p.  By reflection gamma_p(1/4)
-gamma_p(3/4) = (-1)^((3p+1)/4) = +-1, so -p / gamma_p(3/4)^4 =
--p gamma_p(1/4)^4 = p J_4^2.  The leading p makes J_4 mod p^k,
-k = max(m-1, 1), enough.  Since i is a 4th root of unity it is the
-Teichmuller lift of x / y mod p, one power: (x / y)^(p^(k-1)) mod p^k.
-The side costs a few modular powers, O(m log p) multiplications mod p^k
-per prime, against the block route's T * p.  That route, below, is its
-oracle in the tests.
+"""The p-adic Gamma function at integers and at p-integral rationals.
+Each value is a plain int in [0, p^m), validated once by `check_modulus`
+and reduced once, its sign included.
 
 gamma_p(n) for an integer n >= 0 is (-1)^n times the product of all j < n
 coprime to p.  A p-integral rational x, an int or a Fraction, is handled
@@ -71,8 +52,8 @@ then divides exactly as integers, and the quotient is still right mod
 p^m.  The same route serves every p, small ones included; only a tail
 shorter than _STRIDE is ever multiplied out.  The work is T * p
 multiplications once per (p, m) and O(_STRIDE) per value after that,
-instead of O(n).  It serves `gamma-p` and general x; neither Van Hamme
-side reads it.
+instead of O(n).  It serves `gamma-p` and general x, and it is the tests'
+oracle of the closed-form Van Hamme sides in `gaussian_hg`.
 """
 
 from __future__ import annotations
@@ -80,7 +61,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import gaussian_hg
 from .exactnum import check_modulus, prime_layer, residue_from_rational
 
 
@@ -224,34 +204,3 @@ def product_bound(x: Fraction | int, p: int, m: int) -> int:
 def gamma_p_rational(x: Fraction | int, p: int, m: int) -> int:
     """gamma_p at a p-integral rational (integers pass straight through)."""
     return gamma_p_int(product_bound(x, p, m), p, m)
-
-
-def rhs_vanhamme(p: int, m: int = 3) -> int:
-    """-p / gamma_p(3/4)^4 mod p^m when p = 1 mod 4, else 0 (the quintic).
-
-    In closed form p J_4^2, J_4 = x + y i the quartic Jacobi sum, by
-    Gross-Koblitz (module docstring): the leading p makes J_4 mod
-    p^(m-1) enough, and i is the Teichmuller lift of x / y mod p.  The
-    gate runs before either branch, and the 0 branch seeks no squares.
-    """
-    pm = check_modulus(p, m)
-    if p % 4 == 3:
-        return 0
-    x, y = gaussian_hg._two_squares(p)  # the kept pair, as gaussian_3f2 reads it
-    k = max(m - 1, 1)
-    pk = p**k
-    i = pow(x * pow(y, -1, pk), p ** (k - 1), pk)
-    j = x + y * i
-    return p * j * j % pm
-
-
-def rhs_vanhamme_b(p: int, m: int = 4) -> int:
-    """-p / gamma_p(1/2)^2 mod p^m (the mod-p^4 companion), in closed form.
-
-    The reflection formula gamma_p(x) gamma_p(1-x) = (-1)^l(x), l(x) the
-    least positive residue of x mod p, gives gamma_p(1/2)^2 = (-1)^((p+1)/2)
-    exactly, so the side is p (-1/p): p when p = 1 mod 4, else p^m - p.
-    The tests hold it against the block route.
-    """
-    pm = check_modulus(p, m)
-    return (p if p % 4 == 1 else -p) % pm

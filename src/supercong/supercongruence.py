@@ -1,9 +1,9 @@
 """Truncated Van Hamme sums, the harmonic-sum quantities X/Y/Z at
 (lambda, n) = (1, 2), the specialized well-poised transformation with
-conjugate-paired parameters, and the per-prime verification records; the
-Gamma sides of both congruences come from `padic_gamma` in closed form,
-the quintic's p J_4^2 by Gross-Koblitz and the companion's p (-1/p) by
-reflection.
+conjugate-paired parameters, and the per-prime verification records.
+Every closed-form side comes from `gaussian_hg`: the quintic's Gamma side
+p J_4^2 by Gross-Koblitz and Ono's p^2 * 3F2(1), both from one pair of
+squares p = x^2 + y^2, and the companion's p (-1/p) by reflection.
 
 The truncated sums share one shape, the sum over k <= (p-1)/2 of
 (ak+b) C(2k,k)^e / r^k, and one modular kernel, `_central_sum`, evaluates
@@ -36,7 +36,8 @@ statements of one prime and kept in `exactnum`'s per-prime store
 sum (vanhamme_a, prop3), reduced at each caller's modulus, and the pass
 (X, Y, Z) mod p^3 (the lemmas, prop3, thm_os).  The p^2 * 3F2(1) that
 thm_os and cor5 read is not kept: each computes Ono's closed form
-(`gaussian_hg.gaussian_3f2`) in microseconds.  Every comparison is exact
+(`gaussian_hg.gaussian_3f2`) in microseconds from the pair of squares,
+which `gaussian_hg` keeps.  Every comparison is exact
 integer equality, never approximate.  The exact quintic sum and the
 Pochhammer-pair routes refuse a prime above their caps before any work
 and before the store is touched, through `exactnum.check_prime`; the
@@ -50,8 +51,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .classical_hg import _nested_sum
 from .exactnum import MAX_PRIME, check_modulus, check_prime, prime_layer, residue_from_rational
-from .gaussian_hg import gaussian_3f2, legendre
-from .padic_gamma import rhs_vanhamme, rhs_vanhamme_b
+from .gaussian_hg import gaussian_3f2, legendre, rhs_vanhamme, rhs_vanhamme_b
 
 
 class VerificationRecord(NamedTuple):
@@ -264,12 +264,15 @@ def theorem_os_check(p: int) -> VerificationRecord:
 def cor5_check(p: int, m: int = 3) -> VerificationRecord:
     """p^3 * 3F2(1) = p * (p^2 * 3F2(1)) against the Gamma branch mod p^m.
 
-    Both sides are closed forms in the same two squares p = x^2 + y^2:
-    Ono's p (4x^2 - 2p) and Gross-Koblitz's p J_4^2, J_4 = x + y i.  So at
-    p = 1 (mod 4) the row checks J_4^2 = 4x^2 - 2p (mod p^2), an identity
-    in x: J' = x - y i has J_4 + J' = 2x and J_4 J' = p, and p divides J',
-    so J_4^2 = 4x^2 - 2p - J'^2.  The Gamma_p content of cor5 lives in the
-    tests that hold `rhs_vanhamme` against the block route of gamma_p.
+    Both sides are `gaussian_hg` closed forms in the one kept pair of
+    squares p = x^2 + y^2: Ono's p (4x^2 - 2p) and Gross-Koblitz's
+    p J_4^2, J_4 = x + y i.  So at p = 1 (mod 4) the row checks
+    J_4^2 = 4x^2 - 2p (mod p^2), an identity in x: J' = x - y i has
+    J_4 + J' = 2x and J_4 J' = p with J_4 a unit, so
+    J_4^2 = 4x^2 - 2p - J'^2 with v_p(J'^2) = 2.  The row holds mod p^3
+    and fails mod p^4 at every such p.  The Gamma_p content of cor5 lives
+    in the tests that hold `rhs_vanhamme` against the block route of
+    gamma_p.
     """
     pm = check_modulus(p, m)
     return _record("cor5", p, p * gaussian_3f2(p), rhs_vanhamme(p, m), pm)

@@ -269,6 +269,15 @@ def test_the_walk_refuses_a_root_that_is_zero_mod_p():
     assert powers(3, 7) == [1, 3, 2, 6, 4, 5]
 
 
+def test_the_walk_refuses_a_p_that_is_not_an_odd_prime():
+    # below 2 each raised IndexError from the walk's list, and a p above
+    # the API cap would have allocated its p - 1 entries before any check
+    for p in (-3, 0, 1, 2, 9, 1000003):
+        with pytest.raises(ValueError):
+            powers(2, p)
+    assert powers(3, 7) == [1, 3, 2, 6, 4, 5]
+
+
 def test_primitive_root_refuses_a_p_that_is_not_an_odd_prime():
     # each answered 2, though 15 and 21 have no primitive root at all and
     # 1000001 = 101 * 9901 is above the API cap

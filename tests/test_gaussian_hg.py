@@ -378,3 +378,12 @@ def test_corollary5_small():
     assert cor5_check(5).passed
     assert cor5_check(7).passed
     assert cor5_check(13).passed
+
+
+def test_corollary5_modulus_is_sharp():
+    # p J_4^2 = p (4x^2 - 2p) - p J'^2 with v_p(J'^2) = 2 (cor5_check's
+    # docstring): the row holds mod p^3 at every odd prime and fails mod
+    # p^4 at exactly the primes p = 1 (mod 4)
+    primes = list(filter(is_odd_prime, range(3, 2000)))
+    assert all(cor5_check(p, 3).passed for p in primes)
+    assert [p for p in primes if not cor5_check(p, 4).passed] == [p for p in primes if p % 4 == 1]

@@ -7,13 +7,8 @@ import pytest
 
 from supercong import exactnum, gaussian_hg, padic_gamma
 from supercong.exactnum import NotPIntegral, is_odd_prime
-from supercong.padic_gamma import (
-    gamma_p_int,
-    gamma_p_rational,
-    product_bound,
-    rhs_vanhamme,
-    rhs_vanhamme_b,
-)
+from supercong.gaussian_hg import rhs_vanhamme, rhs_vanhamme_b
+from supercong.padic_gamma import gamma_p_int, gamma_p_rational, product_bound
 
 
 def gamma_oracle(n, p, pm):
