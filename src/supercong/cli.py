@@ -9,7 +9,11 @@ Exit codes: 0 when every record passes, 1 when at least one fails,
 2 on usage errors.
 
 The argument parser is built once per process, on the first `main` call,
-and reused by every later one.  The checks read the statement registry,
+and reused by every later one.  A call whose first argument names a
+command is parsed by that command's parser alone; the top-level parser
+reads only an argv that does not start with a command (none, an option,
+`--` or an unknown name), and it alone reports arguments that no parser
+consumed.  The checks read the statement registry,
 the caps and the `--mod-power` range at each call; the help text lists
 the registry as it stood when the parser was built.  Every error line,
 argparse's own included, quotes at most `_QUOTE` characters of a rejected
@@ -163,7 +167,8 @@ class _Parser(argparse.ArgumentParser):
     """argparse, with its own error lines quoting a prefix of the rejected
     argument (`_shown`), and reading a "-" followed by a digit as a value
     (no option starts with a digit), so "-3/4" is a literal, not an
-    option; the subcommand parsers are of this class too."""
+    option; the subcommand parsers are of this class too.  `commands` maps
+    each command name to its parser on the top-level parser."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -177,13 +182,17 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_args(self, args=None, namespace=None):
         parsed, extras = self.parse_known_args(args, namespace)
+        self.refuse(extras)
+        return parsed
+
+    def refuse(self, extras: list) -> None:
+        """Exit 2 on arguments that no parser consumed."""
         if extras:
             self.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
-        return parsed
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="supercong",
         description="Machine verification of truncated hypergeometric congruences "
@@ -229,6 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     series.add_argument("which", choices=("ramanujan", "entry20"))
     series.add_argument("n_terms", type=_integer, help=f"0..{MAX_SERIES_TERMS}")
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -239,7 +249,16 @@ def _usage_error(message: str) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # argparse hands the command's parser every argument after the
+        # name, as this call does, so one parse gives the same namespace
+        args, extras = command.parse_known_args(argv[1:])
+        parser.refuse(extras)
+        args.command = argv[0]
     out = sys.stdout
 
     if args.command == "verify":

@@ -4,8 +4,10 @@ import argparse
 import csv
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -583,6 +585,37 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert built == first
 
 
+def test_a_call_runs_one_parse(capsys, monkeypatch):
+    # a call that names its command is parsed by that command's parser alone
+    parsed = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for argv in (
+        ("verify", "--statements", "lemma1", "--primes", "3..7"),
+        ("gamma-p", "3/4", "5", "2"),
+        ("series", "entry20", "3"),
+    ):
+        parsed.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert parsed == [f"supercong {argv[0]}"]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["supercong", "verify", "--primes", "3..5", "--bogus"])
+    with pytest.raises(SystemExit) as excinfo:
+        main()
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "supercong: error: unrecognized arguments: '--bogus'"
+    monkeypatch.setattr(sys, "argv", ["supercong", "gamma-p", "3/4", "5", "2"])
+    assert main() == 0 and capsys.readouterr().out == "6\n"
+
+
 def test_a_reused_parser_keeps_no_state(capsys):
     args = (
         "verify", "--statements", "vanhamme_a,cor5", "--primes", "3..31", "--format", "json-lines",
@@ -698,22 +731,39 @@ _SERIES_ARGV = st.tuples(
 ).map(lambda t: ["series", *map(str, t)])
 
 
-def _assert_exit_contract(argv):
+def _outcome(argv):
+    """(how main ended, its code, stdout, stderr) of one call."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors
-            assert exc.code == 2, argv
-            assert err.getvalue().startswith("usage: supercong"), (argv, err.getvalue())
-            return
-    assert code in (0, 1, 2), argv
-    if code == 2:
-        assert out.getvalue() == "", argv
-        assert err.getvalue().startswith("supercong: error: "), (argv, err.getvalue())
-        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+            ended = ("return", main(argv))
+        except SystemExit as exc:  # argparse's own exits: usage errors and help
+            ended = ("exit", exc.code)
+    return (*ended, out.getvalue(), err.getvalue())
+
+
+def _assert_exit_contract(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        # a frozen clock makes every millis 0.0, so both routes' rows
+        # compare byte for byte
+        mp.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        outcome = _outcome(argv)
+        # the oracle: with no command table, main hands every argv to the
+        # top-level parser, which hands a command's arguments to its parser
+        mp.setattr(cli._build_parser(), "commands", {})
+        assert _outcome(argv) == outcome, argv
+    ended, code, out, err = outcome
+    if ended == "exit" and code == 0:  # help
+        assert out.startswith("usage: supercong") and err == "", argv
+    elif ended == "exit":
+        assert code == 2, argv
+        assert err.startswith("usage: supercong"), (argv, err)
+    elif code == 2:
+        assert out == "", argv
+        assert err.startswith("supercong: error: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
     else:
-        assert err.getvalue() == "", argv
+        assert code in (0, 1) and err == "", argv
 
 
 @pytest.fixture
@@ -739,4 +789,33 @@ def test_gamma_p_exit_contract(no_pool, argv):
 @_FUZZ
 @given(argv=_SERIES_ARGV)
 def test_series_exit_contract(no_pool, argv):
+    _assert_exit_contract(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        [],
+        ["-h"],
+        ["--he"],
+        ["-x", "verify", "--primes", "3..7"],
+        ["--primes=3..7"],
+        ["--", "verify", "--primes", "3..7"],
+        ["verif", "--primes", "3..7"],  # no command is abbreviated
+        ["x" * 300],
+        ["verify", "--he"],
+        ["verify", "--primes=3..7", "--format", "json-lines"],
+        ["verify", "--pri", "3..7", "--stat", "lemma1,cor5", "--format", "json-lines"],
+        ["verify", "--primes", "3..7", "stray", "--bogus"],
+        ["verify", "--primes", "3..7", "--", "--format", "csv"],
+        ["verify", "--", "--primes", "3..7"],
+        ["verify", "--primes", "3..7", "--statements", "vanhamme_b", "--format", "csv"],
+        ["gamma-p", "--", "-3/4", "7", "3"],
+        ["gamma-p", "3/4", "5", "2", "9"],
+        ["gamma-p", "-h"],
+        ["series", "entry20", "3", "--x"],
+        ["series", "--help"],
+    ),
+)
+def test_exit_contract_on_fixed_argv(no_pool, argv):
     _assert_exit_contract(argv)
