@@ -195,12 +195,6 @@ def gamma_p_int(n: int, p: int, m: int) -> int:
     return (-core if n % 2 else core) % pm
 
 
-def product_bound(x: Fraction | int, p: int, m: int) -> int:
-    """Length of the defining product used for x mod p^m: x's residue.
-    Exposed so that the block route can be checked against the plain product."""
-    return residue_from_rational(x, p, m)
-
-
 def gamma_p_rational(x: Fraction | int, p: int, m: int) -> int:
     """gamma_p at a p-integral rational (integers pass straight through)."""
-    return gamma_p_int(product_bound(x, p, m), p, m)
+    return gamma_p_int(residue_from_rational(x, p, m), p, m)

@@ -4,8 +4,9 @@ The paper's vanishing lemmas rest on
 
     P(z) = d/dz [ z F(z)^3 ]   and   Q(z) = (z/2) d^2/dz^2 [ z F(z)^3 ],
 
-where F = (z+1)(z+2)...(z+m) with m = (p-1)/2.  Every polynomial here
-has integer coefficients: `RatPoly` rejects any other coefficient type.
+where F = (z+1)(z+2)...(z+m) with m = (p-1)/2.  A polynomial here is the
+tuple of its int coefficients, indexed by degree; no entry point takes one
+from outside, so nothing else needs checking.
 
 Products (KS4, multipoint Kronecker substitution at +-2^b for both factors
 and for their reversals; D. Harvey, "Faster polynomial multiplication via
@@ -15,7 +16,7 @@ terms, so |c_k| <= B = max|a| * max|b| * n.  A digit is W bytes, with
 X = 2^(8W) and bits(B) + 3 <= 16W, so |c_k| < X^2/8: each coefficient spans
 two digits.  At x = 2^(4W), a(+-x) = a_e(X) +- x a_o(X) for the even and
 odd coefficient lists, each packed as two byte-aligned lists of every
-other coefficient at 2W bytes.  `RatPoly.__mul__` forms h(x) and h(-x) for
+other coefficient at 2W bytes.  `_mul` forms h(x) and h(-x) for
 h = a b, and h~(x) and h~(-x) for the reversal h~(z) = z^(n-1) h(1/z) =
 a~(z) b~(z): four big-int products, each about half as long as one of the
 two products of KS2 at the same bound (CPython's Karatsuba does the work;
@@ -149,85 +150,35 @@ def _recover(forward: int, reverse: int, count: int, width: int) -> list[int]:
     return out
 
 
-class RatPoly:
-    """Dense integer polynomial; coefficient list indexed by degree,
-    trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        if not all(map(isinstance, cs, repeat(int))):
-            raise TypeError("RatPoly coefficients must be int")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RatPoly({list(self.coeffs)!r})"
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        """KS4 product: four quarter-slot big-int multiplications, at +-x for
-        both factors and for their reversals (module docstring).  A square
-        packs its factor once."""
-        if not self.coeffs or not other.coeffs:
-            return RatPoly()
-        a, b = self.coeffs, other.coeffs
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = (bound.bit_length() + 3 + 15) // 16  # bound < X^2/8, X = 2^(8 width)
-        plus_a, minus_a = _evaluations(a, width)
-        rplus_a, rminus_a = _evaluations(a[::-1], width)
-        if other is self:
-            plus, minus = plus_a * plus_a, minus_a * minus_a
-            rplus, rminus = rplus_a * rplus_a, rminus_a * rminus_a
-        else:
-            plus_b, minus_b = _evaluations(b, width)
-            rplus_b, rminus_b = _evaluations(b[::-1], width)
-            plus, minus = plus_a * plus_b, minus_a * minus_b
-            rplus, rminus = rplus_a * rplus_b, rminus_a * rminus_b
-        n = len(a) + len(b) - 1
-        shift = 4 * width + 1
-        reverse = ((rplus + rminus) >> 1, (rplus - rminus) >> shift)
-        if n % 2 == 0:  # the reversal swaps the parity classes
-            reverse = reverse[::-1]
-        out = [0] * n
-        out[0::2] = _recover((plus + minus) >> 1, reverse[0], (n + 1) // 2, width)
-        out[1::2] = _recover((plus - minus) >> shift, reverse[1], n // 2, width)
-        return RatPoly(out)
-
-    def scaled(self, c: int) -> "RatPoly":
-        return RatPoly(tuple(c * x for x in self.coeffs))
-
-    def shifted(self, k: int) -> "RatPoly":
-        """Multiply by z**k."""
-        if not self.coeffs:
-            return RatPoly()
-        return RatPoly((0,) * k + self.coeffs)
+def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """KS4 product of two coefficient lists: four quarter-slot big-int
+    multiplications, at +-x for both factors and for their reversals (module
+    docstring).  A square (b is a) packs its factor once."""
+    if not a or not b:
+        return ()
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:  # a zero factor: digits sized by 0 would not hold the other
+        return (0,) * (len(a) + len(b) - 1)
+    width = (bound.bit_length() + 3 + 15) // 16  # bound < X^2/8, X = 2^(8 width)
+    plus_a, minus_a = _evaluations(a, width)
+    rplus_a, rminus_a = _evaluations(a[::-1], width)
+    if b is a:
+        plus, minus = plus_a * plus_a, minus_a * minus_a
+        rplus, rminus = rplus_a * rplus_a, rminus_a * rminus_a
+    else:
+        plus_b, minus_b = _evaluations(b, width)
+        rplus_b, rminus_b = _evaluations(b[::-1], width)
+        plus, minus = plus_a * plus_b, minus_a * minus_b
+        rplus, rminus = rplus_a * rplus_b, rminus_a * rminus_b
+    n = len(a) + len(b) - 1
+    shift = 4 * width + 1
+    reverse = ((rplus + rminus) >> 1, (rplus - rminus) >> shift)
+    if n % 2 == 0:  # the reversal swaps the parity classes
+        reverse = reverse[::-1]
+    out = [0] * n
+    out[0::2] = _recover((plus + minus) >> 1, reverse[0], (n + 1) // 2, width)
+    out[1::2] = _recover((plus - minus) >> shift, reverse[1], n // 2, width)
+    return tuple(out)
 
 
 def _quotient_sum(coeffs: tuple[int, ...], roots: Iterable[int]) -> list[int]:
@@ -255,13 +206,13 @@ def _rising_coeffs(m: int) -> list[int]:
     return cs
 
 
-def pochhammer_poly(m: int) -> RatPoly:
+def pochhammer_poly(m: int) -> tuple[int, ...]:
     """(z+1)(z+2)...(z+m), the rising factorial of z+1 as a polynomial, for
     m up to (POLY_MAX_P - 1)/2, the largest m any entry point builds."""
     top = (POLY_MAX_P - 1) // 2
     if not 0 <= m <= top:
         raise ValueError(f"m must lie in 0..{top}")
-    return RatPoly(_rising_coeffs(m))
+    return tuple(_rising_coeffs(m))
 
 
 def _p_and_q_coeffs(cube: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -274,35 +225,35 @@ def _p_and_q_coeffs(cube: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 @prime_layer
-def _f(p: int) -> RatPoly:
+def _f(p: int) -> tuple[int, ...]:
     """F = pochhammer_poly((p-1)/2)."""
     return pochhammer_poly((p - 1) // 2)
 
 
 @prime_layer
-def _f2(p: int) -> RatPoly:
+def _f2(p: int) -> tuple[int, ...]:
     f = _f(p)
-    return f * f
+    return _mul(f, f)
 
 
 @prime_layer
-def _f3(p: int) -> RatPoly:
-    return _f2(p) * _f(p)
+def _f3(p: int) -> tuple[int, ...]:
+    return _mul(_f2(p), _f(p))
 
 
 @prime_layer
-def _p_and_q(p: int) -> tuple[RatPoly, RatPoly]:
-    big_p, big_q = _p_and_q_coeffs(_f3(p).coeffs)
-    return RatPoly(big_p), RatPoly(big_q)
+def _p_and_q(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    big_p, big_q = _p_and_q_coeffs(_f3(p))
+    return tuple(big_p), tuple(big_q)
 
 
-def p_poly(p: int) -> RatPoly:
+def p_poly(p: int) -> tuple[int, ...]:
     """d/dz [ z * pochhammer_poly((p-1)/2)^3 ]; integer coefficients."""
     check_prime(p, POLY_MAX_P, "polynomial")
     return _p_and_q(p)[0]
 
 
-def q_poly(p: int) -> RatPoly:
+def q_poly(p: int) -> tuple[int, ...]:
     """(z/2) * d^2/dz^2 [ z * pochhammer_poly((p-1)/2)^3 ].
 
     Divisible by z with integer coefficients: [z^k] Q = k(k+1)/2 [z^k] F^3.
@@ -315,9 +266,11 @@ def p_identity_check(p: int) -> bool:
     """True iff P(z) factors as F^3 * [1 + 3z * sum_r 1/(z+r)] with F the
     rising-factorial polynomial, i.e. P = F^3 + 3z F^2 sum_r prod_{s!=r}(z+s)."""
     big_p = p_poly(p)  # builds F, F^2, F^3 and P for this prime
-    partial = RatPoly(_quotient_sum(_f(p).coeffs, range(1, (p - 1) // 2 + 1)))
-    rhs = _f3(p) + (_f2(p) * partial).shifted(1).scaled(3)
-    return big_p == rhs
+    partial = _quotient_sum(_f(p), range(1, (p - 1) // 2 + 1))
+    rhs = list(_f3(p))
+    for k, c in enumerate(_mul(_f2(p), partial), 1):  # + 3z F^2 partial
+        rhs[k] += 3 * c
+    return big_p == tuple(rhs)
 
 
 def coefficient_facts_check(p: int) -> bool:
@@ -331,14 +284,14 @@ def coefficient_facts_check(p: int) -> bool:
     m = (p - 1) // 2
     big_p = p_poly(p)
     big_q = q_poly(p)
-    cube_coeff = _f3(p).coefficient(p - 1)
-    ap1_p = big_p.coefficient(p - 1)
-    ap1_q = big_q.coefficient(p - 1)
+    cube_coeff = _f3(p)[p - 1]
+    ap1_p = big_p[p - 1]
+    ap1_q = big_q[p - 1]
     return (
         ap1_p % p == 0
-        and big_p.coefficient(0) == math.factorial(m) ** 3
+        and big_p[0] == math.factorial(m) ** 3
         and ap1_q % p == 0
-        and big_q.coefficient(0) == 0
+        and big_q[0] == 0
         and ap1_p == p * cube_coeff
         and 2 * ap1_q == p * (p - 1) * cube_coeff
     )
@@ -432,7 +385,7 @@ def lemma_sum_checks(p: int) -> bool:
     exact F reduced mod p, read by `_p_and_q_coeffs`."""
     check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
-    pc, qc = _p_and_q_coeffs(_cube_mod([c % p for c in _f(p).coeffs], p))
+    pc, qc = _p_and_q_coeffs(_cube_mod([c % p for c in _f(p)], p))
     mf3 = pow(math.factorial(m) % p, 3, p)
     p_vals, q_vals = (vals[1:] for vals in _values_mod([pc, qc], p))
     return (

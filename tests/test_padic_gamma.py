@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from supercong import exactnum, gaussian_hg, padic_gamma
-from supercong.exactnum import NotPIntegral, is_odd_prime
+from supercong.exactnum import NotPIntegral, is_odd_prime, residue_from_rational
 from supercong.gaussian_hg import rhs_vanhamme, rhs_vanhamme_b
-from supercong.padic_gamma import gamma_p_int, gamma_p_rational, product_bound
+from supercong.padic_gamma import gamma_p_int, gamma_p_rational
 
 
 def gamma_oracle(n, p, pm):
@@ -92,7 +92,7 @@ def test_block_route_on_long_products():
     # p^2; 515151 is the length of the Gamma_p(1/2) mod p^3 product at
     # p = 101
     assert gamma_p_int(70000, 101, 2) == gamma_oracle(70000, 101, 101**2)
-    n = product_bound(Fraction(1, 2), 101, 3)
+    n = residue_from_rational(Fraction(1, 2), 101, 3)
     assert n == 515151
     assert gamma_p_int(n, 101, 3) == gamma_oracle(n, 101, 101**3)
 
@@ -203,7 +203,7 @@ def test_gamma_p_takes_only_an_int_or_a_fraction():
     for call in (
         lambda: gamma_p_rational(0.1, 7, 2),
         lambda: gamma_p_rational("1/10", 7, 2),
-        lambda: product_bound(0.75, 5, 2),
+        lambda: residue_from_rational(0.75, 5, 2),
         lambda: gamma_p_int(2.0, 5, 2),
         lambda: gamma_p_int("3", 5, 2),
     ):
@@ -213,10 +213,12 @@ def test_gamma_p_takes_only_an_int_or_a_fraction():
 
 
 def test_product_bound_is_the_representative():
-    assert product_bound(Fraction(3, 4), 5, 2) == 7  # 3 * 4^-1 = 7 (mod 25)
-    assert product_bound(2, 7, 3) == 2
+    # the defining product of gamma_p_rational(x) mod p^m runs up to x's
+    # residue mod p^m
+    assert residue_from_rational(Fraction(3, 4), 5, 2) == 7  # 3 * 4^-1 = 7 (mod 25)
+    assert residue_from_rational(2, 7, 3) == 2
     # the defining product for the bound reproduces the value
-    n = product_bound(Fraction(3, 4), 5, 2)
+    n = residue_from_rational(Fraction(3, 4), 5, 2)
     assert gamma_p_rational(Fraction(3, 4), 5, 2) == gamma_oracle(n, 5, 25)
 
 

@@ -273,8 +273,7 @@ def test_every_quantity_is_an_int_below_its_modulus():
         for m in range(1, MAX_EXPONENT + 1):
             pm = p**m
             values = [
-                *(residue_from_rational(x, p, m) for x in (-1, Fraction(-3, 4), Fraction(7, 2))),
-                *(padic_gamma.product_bound(x, p, m) for x in (-2, Fraction(-1, 2))),
+                *(residue_from_rational(x, p, m) for x in (-1, -2, Fraction(-3, 4), Fraction(-1, 2), Fraction(7, 2))),
                 *(padic_gamma.gamma_p_int(n, p, m) for n in (0, 1, 2, p, p + 1, pm - 2, pm - 1)),
                 *(padic_gamma.gamma_p_rational(x, p, m) for x in (-3, Fraction(3, 4), Fraction(-3, 4))),
                 rhs_vanhamme(p, m),
