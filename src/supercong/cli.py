@@ -12,12 +12,12 @@ The argument parser is built once per process, on the first `main` call,
 and reused by every later one.  A call whose first argument names a
 command is parsed by that command's parser alone; the top-level parser
 reads only an argv that does not start with a command (none, an option,
-`--` or an unknown name), and it alone reports arguments that no parser
-consumed.  The checks read the statement registry,
-the caps and the `--mod-power` range at each call; the help text lists
-the registry as it stood when the parser was built.  Every error line,
-argparse's own included, quotes at most `_QUOTE` characters of a rejected
-argument.
+`--` or an unknown name).  Either way `main` refuses the arguments that no
+parser consumed, with the top-level parser's usage line.  The checks read
+the statement registry, the caps and the `--mod-power` range at each call;
+the help text lists the registry as it stood when the parser was built.
+Every error line, argparse's own included, quotes at most `_QUOTE`
+characters of a rejected argument.
 """
 
 from __future__ import annotations
@@ -180,16 +180,6 @@ class _Parser(argparse.ArgumentParser):
             message = f"invalid choice: {_shown(value)} (choose from {choices})"
             raise argparse.ArgumentError(action, message)
 
-    def parse_args(self, args=None, namespace=None):
-        parsed, extras = self.parse_known_args(args, namespace)
-        self.refuse(extras)
-        return parsed
-
-    def refuse(self, extras: list) -> None:
-        """Exit 2 on arguments that no parser consumed."""
-        if extras:
-            self.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
-
 
 @lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
@@ -252,13 +242,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
     else:
         # argparse hands the command's parser every argument after the
         # name, as this call does, so one parse gives the same namespace
         args, extras = command.parse_known_args(argv[1:])
-        parser.refuse(extras)
         args.command = argv[0]
+    if extras:
+        parser.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
     out = sys.stdout
 
     if args.command == "verify":

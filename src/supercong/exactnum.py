@@ -112,19 +112,22 @@ def primitive_root(p: int) -> int:
 def powers(g: int, p: int) -> list:
     """[g^i mod p for i < p - 1]: the walk of a discrete-log table.  A p
     that `check_modulus` refuses raises ValueError before the walk is
-    allocated.  It raises ArithmeticError unless g has order p - 1: if
-    g^i = 1 before i = p - 1, or if g^(p - 1) is not 1 (g = 0 mod p), so a
-    g that is not a primitive root never yields a table with values missing."""
+    allocated.  g is reduced mod p first, so each step multiplies residues
+    below p whatever the size of g.  It raises ArithmeticError unless g has
+    order p - 1: if g^i = 1 before i = p - 1, or if g^(p - 1) is not 1
+    (g = 0 mod p), so a g that is not a primitive root never yields a table
+    with values missing."""
     check_modulus(p, 1)
+    step = g % p
     walk = [1] * (p - 1)
     for i in range(1, p - 1):
-        walk[i] = walk[i - 1] * g % p
+        walk[i] = walk[i - 1] * step % p
         if walk[i] == 1:
             break
     else:
-        if walk[-1] * g % p == 1:
+        if walk[-1] * step % p == 1:
             return walk
-    raise ArithmeticError(f"{g} is not a primitive root mod {p}")
+    raise ArithmeticError(f"{_brief(g)} is not a primitive root mod {p}")
 
 
 def check_prime(p: int, cap: int, layer: str) -> None:

@@ -6,7 +6,8 @@ gamma_p(n) for an integer n >= 0 is (-1)^n times the product of all j < n
 coprime to p.  A p-integral rational x, an int or a Fraction, is handled
 through the least nonnegative integer congruent to x mod p^m; by
 continuity the result is correct mod p^m whatever approximating sequence
-is used.
+is used.  For the same reason an integer n is reduced mod p^m first, so
+the work never grows with n itself.
 
 That product has about n factors, and n runs up to p^m, so it is not
 formed directly.  Write n = qp + r with 0 <= r < p and split the factors
@@ -185,12 +186,15 @@ def _unit_product(n: int, p: int, m: int) -> int:
 
 def gamma_p_int(n: int, p: int, m: int) -> int:
     """gamma_p at a nonnegative integer, in [0, p^m): (-1)^n times the unit
-    product below n."""
+    product below n.  By continuity the value mod p^m depends only on
+    n mod p^m, so n is reduced first and a huge n costs what its residue
+    does."""
     if not isinstance(n, int):
         raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
     pm = check_modulus(p, m)
+    n %= pm
     core = _unit_product(n, p, m)
     return (-core if n % 2 else core) % pm
 

@@ -12,7 +12,9 @@ routes: the kernel, for the mod-p^4 companion only, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
 X, Y and Z are per-term residue sums from one pass over j mod p^3 that
 steps its harmonic differences over one table of inverses (Z sums the
-weights C(2j,j)^3 / 64^j); the lemmas, prop3 and thm_os read it, and the
+weights C(2j,j)^3 / 64^j).  Its only readers are the four records that
+state facts about it, lemma1 (Y), lemma2 (X), prop3 (Z) and thm_os (all
+three), each behind its one gate and reduced once by `_record`; the
 kernel's Z row and the table-based loop are its oracles in the tests.  The
 paired Pochhammer ratios are one list of integer ratios, `_pair_ratios`,
 read two ways.  The well-poised instance, which decides by rational
@@ -192,29 +194,6 @@ def _xy_mod(p: int) -> tuple:
     return 3 * x2 * half % pm, (2 * z + 3 * y2) * half % pm, z
 
 
-def x_quantity(p: int) -> int:
-    """The reduced X quantity mod p (expected 0 at every odd prime)."""
-    check_modulus(p, 1)
-    return _xy_mod(p)[0] % p
-
-
-def y_quantity(p: int) -> int:
-    """The reduced Y quantity mod p (expected 0 at every odd prime)."""
-    check_modulus(p, 1)
-    return _xy_mod(p)[1] % p
-
-
-def z_quantity(p: int) -> int:
-    """Sum of C(2j,j)^3 / 64^j for j <= (p-1)/2 mod p^3, read from the
-    X/Y/Z pass (the kernel row (0, 1, 3, 64) is its oracle in the tests).
-
-    The 16^(-3j/2) weight of the defining sum resolves to 64^-j;
-    equivalently this is the sum of (-1)^j binom(-1/2,j)^3.
-    """
-    check_modulus(p, 3)
-    return _xy_mod(p)[2]
-
-
 # ---------------------------------------------------------------------------
 # verification records
 
@@ -233,18 +212,21 @@ def vanhamme_b_verify(p: int, m: int = 4) -> VerificationRecord:
 
 def lemma1_check(p: int) -> VerificationRecord:
     """Y vanishes mod p."""
-    return _record("lemma1", p, y_quantity(p), 0, p)
+    check_modulus(p, 1)
+    return _record("lemma1", p, _xy_mod(p)[1], 0, p)
 
 
 def lemma2_check(p: int) -> VerificationRecord:
     """X vanishes mod p."""
-    return _record("lemma2", p, x_quantity(p), 0, p)
+    check_modulus(p, 1)
+    return _record("lemma2", p, _xy_mod(p)[0], 0, p)
 
 
 def prop3_check(p: int) -> VerificationRecord:
-    """Truncated quintic sum vs phi(-1) * p * Z mod p^3."""
+    """Truncated quintic sum vs phi(-1) * p * Z mod p^3, where Z is the sum
+    of C(2j,j)^3 / 64^j = (-1)^j binom(-1/2,j)^3 for j <= (p-1)/2."""
     lhs = lhs_vanhamme(p, 3)  # the quintic-sum gate runs first
-    return _record("prop3", p, lhs, legendre(-1, p) * p * z_quantity(p), p**3)
+    return _record("prop3", p, lhs, legendre(-1, p) * p * _xy_mod(p)[2], p**3)
 
 
 def theorem_os_check(p: int) -> VerificationRecord:

@@ -30,7 +30,10 @@ from supercong.polyengine import (
 )
 from supercong.supercongruence import (
     _central_sum,
+    _xy_mod,
     cor5_check,
+    lemma1_check,
+    lemma2_check,
     lhs_vanhamme,
     lhs_vanhamme_b,
     poch_congruence_checks,
@@ -38,9 +41,6 @@ from supercong.supercongruence import (
     vanhamme_b_verify,
     vanhamme_verify,
     whipple_instance_check,
-    x_quantity,
-    y_quantity,
-    z_quantity,
 )
 
 
@@ -113,7 +113,7 @@ def test_criterion_03_lemmas_mod_p():
     bad = [
         p
         for p in _primes_to(997)
-        if y_quantity(p) != 0 or x_quantity(p) != 0
+        if lemma1_check(p).lhs != 0 or lemma2_check(p).lhs != 0
     ]
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 30.0
@@ -258,9 +258,9 @@ def test_criterion_11_oracle_equivalence():
             lhs_vanhamme(p, 3) == central_residue(p, 3, QUINTIC)
             and lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC),
             lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION),
-            x_quantity(p) == residue_from_rational(x_sum(p), p, 1),
-            y_quantity(p) == residue_from_rational(y_sum(p), p, 1),
-            z_quantity(p) == central_residue(p, 3, Z),
+            lemma2_check(p).lhs == residue_from_rational(x_sum(p), p, 1),
+            lemma1_check(p).lhs == residue_from_rational(y_sum(p), p, 1),
+            _xy_mod(p)[2] == central_residue(p, 3, Z),
         )
         if not all(checks):
             failures.append(p)

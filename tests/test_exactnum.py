@@ -3,6 +3,7 @@ valuation against an extended-gcd oracle."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,20 @@ def test_the_walk_refuses_a_root_that_is_zero_mod_p():
         with pytest.raises(ArithmeticError, match=f"{g} is not a primitive root mod 7"):
             powers(g, 7)
     assert powers(3, 7) == [1, 3, 2, 6, 4, 5]
+
+
+def test_the_walk_reduces_a_huge_root_mod_p_promptly():
+    # each step multiplied by g as given, about p * bits(g) of work: a
+    # 28-kbit g took 7-8 s at p = 999983
+    p = 10007
+    g = primitive_root(p)
+    big = g + p * 7**10**6
+    zero = p * 7**10**6
+    start = time.perf_counter()
+    assert powers(big, p) == powers(g, p)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ArithmeticError, match="-bit integer> is not a primitive root mod 10007"):
+        powers(zero, p)
 
 
 def test_the_walk_refuses_a_p_that_is_not_an_odd_prime():

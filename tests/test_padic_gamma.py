@@ -43,6 +43,21 @@ def test_gamma_p_int_against_oracle():
         assert gamma_p_int(n, p, m) == gamma_oracle(n, p, p**m)
 
 
+@pytest.mark.parametrize(("p", "m"), [(5, 2), (101, 3)])
+def test_a_huge_n_is_reduced_mod_p_m_before_the_product(spy, p, m):
+    # Gamma_p(n) mod p^m depends only on n mod p^m; a 2.8-Mbit n once
+    # reached the block route whole, where pow(block, q, p^m) took 50 s at
+    # p = 999983
+    pm = p**m
+    n = 7**10**4 + 3
+    calls = spy(padic_gamma, "_unit_product")
+    value = gamma_p_int(n, p, m)
+    assert len(calls) == 1 and calls[0][0] < pm
+    assert value == gamma_p_int(n % pm, p, m)
+    for k in (1, 2, 3, 10, p, 7**50):
+        assert gamma_p_int(n + k * pm, p, m) == value
+
+
 def gamma_oracle_at(ns, p, pm):
     """gamma_oracle at every n in ns, from one pass of the plain product."""
     wanted = set(ns)
@@ -59,8 +74,9 @@ def gamma_oracle_at(ns, p, pm):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97, 101])
 def test_block_route_against_oracle(p):
     # block boundaries qp-1, qp, qp+1 with q below and above the m + 2
-    # samples of the block logarithm, seeded random n up to 2p^m (so q
-    # also runs past p^(m-1)), at every m with p^m <= 10^6
+    # samples of the block logarithm, seeded random n up to 2p^m (so n
+    # also runs past p^m, which gamma_p_int reduces first), at every m
+    # with p^m <= 10^6
     rng = random.Random(1000 + p)
     m = 1
     while m <= 8 and p**m <= 10**6:
@@ -88,9 +104,9 @@ def test_block_route_tail_prefixes_against_oracle():
 
 
 def test_block_route_on_long_products():
-    # n = 70000 at p = 101 crosses hundreds of full blocks and wraps past
-    # p^2; 515151 is the length of the Gamma_p(1/2) mod p^3 product at
-    # p = 101
+    # n = 70000 at p = 101 wraps past p^2 and is reduced to 8794, which
+    # crosses 87 full blocks; 515151 is the length of the Gamma_p(1/2)
+    # mod p^3 product at p = 101
     assert gamma_p_int(70000, 101, 2) == gamma_oracle(70000, 101, 101**2)
     n = residue_from_rational(Fraction(1, 2), 101, 3)
     assert n == 515151

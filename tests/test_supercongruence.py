@@ -50,9 +50,6 @@ from supercong.supercongruence import (
     vanhamme_verify,
     whipple_instance_check,
     whipple_instance_sides,
-    x_quantity,
-    y_quantity,
-    z_quantity,
 )
 
 PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -150,16 +147,16 @@ def test_x_quantity():
     # hand value at p = 3: j=1 contributes (1/8)(3/2 + 9/8 - 3/8) = 9/32
     # (the j = 0 bracket vanishes identically)
     assert x_sum(3) == Fraction(9, 32)
-    assert x_quantity(3) == 0
-    assert x_quantity(5) == 0
+    assert lemma2_check(3).lhs == 0
+    assert lemma2_check(5).lhs == 0
     assert residue_from_rational(x_sum(5), 5, 1) == 0
 
 
 def test_y_quantity():
     # hand value at p = 3: 1 + (1/8)(1 + 3/2 - 9/4) = 33/32
     assert y_sum(3) == Fraction(33, 32)
-    assert y_quantity(3) == 0
-    assert y_quantity(7) == 0
+    assert lemma1_check(3).lhs == 0
+    assert lemma1_check(7).lhs == 0
     assert residue_from_rational(y_sum(7), 7, 1) == 0
 
 
@@ -173,15 +170,15 @@ def test_telescoped_middle_term():
 
 
 def test_z_quantity():
-    assert z_quantity(3) == residue_from_rational(Fraction(9, 8), 3, 3) == 18
+    assert _xy_mod(3)[2] == residue_from_rational(Fraction(9, 8), 3, 3) == 18
     # equivalence with the alternating binom(-1/2,j)^3 form, exactly
     for p in PRIMES_TO_50:
         m = (p - 1) // 2
         lhs = sum(Fraction(math.comb(2 * j, j) ** 3, 64**j) for j in range(m + 1))
         rhs = sum((-1) ** j * binom_half(j) ** 3 for j in range(m + 1))
         assert lhs == rhs == central_sum(p, *Z)
-        assert z_quantity(p) == residue_from_rational(lhs, p, 3)
-    assert z_quantity(5) == residue_from_rational(
+        assert _xy_mod(p)[2] == residue_from_rational(lhs, p, 3)
+    assert _xy_mod(5)[2] == residue_from_rational(
         sum(Fraction(math.comb(2 * j, j) ** 3, 64**j) for j in range(3)), 5, 3
     )
 
@@ -245,10 +242,10 @@ def test_each_record_modulus_is_the_modulus_of_the_sides_it_reads(p):
     assert row(vanhamme_verify(p, 5)) == (lhs_vanhamme(p, 5), rhs_vanhamme(p, 5), p**5)
     assert row(vanhamme_b_verify(p)) == (lhs_vanhamme_b(p), rhs_vanhamme_b(p), p**4)
     assert row(vanhamme_b_verify(p, 2)) == (lhs_vanhamme_b(p, 2), rhs_vanhamme_b(p, 2), p**2)
-    assert row(lemma1_check(p)) == (y_quantity(p), 0, p)
-    assert row(lemma2_check(p)) == (x_quantity(p), 0, p)
-    z = legendre(-1, p) * p * z_quantity(p) % p**3
-    assert row(prop3_check(p)) == (lhs_vanhamme(p, 3), z, p**3)
+    x, y, z = _xy_mod(p)
+    assert row(lemma1_check(p)) == (y % p, 0, p)
+    assert row(lemma2_check(p)) == (x % p, 0, p)
+    assert row(prop3_check(p)) == (lhs_vanhamme(p, 3), legendre(-1, p) * p * z % p**3, p**3)
     assert theorem_os_check(p).modulus == p**3
     assert theorem_os_check(p).lhs == gaussian_3f2(p) % p**3
     assert row(cor5_check(p)) == (p * gaussian_3f2(p) % p**3, rhs_vanhamme(p, 3), p**3)
@@ -268,8 +265,8 @@ def test_every_quantity_is_an_int_below_its_modulus():
         return type(v) is int and 0 <= v < pm
 
     for p in primes:
-        assert reduced(x_quantity(p), p) and reduced(y_quantity(p), p)
-        assert reduced(z_quantity(p), p**3)
+        assert reduced(lemma2_check(p).lhs, p) and reduced(lemma1_check(p).lhs, p)
+        assert reduced(_xy_mod(p)[2], p**3)
         for m in range(1, MAX_EXPONENT + 1):
             pm = p**m
             values = [
@@ -511,24 +508,24 @@ def test_exact_vs_modular_accumulation_small():
     for p in (3, 5, 7, 11, 13):
         assert lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC)
         assert lhs_vanhamme_b(p, 4) == central_residue(p, 4, COMPANION)
-        assert z_quantity(p) == central_residue(p, 3, Z)
-        assert x_quantity(p) == residue_from_rational(x_sum(p), p, 1)
-        assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
+        assert _xy_mod(p)[2] == central_residue(p, 3, Z)
+        assert lemma2_check(p).lhs == residue_from_rational(x_sum(p), p, 1)
+        assert lemma1_check(p).lhs == residue_from_rational(y_sum(p), p, 1)
 
 
 def test_exact_vs_modular_spot_large():
     # spot-check each production route against the other one well past the
     # small range
     for p in (97, 199):
-        assert x_quantity(p) == residue_from_rational(x_sum(p), p, 1)
-        assert y_quantity(p) == residue_from_rational(y_sum(p), p, 1)
+        assert lemma2_check(p).lhs == residue_from_rational(x_sum(p), p, 1)
+        assert lemma1_check(p).lhs == residue_from_rational(y_sum(p), p, 1)
         assert lhs_vanhamme(p, 3) == _central_sum(p, 3, *QUINTIC)
     assert lhs_vanhamme_b(499, 4) == central_residue(499, 4, COMPANION)
     # the pass's Z, which prop3 and thm_os read, against the exact oracle at
     # every prime of the finite_field and default_sweep benchmark ranges
     for p in range(3, 1000, 2):
         if is_odd_prime(p):
-            assert z_quantity(p) == central_residue(p, 3, Z)
+            assert _xy_mod(p)[2] == central_residue(p, 3, Z)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 97, 199))
@@ -560,8 +557,8 @@ def test_xy_mod_p_is_the_mod_p_cubed_pass_reduced():
     # benchmark ranges
     for p in filter(is_odd_prime, range(3, 998)):
         x, y, z = _xy_mod(p)
-        assert (x_quantity(p), y_quantity(p)) == (x % p, y % p) == (0, 0)
-        assert z == z_quantity(p) == _central_sum(p, 3, *Z)
+        assert (lemma2_check(p).lhs, lemma1_check(p).lhs) == (x % p, y % p) == (0, 0)
+        assert z == _central_sum(p, 3, *Z)
 
 
 def test_stepped_pass_equals_the_prefix_table_loop():
