@@ -11,18 +11,22 @@ it mod p^m (every denominator in range is a p-unit).  Production runs two
 routes: the kernel, for the mod-p^4 companion only, and the exact
 rational quintic sum of vanhamme_a and prop3, reduced once at the end.
 X, Y and Z are per-term residue sums from one pass over j mod p^3 that
-steps its harmonic differences over one table of inverses (Z sums the
-weights C(2j,j)^3 / 64^j).  Its only readers are the four records that
-state facts about it, lemma1 (Y), lemma2 (X), prop3 (Z) and thm_os (all
-three), each behind its one gate and reduced once by `_record`; the
-kernel's Z row and the table-based loop are its oracles in the tests.  The
-paired Pochhammer ratios are one list of integer ratios, `_pair_ratios`,
-read two ways.  The well-poised instance, which decides by rational
-equality, sums each side as one unreduced integer fraction nested from the
-last term inward and reduces it once (`classical_hg._nested_sum`, the one
-kernel of every exact terminating sum).  The Pochhammer-pair congruences,
-which need each value only mod p^4 or p^2, walk the ratios as residues
-(`_pochhammer_residues`): prefix quotients with one inverse per sequence.
+steps its harmonic differences over zipped slices of one table of
+inverses, with one reduction per step, of the weight C(2j,j)^3 / 64^j that
+Z sums: the harmonic differences (2A - C carried as one running value) are
+never reduced, and X, Y and Z once, at the end.  Its only readers are the
+four records that state facts about it, lemma1 (Y), lemma2 (X), prop3 (Z)
+and thm_os (all three), each behind its one gate and reduced once by
+`_record`; the kernel's Z row, the loop over full harmonic prefix tables
+and the loop over running sums of 1/j and 1/(2j-1) that do not depend on p
+are its oracles in the tests.  The paired Pochhammer ratios are one list
+of integer ratios, `_pair_ratios`, read two ways.  The well-poised
+instance, which decides by rational equality, sums each side as one
+unreduced integer fraction nested from the last term inward and reduces it
+once (`classical_hg._nested_sum`, the one kernel of every exact
+terminating sum).  The Pochhammer-pair congruences, which need each value
+only mod p^4 or p^2, walk the ratios as residues (`_pochhammer_residues`):
+prefix quotients with one inverse per sequence.
 A residue mod p^m is a plain int in [0, p^m): each quantity function
 validates (p, m) once through `exactnum.check_modulus` and reduces once.
 A record is a NamedTuple, the row (statement, p, lhs, rhs, modulus,
@@ -49,6 +53,7 @@ statement registry reads those caps.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from .classical_hg import _nested_sum
@@ -170,25 +175,30 @@ def _xy_mod(p: int) -> tuple:
     A_j = H_{m+j} - H_j, B_j = H2_{m+j} - H2_j and C_j = H_{m+j} - H_{m-j}
     start at H_m, H2_m and 0 and step by 1/(m+j) - 1/j, 1/(m+j)^2 - 1/j^2
     and 1/(m+j) + 1/(m+1-j).  With v_j = j w_j the doubled sums X2 = 3 sum
-    v_j (A_j (3j A_j + 2) - j B_j) and Y2 = 2Z + 3 sum v_j (2A_j - C_j) are
-    each halved once at the end.
+    v_j (A_j (3j A_j + 2) - j B_j) and Y2 = 2Z + 3 sum v_j G_j, where
+    G_j = 2A_j - C_j steps by s - 1/j - 1/(m+1-j) with s = 1/(m+j) - 1/j,
+    are each halved once at the end.  Each step reads its four inverses
+    from zipped slices of the table, 1/(2j), 1/(m+j), 1/j and 1/(m+1-j),
+    and makes one reduction, of w: A_j, B_j and G_j move by table entries
+    (B_j by products of two) and are never reduced, and X, Y and Z are
+    reduced once, at the end.
     """
     m, pm = (p - 1) // 2, p**3
     inv = _inverses(p - 1, pm)
-    a = sum(inv[: m + 1]) % pm
-    b = sum(i * i for i in inv[: m + 1]) % pm
-    w, z, c, x2, y2 = 1, 1, 0, 0, 0
-    for j in range(1, m + 1):
-        t = 1 - inv[2 * j]
+    lo = inv[1 : m + 1]
+    a, b = sum(lo), sum(map(mul, lo, lo))
+    w, z, g, x2, y2 = 1, 1, 2 * a, 0, 0
+    for j, e, u, d, r in zip(range(1, m + 1), inv[2::2], inv[m + 1 :], lo, reversed(lo)):
+        t = 1 - e
         w = w * t * t * t % pm
         z += w
-        u, d = inv[m + j], inv[j]
-        a = (a + u - d) % pm
-        b = (b + (u - d) * (u + d)) % pm
-        c += u + inv[m + 1 - j]
+        s = u - d
+        a += s
+        b += s * (u + d)
+        g += s - d - r
         v = j * w
         x2 += v * (a * (3 * j * a + 2) - j * b)
-        y2 += v * (2 * a - c)
+        y2 += v * g
     z %= pm
     half = (pm + 1) // 2
     return 3 * x2 * half % pm, (2 * z + 3 * y2) * half % pm, z
@@ -426,8 +436,8 @@ class Statement(NamedTuple):
 # The modular kernel of vanhamme_b, the X/Y/Z pass of the lemmas, prop3
 # and thm_os, and Ono's closed form of the 3F2 need no cap below
 # MAX_PRIME: vanhamme_b_verify(999983, 8) takes under 1 s, and
-# lemma1,thm_os,lemma2,cor5 at 999961 1.3-1.5 s, nearly all of it the one
-# X/Y/Z pass mod p^3 and its table of inverses.
+# lemma1,thm_os,lemma2,cor5 at 999961 1.2-1.3 s, nearly all of it the one
+# X/Y/Z pass mod p^3 (one reduction per step) and its table of inverses.
 
 # Each check resolves its record function through this module's globals at
 # call time, so a wrapper installed on the module attribute sees every call.

@@ -14,9 +14,10 @@ sums are rows (a, b, e, r) of
 
 with C(2k,k) from `math.comb`, not from the term ratio the production
 kernel steps by.  X and Y are the reduced binom(-1/2,j)^3 forms over
-exact harmonic prefix sums.  The X/Y/Z pass mod p^3 has a second, modular
-oracle for the primes where Fractions are too slow: the loop over full
-harmonic prefix tables that the stepped production pass replaced.
+exact harmonic prefix sums.  The X/Y/Z pass mod p^3 has two modular
+oracles for the primes where Fractions are too slow: the loop over full
+harmonic prefix tables that the stepped production pass replaced, and a
+loop over running sums of 1/j and 1/(2j-1) that do not depend on p.
 
 The two float loops sum Ramanujan's two series each in its own variables;
 the one float kernel of `supercong.classical_hg` must reproduce them bit
@@ -116,6 +117,41 @@ def xyz_from_prefix_tables(p: int) -> tuple:
         y2 += w * (2 + 2 * b - 3 * j * (hm - h1[m - j]))
     half = (pm + 1) // 2
     return x2 * half % pm, y2 * half % pm, z % pm
+
+
+def xyz_from_odd_sums(p: int) -> tuple:
+    """(X, Y, Z) mod p^3 from running sums that do not depend on p: H_j,
+    H2_j and O_r(j) = sum_{i <= j} 1 / (2i-1)^r for r = 1..4, every inverse
+    by `pow`.  With m = (p-1)/2, 1/(m+i) = 2 / ((2i-1) + p) and
+    1/(m+1-i) = -2 / ((2i-1) - p) expand in p, so mod p^3
+
+        A_j = H_m + 2 (O_1 - p O_2 + p^2 O_3) - H_j,
+        B_j = H2_m + 4 (O_2 - 2p O_3 + 3p^2 O_4) - H2_j,
+        C_j = -4p O_2,
+
+    and X = sum w_j (3j A_j + 9/2 j^2 A_j^2 - 3/2 j^2 B_j),
+    Y = sum w_j (1 + 3j A_j - 3/2 j C_j) and Z = sum w_j, as in `x_sum` and
+    `y_sum`.  No table and no index of the form m + j."""
+    m, pm = (p - 1) // 2, p**3
+    half = pow(2, -1, pm)
+    hm = sum(pow(i, -1, pm) for i in range(1, m + 1))
+    h2m = sum(pow(i * i, -1, pm) for i in range(1, m + 1))
+    h = h2 = o1 = o2 = o3 = o4 = x = 0
+    w = y = z = 1
+    for j in range(1, m + 1):
+        ij = pow(j, -1, pm)
+        t = (2 * j - 1) * ij * half % pm
+        w = w * t**3 % pm
+        h, h2 = h + ij, h2 + ij * ij
+        q = pow(2 * j - 1, -1, pm)
+        o1, o2, o3, o4 = o1 + q, o2 + q**2, o3 + q**3, o4 + q**4
+        a = (hm + 2 * (o1 - p * o2 + p * p * o3) - h) % pm
+        b = (h2m + 4 * (o2 - 2 * p * o3 + 3 * p * p * o4) - h2) % pm
+        c = -4 * p * o2
+        x += w * (3 * j * a + 9 * half * j * j * a * a - 3 * half * j * j * b)
+        y += w * (1 + 3 * j * a - 3 * half * j * c)
+        z += w
+    return x % pm, y % pm, z % pm
 
 
 def pochhammer_pairs(p: int):

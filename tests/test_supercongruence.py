@@ -21,6 +21,7 @@ from exact_oracle import (
     poch_congruence_records,
     whipple_instance_terms,
     x_sum,
+    xyz_from_odd_sums,
     xyz_from_prefix_tables,
     y_sum,
 )
@@ -565,8 +566,17 @@ def test_stepped_pass_equals_the_prefix_table_loop():
     # the whole triple mod p^3, X and Y too, not only at the precision the
     # statements read them at, against the loop over full harmonic prefix
     # tables, at both classes mod 4 and well past the exact oracle's range
-    for p in (*filter(is_odd_prime, range(3, 2000)), 7681, 7703, 99991):
+    for p in (*filter(is_odd_prime, range(3, 2000)), 7681, 7703, 99989, 99991):
         assert _xy_mod(p) == xyz_from_prefix_tables(p), p
+
+
+def test_stepped_pass_equals_the_odd_sum_loop():
+    # the whole triple mod p^3 against a loop that shares no table and no
+    # index m + j with the pass: A, B and C are p-polynomials in running
+    # sums over 1/j and 1/(2j-1) that do not depend on p, in both classes
+    # mod 4 up to about 10^5, where the pass's unreduced differences are long
+    for p in (*filter(is_odd_prime, range(3, 2000)), 99989, 99991):
+        assert _xy_mod(p) == xyz_from_odd_sums(p), p
 
 
 def test_only_vanhamme_b_runs_the_modular_kernel(spy):
