@@ -9,15 +9,20 @@ Exit codes: 0 when every record passes, 1 when at least one fails,
 2 on usage errors.
 
 The argument parser is built once per process, on the first `main` call,
-and reused by every later one.  A call whose first argument names a
-command is parsed by that command's parser alone; the top-level parser
-reads only an argv that does not start with a command (none, an option,
-`--` or an unknown name).  Either way `main` refuses the arguments that no
-parser consumed, with the top-level parser's usage line.  The checks read
-the statement registry, the caps and the `--mod-power` range at each call;
-the help text lists the registry as it stood when the parser was built.
-Every error line, argparse's own included, quotes at most `_QUOTE`
-characters of a rejected argument.
+and reused by every later one.  A plain `verify` call, `verify` followed
+only by `--name value` pairs of its options with no value starting with
+"-", is read straight off the `Action`s that declare those options: their
+`dest`, `type`, `choices`, `default` and `required`, with no argparse
+parse.  Any other call whose first argument names a command is parsed by
+that command's parser alone, so help, every argparse error line and the
+other commands stay argparse's; the top-level parser reads only an argv
+that does not start with a command (none, an option, `--` or an unknown
+name).  Either way `main` refuses the arguments that no parser consumed,
+with the top-level parser's usage line.  The checks read the statement
+registry, the caps and the `--mod-power` range at each call; the help
+text lists the registry as it stood when the parser was built.  Every
+error line, argparse's own included, quotes at most `_QUOTE` characters
+of a rejected argument.
 """
 
 from __future__ import annotations
@@ -167,8 +172,10 @@ class _Parser(argparse.ArgumentParser):
     """argparse, with its own error lines quoting a prefix of the rejected
     argument (`_shown`), and reading a "-" followed by a digit as a value
     (no option starts with a digit), so "-3/4" is a literal, not an
-    option; the subcommand parsers are of this class too.  `commands` maps
-    each command name to its parser on the top-level parser."""
+    option; the subcommand parsers are of this class too.  On the
+    top-level parser, `commands` maps each command name to its parser, and
+    `plain` maps each command that `main` may read without a parse to its
+    options, each option string to the action that declares it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -191,28 +198,28 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="sweep primes and check statements")
-    verify.add_argument(
+    statements = verify.add_argument(
         "--statements",
         default=",".join(sc.DEFAULT_STATEMENTS),
         help=f"comma list from {{{','.join(sc.STATEMENTS)}}} "
         f"(default: {','.join(sc.DEFAULT_STATEMENTS)})",
     )
-    verify.add_argument("--primes", required=True, metavar="A..B", help="prime range")
-    verify.add_argument(
+    primes = verify.add_argument("--primes", required=True, metavar="A..B", help="prime range")
+    mod_power = verify.add_argument(
         "--mod-power",
         type=_integer,
         default=None,
         help="modulus exponent override for "
         + " / ".join(s for s, entry in sc.STATEMENTS.items() if entry.default_m is not None),
     )
-    verify.add_argument(
+    workers = verify.add_argument(
         "--workers",
         type=_integer,
         default=1,
         help="worker processes (default: 1), capped at the core count and at "
         "one per 4 primes",
     )
-    verify.add_argument(
+    fmt = verify.add_argument(
         "--format",
         choices=("json-lines", "csv", "human"),
         default="human",
@@ -229,7 +236,44 @@ def _build_parser() -> _Parser:
     series.add_argument("n_terms", type=_integer, help=f"0..{MAX_SERIES_TERMS}")
 
     parser.commands = sub.choices
+    actions = (statements, primes, mod_power, workers, fmt)
+    parser.plain = {"verify": {action.option_strings[0]: action for action in actions}}
     return parser
+
+
+def _plain_args(argv: list, options: Optional[dict]) -> Optional[argparse.Namespace]:
+    """The namespace of argv, a command and then only `--name value` pairs
+    of `options` (each option string to its store action), taken as
+    argparse takes them: each value through its action's type and choices,
+    the last of a repeated option kept, every option not given at its
+    default.  None when a token falls outside that form (help, `--opt=value`,
+    an abbreviation, `--`, a stray positional, a value starting with "-"),
+    when a value fails its type or choices, or when a required option is
+    missing: argparse then parses argv and says what is wrong."""
+    if options is None or len(argv) % 2 == 0:
+        return None
+    given = {}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        action = options.get(name)
+        if action is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(command=argv[0])
+    for action in options.values():
+        if action.dest in given:
+            setattr(args, action.dest, given[action.dest])
+        elif action.required:
+            return None
+        else:
+            setattr(args, action.dest, action.default)
+    return args
 
 
 def _usage_error(message: str) -> int:
@@ -241,11 +285,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
+    extras = None
     if command is None:
         args, extras = parser.parse_known_args(argv)
-    else:
-        # argparse hands the command's parser every argument after the
-        # name, as this call does, so one parse gives the same namespace
+    elif (args := _plain_args(argv, parser.plain.get(argv[0]))) is None:
+        # a plain verify argv needs no parse (_plain_args); argparse hands
+        # the command's parser every argument after the name, as this call
+        # does, so one parse of any other argv gives the same namespace
         args, extras = command.parse_known_args(argv[1:])
         args.command = argv[0]
     if extras:

@@ -586,7 +586,9 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 
 def test_a_call_runs_one_parse(capsys, monkeypatch):
-    # a call that names its command is parsed by that command's parser alone
+    # a plain verify argv is read off its options' declarations with no
+    # parse; any other call that names its command is parsed by that
+    # command's parser alone
     parsed = []
     real = argparse.ArgumentParser.parse_known_args
 
@@ -595,14 +597,16 @@ def test_a_call_runs_one_parse(capsys, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-    for argv in (
-        ("verify", "--statements", "lemma1", "--primes", "3..7"),
-        ("gamma-p", "3/4", "5", "2"),
-        ("series", "entry20", "3"),
+    for argv, parses in (
+        (("verify", "--statements", "lemma1", "--primes", "3..7"), []),
+        (("verify", "--statements", "lemma1", "--primes=3..7"), ["supercong verify"]),
+        (("verify", "--statements", "lemma1", "--pri", "3..7"), ["supercong verify"]),
+        (("gamma-p", "3/4", "5", "2"), ["supercong gamma-p"]),
+        (("series", "entry20", "3"), ["supercong series"]),
     ):
         parsed.clear()
         assert run_cli(capsys, *argv)[0] == 0
-        assert parsed == [f"supercong {argv[0]}"]
+        assert parsed == parses, argv
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
@@ -678,12 +682,21 @@ _FUZZ = settings(
 )
 
 
+def _given(flag, values):
+    """`flag value`, now and then the one argument `flag=value`; nothing
+    for a value of None."""
+    return st.tuples(values, st.sampled_from((False, False, False, True))).map(
+        lambda t: [] if t[0] is None else [f"{flag}={t[0]}"] if t[1] else [flag, str(t[0])]
+    )
+
+
 def _optional(flag, values):
-    return st.one_of(st.just([]), values.map(lambda value: [flag, str(value)]))
+    return _given(flag, st.one_of(st.none(), values))
 
 
+# a list that starts with "-x" is a value starting with "-"
 _STATEMENT_LISTS = st.lists(
-    st.sampled_from((*supercongruence.STATEMENTS, "nonsense", "")), min_size=1, max_size=3
+    st.sampled_from((*supercongruence.STATEMENTS, "nonsense", "", "-x")), min_size=1, max_size=3
 ).map(",".join)
 # one past a statement cap is even for every cap below MAX_PRIME, so those
 # ranges hold no prime and exit at once whether or not the cap applies
@@ -693,16 +706,29 @@ _PRIME_RANGES = st.one_of(
     st.sampled_from(
         sorted({f"{entry.max_p + 1}..{entry.max_p + 1}" for entry in supercongruence.STATEMENTS.values()})
     ),
-    st.sampled_from(("", "abc", "3..", "..5", "3...5", "3..5..7", "3-5", "3.0..5", "0x3..5")),
+    st.sampled_from(("", "abc", "3..", "..5", "3...5", "3..5..7", "3-5", "3.0..5", "0x3..5", "-3..7")),
     st.none(),  # --primes left out, which argparse requires
 )
-_VERIFY_ARGV = st.tuples(
-    _optional("--statements", _STATEMENT_LISTS),
-    _PRIME_RANGES.map(lambda r: [] if r is None else ["--primes", r]),
-    _optional("--mod-power", st.integers(-1, 10)),
-    _optional("--workers", st.sampled_from((0, 1, 1))),
-    _optional("--format", st.sampled_from(("json-lines", "csv", "human", "xml"))),
-).map(lambda parts: ["verify"] + [arg for part in parts for arg in part])
+_VERIFY_OPTIONS = {
+    "--statements": _STATEMENT_LISTS,
+    "--primes": _PRIME_RANGES,
+    "--mod-power": st.integers(-1, 10),
+    "--workers": st.sampled_from((0, 1, 1)),
+    "--format": st.sampled_from(("json-lines", "csv", "human", "xml")),
+}
+# each option at most once, in any order, plus one given again, of which
+# argparse keeps the last: the plain route's boundary (main) on both sides
+_VERIFY_ARGV = (
+    st.tuples(
+        *(
+            _given(flag, values) if flag == "--primes" else _optional(flag, values)
+            for flag, values in _VERIFY_OPTIONS.items()
+        ),
+        st.one_of(st.just([]), *(_given(flag, values) for flag, values in _VERIFY_OPTIONS.items())),
+    )
+    .flatmap(st.permutations)
+    .map(lambda parts: ["verify"] + [arg for part in parts for arg in part])
+)
 
 _GAMMA_ARGV = st.tuples(
     st.one_of(
@@ -781,6 +807,19 @@ def test_verify_exit_contract(no_pool, argv):
 
 
 @_FUZZ
+@given(argv=_VERIFY_ARGV)
+def test_the_plain_route_reads_what_argparse_reads(argv):
+    # whatever argv the plain route takes, verify's parser takes whole, to
+    # an equal namespace
+    parser = cli._build_parser()
+    args = cli._plain_args(argv, parser.plain["verify"])
+    if args is not None:
+        parsed, extras = parser.commands["verify"].parse_known_args(argv[1:])
+        parsed.command = "verify"
+        assert (args, extras) == (parsed, []), argv
+
+
+@_FUZZ
 @given(argv=_GAMMA_ARGV)
 def test_gamma_p_exit_contract(no_pool, argv):
     _assert_exit_contract(argv)
@@ -810,6 +849,7 @@ def test_series_exit_contract(no_pool, argv):
         ["verify", "--primes", "3..7", "--", "--format", "csv"],
         ["verify", "--", "--primes", "3..7"],
         ["verify", "--primes", "3..7", "--statements", "vanhamme_b", "--format", "csv"],
+        ["verify", "--format", "csv", "--primes", "3..7", "--format", "json-lines"],
         ["gamma-p", "--", "-3/4", "7", "3"],
         ["gamma-p", "3/4", "5", "2", "9"],
         ["gamma-p", "-h"],
