@@ -9,20 +9,19 @@ Exit codes: 0 when every record passes, 1 when at least one fails,
 2 on usage errors.
 
 The argument parser is built once per process, on the first `main` call,
-and reused by every later one.  A plain `verify` call, `verify` followed
-only by `--name value` pairs of its options with no value starting with
-"-", is read straight off the `Action`s that declare those options: their
-`dest`, `type`, `choices`, `default` and `required`, with no argparse
-parse.  Any other call whose first argument names a command is parsed by
-that command's parser alone, so help, every argparse error line and the
-other commands stay argparse's; the top-level parser reads only an argv
-that does not start with a command (none, an option, `--` or an unknown
-name).  Either way `main` refuses the arguments that no parser consumed,
-with the top-level parser's usage line.  The checks read the statement
-registry, the caps and the `--mod-power` range at each call; the help
-text lists the registry as it stood when the parser was built.  Every
-error line, argparse's own included, quotes at most `_QUOTE` characters
-of a rejected argument.
+and reused by every later one.  An argv is read one of two ways.  A
+plain `verify` call, `verify` followed only by `--name value` pairs of
+its options with no value starting with "-", is read straight off the
+`Action`s that declare those options: their `dest`, `type`, `choices`,
+`default` and `required`, with no argparse parse.  Every other argv gets
+one parse by the top-level parser, which hands a command's arguments to
+that command's parser, so help, every argparse error line and the other
+commands stay argparse's; `main` refuses the arguments that no parser
+consumed, with the top-level parser's usage line.  The checks read the
+statement registry, the caps and the `--mod-power` range at each call;
+the help text lists the registry as it stood when the parser was built.
+Every error line, argparse's own included, quotes at most `_QUOTE`
+characters of a rejected argument.
 """
 
 from __future__ import annotations
@@ -173,9 +172,9 @@ class _Parser(argparse.ArgumentParser):
     argument (`_shown`), and reading a "-" followed by a digit as a value
     (no option starts with a digit), so "-3/4" is a literal, not an
     option; the subcommand parsers are of this class too.  On the
-    top-level parser, `commands` maps each command name to its parser, and
-    `plain` maps each command that `main` may read without a parse to its
-    options, each option string to the action that declares it."""
+    top-level parser, `plain` maps each option string of verify to the
+    action that declares it, for `main` to read a plain verify argv with
+    no parse (`_plain_args`)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -235,22 +234,22 @@ def _build_parser() -> _Parser:
     series.add_argument("which", choices=("ramanujan", "entry20"))
     series.add_argument("n_terms", type=_integer, help=f"0..{MAX_SERIES_TERMS}")
 
-    parser.commands = sub.choices
     actions = (statements, primes, mod_power, workers, fmt)
-    parser.plain = {"verify": {action.option_strings[0]: action for action in actions}}
+    parser.plain = {action.option_strings[0]: action for action in actions}
     return parser
 
 
-def _plain_args(argv: list, options: Optional[dict]) -> Optional[argparse.Namespace]:
-    """The namespace of argv, a command and then only `--name value` pairs
+def _plain_args(argv: list, options: dict) -> Optional[argparse.Namespace]:
+    """The namespace of argv, `verify` and then only `--name value` pairs
     of `options` (each option string to its store action), taken as
     argparse takes them: each value through its action's type and choices,
     the last of a repeated option kept, every option not given at its
-    default.  None when a token falls outside that form (help, `--opt=value`,
-    an abbreviation, `--`, a stray positional, a value starting with "-"),
-    when a value fails its type or choices, or when a required option is
-    missing: argparse then parses argv and says what is wrong."""
-    if options is None or len(argv) % 2 == 0:
+    default.  None for any other command, when a token falls outside that
+    form (help, `--opt=value`, an abbreviation, `--`, a stray positional, a
+    value starting with "-"), when a value fails its type or choices, or
+    when a required option is missing: argparse then parses argv and says
+    what is wrong."""
+    if argv[:1] != ["verify"] or len(argv) % 2 == 0:
         return None
     given = {}
     for name, value in zip(argv[1::2], argv[2::2]):
@@ -265,7 +264,7 @@ def _plain_args(argv: list, options: Optional[dict]) -> Optional[argparse.Namesp
         if action.choices is not None and value not in action.choices:
             return None
         given[action.dest] = value
-    args = argparse.Namespace(command=argv[0])
+    args = argparse.Namespace(command="verify")
     for action in options.values():
         if action.dest in given:
             setattr(args, action.dest, given[action.dest])
@@ -284,18 +283,11 @@ def _usage_error(message: str) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    extras = None
-    if command is None:
+    # a plain verify argv needs no parse (_plain_args); any other gets one
+    if (args := _plain_args(argv, parser.plain)) is None:
         args, extras = parser.parse_known_args(argv)
-    elif (args := _plain_args(argv, parser.plain.get(argv[0]))) is None:
-        # a plain verify argv needs no parse (_plain_args); argparse hands
-        # the command's parser every argument after the name, as this call
-        # does, so one parse of any other argv gives the same namespace
-        args, extras = command.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if extras:
-        parser.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
+        if extras:
+            parser.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
     out = sys.stdout
 
     if args.command == "verify":
@@ -334,13 +326,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (NotPIntegral, ValueError, ZeroDivisionError) as exc:
             return _usage_error(str(exc))
 
-    if args.command == "series":
-        try:
-            return cmd_series(args.which, args.n_terms, out)
-        except ValueError as exc:  # n_terms outside 0..MAX_SERIES_TERMS
-            return _usage_error(str(exc))
-
-    return _usage_error(f"unknown command {args.command!r}")  # unreachable
+    # series: argparse requires a command, and no other is declared
+    try:
+        return cmd_series(args.which, args.n_terms, out)
+    except ValueError as exc:  # n_terms outside 0..MAX_SERIES_TERMS
+        return _usage_error(str(exc))
 
 
 def run() -> None:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from supercong import cli, gaussian_hg, padic_gamma, supercongruence
@@ -587,8 +587,8 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 def test_a_call_runs_one_parse(capsys, monkeypatch):
     # a plain verify argv is read off its options' declarations with no
-    # parse; any other call that names its command is parsed by that
-    # command's parser alone
+    # parse; any other argv gets the top-level parse, inside which argparse
+    # hands the command's arguments to that command's parser
     parsed = []
     real = argparse.ArgumentParser.parse_known_args
 
@@ -599,10 +599,10 @@ def test_a_call_runs_one_parse(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
     for argv, parses in (
         (("verify", "--statements", "lemma1", "--primes", "3..7"), []),
-        (("verify", "--statements", "lemma1", "--primes=3..7"), ["supercong verify"]),
-        (("verify", "--statements", "lemma1", "--pri", "3..7"), ["supercong verify"]),
-        (("gamma-p", "3/4", "5", "2"), ["supercong gamma-p"]),
-        (("series", "entry20", "3"), ["supercong series"]),
+        (("verify", "--statements", "lemma1", "--primes=3..7"), ["supercong", "supercong verify"]),
+        (("verify", "--statements", "lemma1", "--pri", "3..7"), ["supercong", "supercong verify"]),
+        (("gamma-p", "3/4", "5", "2"), ["supercong", "supercong gamma-p"]),
+        (("series", "entry20", "3"), ["supercong", "supercong series"]),
     ):
         parsed.clear()
         assert run_cli(capsys, *argv)[0] == 0
@@ -618,6 +618,23 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     assert err.splitlines()[-1] == "supercong: error: unrecognized arguments: '--bogus'"
     monkeypatch.setattr(sys, "argv", ["supercong", "gamma-p", "3/4", "5", "2"])
     assert main() == 0 and capsys.readouterr().out == "6\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (["verify", "--primes", "5..13", "--statements", "vanhamme_b"], 0),
+        (["verify", "--statements", "vanhamme_b", "--primes", "3..3"], 1),  # the p = 3 finding
+        (["verify", "--primes", "3..5", "--bogus"], 2),
+    ),
+)
+def test_console_script_exits_with_mains_code(capsys, monkeypatch, argv, code):
+    # run(), the installed entry point, reads sys.argv through main
+    assert run_cli_exit(capsys, *argv)[0] == code
+    monkeypatch.setattr(sys, "argv", ["supercong", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run()
+    assert excinfo.value.code == code
 
 
 def test_a_reused_parser_keeps_no_state(capsys):
@@ -774,9 +791,9 @@ def _assert_exit_contract(argv):
         # compare byte for byte
         mp.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
         outcome = _outcome(argv)
-        # the oracle: with no command table, main hands every argv to the
-        # top-level parser, which hands a command's arguments to its parser
-        mp.setattr(cli._build_parser(), "commands", {})
+        # the oracle: with the plain reader off, main hands every argv to
+        # the one argparse parse, its route for every argv but a plain verify
+        mp.setattr(cli, "_plain_args", lambda argv, options: None)
         assert _outcome(argv) == outcome, argv
     ended, code, out, err = outcome
     if ended == "exit" and code == 0:  # help
@@ -809,14 +826,26 @@ def test_verify_exit_contract(no_pool, argv):
 @_FUZZ
 @given(argv=_VERIFY_ARGV)
 def test_the_plain_route_reads_what_argparse_reads(argv):
-    # whatever argv the plain route takes, verify's parser takes whole, to
-    # an equal namespace
+    # whatever argv the plain route takes, the top-level parser takes
+    # whole, to an equal namespace
     parser = cli._build_parser()
-    args = cli._plain_args(argv, parser.plain["verify"])
+    args = cli._plain_args(argv, parser.plain)
     if args is not None:
-        parsed, extras = parser.commands["verify"].parse_known_args(argv[1:])
-        parsed.command = "verify"
-        assert (args, extras) == (parsed, []), argv
+        assert parser.parse_known_args(argv) == (args, []), argv
+
+
+@_FUZZ
+@given(argv=st.one_of(_GAMMA_ARGV, _SERIES_ARGV))
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["verif", "--primes", "3..7"])
+@example(argv=["--primes=3..7"])
+@example(argv=["--", "verify", "--primes", "3..7"])
+@example(argv=["series", "--primes", "3..7"])
+def test_the_plain_route_reads_only_verify(argv):
+    # the plain route declines every argv that does not start with verify,
+    # even one made of verify's own option pairs
+    assert cli._plain_args(argv, cli._build_parser().plain) is None, argv
 
 
 @_FUZZ
