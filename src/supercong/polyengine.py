@@ -37,23 +37,23 @@ lifted to the residue mod X nearest 0.  Signed coefficients need nothing
 more: digits are read in two's complement, and |v_i| < X/8 + 1.
 
 Builds.  `pochhammer_poly` multiplies by one linear factor (z + r) at a
-time, an O(d) step, and `_quotient_sum` divides F by every (z + r) into
-one coefficient list for `p_identity_check`.  The exact F of a prime,
-F^2, F^3, and P and Q together are kept layers (`_f`, `_f2`, `_f3`,
-`_p_and_q`), each built on first use: `p_poly`, `q_poly`,
-`p_identity_check`, `coefficient_facts_check` and `lemma_sum_checks`
-share them, so P is built once per prime.  P and Q come from one
-coefficient rule over c_k = [z^k] F^3 (`_p_and_q_coeffs`): [z^k] P =
-(k+1) c_k and [z^k] Q = k(k+1)/2 c_k, integers since k(k+1) is even.
-`_p_and_q` applies it to the exact F^3, `lemma_sum_checks` to F^3 mod p;
-the formal derivatives are its oracle in the tests.
+time, an O(d) step.  The exact F of a prime, F^2, F^3, and P and Q
+together are kept layers (`_f`, `_f2`, `_f3`, `_p_and_q`), each built on
+first use: `p_poly`, `q_poly`, `p_identity_check`,
+`coefficient_facts_check` and `lemma_sum_checks` share them, so P is built
+once per prime.  P and Q come from one coefficient rule over
+c_k = [z^k] F^3 (`_p_and_q_coeffs`): [z^k] P = (k+1) c_k and
+[z^k] Q = k(k+1)/2 c_k, integers since k(k+1) is even.  `_p_and_q` applies
+it to the exact F^3, `lemma_sum_checks` to F^3 mod p; the formal
+derivatives are its oracle in the tests.  `p_identity_check` holds this P
+against F^3 + 3z F^2 F', with F' read off the kept F by the power rule;
+every product of the exact layers, of the identity and of the mod-p cube
+goes through `_mul`.
 
 Values mod p.  The facts of `lemma_sum_checks` need only F mod p: the
-kept F reduced mod p is cubed by one nonnegative one-point Kronecker
-product (`_cube_mod`: slots of bits(n^2 (p-1)^3) bits, rounded up to
-bytes, for n coefficients below p; one square and one product), and P and
-Q mod p follow from F^3 mod p by the same rule, so the full-size P and Q
-are never reduced.  Their values at every j != 0 come from one chirp-z
+kept F reduced mod p is cubed by `_mul` and reduced (`_cube_mod`), and P
+and Q mod p follow from F^3 mod p by the same rule, so the full-size P and
+Q are never reduced.  Their values at every j != 0 come from one chirp-z
 transform (L. Bluestein, 1970) each, over the kept walk g^i of one
 primitive root g (`exactnum.primitive_root`, `exactnum.powers`) and one
 chirp table read from that walk.  With n = p - 1 and j^n = 1, exponents
@@ -62,11 +62,10 @@ fold mod n, and ik = C(i+k,2) - C(i,2) - C(k,2) turns
     f(g^i) = g^-C(i,2) * sum_k [c_k g^-C(k,2)] g^C(i+k,2)
 
 into one correlation, read off a single packed product of nonnegative
-slots of bits((p-1)^3) + 1 bits, rounded up to bytes.  Both products
-read their slots through `_digits`, the digit reader of KS4's recovery, so
-slots are unpacked in one place.  The walk over g^i (`exactnum.powers`)
-raises if g^i = 1 before i = n, so a g of smaller order cannot leave a
-value unset.
+slots of bits((p-1)^3) + 1 bits, rounded up to bytes: the one product
+outside `_mul`, whose slots are read through `_digits`, the digit reader
+of KS4's recovery.  The walk over g^i (`exactnum.powers`) raises if
+g^i = 1 before i = n, so a g of smaller order cannot leave a value unset.
 
 Kept layers.  The layers above, the walk over one primitive root (`_walk`)
 and the power sums of `exp_sum_check` (`_power_sum`, one per folded
@@ -92,7 +91,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactnum import check_modulus, check_prime, powers, prime_layer, primitive_root
 
@@ -181,22 +180,6 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _quotient_sum(coeffs: tuple[int, ...], roots: Iterable[int]) -> list[int]:
-    """The coefficients of sum_r f / (z + r) over `roots`, each exact quotient
-    formed by synthetic division straight into one list; raises
-    ArithmeticError when some (z + r) does not divide f."""
-    top = len(coeffs) - 1
-    acc = [0] * top
-    for r in roots:
-        carry = coeffs[top]
-        for k in range(top - 1, -1, -1):
-            acc[k] += carry
-            carry = coeffs[k] - r * carry
-        if carry:
-            raise ArithmeticError(f"(z + {r}) does not divide this polynomial")
-    return acc
-
-
 def _rising_coeffs(m: int) -> list[int]:
     """Coefficients of (z+1)...(z+m): one O(d) step c_k <- r c_k + c_{k-1}
     per linear factor (z + r)."""
@@ -263,12 +246,13 @@ def q_poly(p: int) -> tuple[int, ...]:
 
 
 def p_identity_check(p: int) -> bool:
-    """True iff P(z) factors as F^3 * [1 + 3z * sum_r 1/(z+r)] with F the
-    rising-factorial polynomial, i.e. P = F^3 + 3z F^2 sum_r prod_{s!=r}(z+s)."""
+    """True iff P = d/dz [z F^3], read by the coefficient rule from F^3,
+    equals F^3 + 3z F^2 F' with F the rising-factorial polynomial and F'
+    its derivative by the power rule, [z^(k-1)] F' = k [z^k] F."""
     big_p = p_poly(p)  # builds F, F^2, F^3 and P for this prime
-    partial = _quotient_sum(_f(p), range(1, (p - 1) // 2 + 1))
+    f = _f(p)
     rhs = list(_f3(p))
-    for k, c in enumerate(_mul(_f2(p), partial), 1):  # + 3z F^2 partial
+    for k, c in enumerate(_mul(_f2(p), [k * f[k] for k in range(1, len(f))]), 1):  # + 3z F^2 F'
         rhs[k] += 3 * c
     return big_p == tuple(rhs)
 
@@ -282,8 +266,7 @@ def coefficient_facts_check(p: int) -> bool:
     against the formal derivatives in the tests."""
     check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
-    big_p = p_poly(p)
-    big_q = q_poly(p)
+    big_p, big_q = _p_and_q(p)
     cube_coeff = _f3(p)[p - 1]
     ap1_p = big_p[p - 1]
     ap1_q = big_q[p - 1]
@@ -367,13 +350,8 @@ def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
 
 def _cube_mod(coeffs: list[int], p: int) -> list[int]:
     """The coefficients of f^3 mod p for f = sum_k coeffs[k] z^k with
-    0 <= coeffs[k] < p: one nonnegative one-point Kronecker product.  A
-    coefficient of f^3 sums at most n^2 products below p^3, n = len(coeffs),
-    so slots of bits(n^2 (p-1)^3) bits, rounded up to bytes, never carry."""
-    n = len(coeffs)
-    width = ((n * n * (p - 1) ** 3).bit_length() + 7) // 8
-    x = _pack(coeffs, width)
-    return [c % p for c in _digits(x * x * x, 3 * n - 2, width)]
+    0 <= coeffs[k] < p, by two KS4 products (`_mul`)."""
+    return [c % p for c in _mul(_mul(coeffs, coeffs), coeffs)]
 
 
 def lemma_sum_checks(p: int) -> bool:
@@ -381,8 +359,9 @@ def lemma_sum_checks(p: int) -> bool:
     sum P(j) over 1..p-1 is -((p-1)/2)!^3; the head ((p-1)/2)!^3 + sum over
     1..(p-1)/2 vanishes; P(j) = 0 for (p-1)/2 < j < p; and sum Q(j) = 0.
 
-    P and Q mod p come from c_k = [z^k] F^3 mod p, the cube of the kept
-    exact F reduced mod p, read by `_p_and_q_coeffs`."""
+    P and Q mod p come from c_k = [z^k] F^3 mod p, the KS4 cube of the
+    kept exact F reduced mod p (`_cube_mod`), read by `_p_and_q_coeffs`;
+    their values at 1..p-1 come from one chirp-z correlation each."""
     check_prime(p, POLY_MAX_P, "polynomial")
     m = (p - 1) // 2
     pc, qc = _p_and_q_coeffs(_cube_mod([c % p for c in _f(p)], p))

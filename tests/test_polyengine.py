@@ -1,7 +1,8 @@
 """Polynomial engine: rising-factorial polynomials, the P/Q machinery,
 exponential sums, the mod-p sum facts, the input checks, the KS4 product
 against a schoolbook oracle, the P/Q coefficient rule against the formal
-derivatives and the chirp-z values against Horner's rule."""
+derivatives, the power rule's F' against the sum of quotients F/(z+r) and
+the chirp-z values against Horner's rule."""
 
 import math
 import random
@@ -19,7 +20,6 @@ from supercong.polyengine import (
     _cube_mod,
     _mul,
     _p_and_q_coeffs,
-    _quotient_sum,
     _rising_coeffs,
     _values_mod,
     coefficient_facts_check,
@@ -114,14 +114,33 @@ def test_horner_matches_termwise_evaluation():
         assert _horner(f, x) == termwise
 
 
+def _quotient_sum(coeffs, roots):
+    """The coefficients of sum_r f / (z + r) over `roots`, each exact quotient
+    formed by synthetic division straight into one list; raises
+    ArithmeticError when some (z + r) does not divide f.  Over every root of
+    F it is F' by the product rule: the oracle of the power rule's F' in
+    p_identity_check, and a check that F has the roots -1..-m."""
+    top = len(coeffs) - 1
+    acc = [0] * top
+    for r in roots:
+        carry = coeffs[top]
+        for k in range(top - 1, -1, -1):
+            acc[k] += carry
+            carry = coeffs[k] - r * carry
+        if carry:
+            raise ArithmeticError(f"(z + {r}) does not divide this polynomial")
+    return acc
+
+
 def test_div_linear():
     f = (2, 3, 1)  # (z+1)(z+2)
     assert _quotient_sum(f, [1]) == [2, 1]
     assert _quotient_sum(f, [2]) == [1, 1]
     with pytest.raises(ArithmeticError):
         _quotient_sum(f, [1, 3])
-    # sum_r F/(z+r) over every root of F is F' (the product rule)
-    for m in range(1, 30):
+    # sum_r F/(z+r) over every root of F is F' (the product rule), for every
+    # F that the machinery workload builds (p <= 199, so m <= 99)
+    for m in range(1, 100):
         f = pochhammer_poly(m)
         assert _quotient_sum(f, range(1, m + 1)) == list(_derivative(f))
 
@@ -344,8 +363,8 @@ def test_cube_p_and_q_against_schoolbook(p):
 
 @pytest.mark.parametrize("p", [n for n in range(3, 200, 2) if is_odd_prime(n)])
 def test_the_two_readers_of_the_p_and_q_rule_agree(p):
-    # the rule over the one-point cube of F mod p, as lemma_sum_checks reads
-    # it, against the exact P and Q of the layer reduced mod p
+    # the rule over the cube of F mod p, as lemma_sum_checks reads it,
+    # against the exact P and Q of the layer reduced mod p
     f = pochhammer_poly((p - 1) // 2)
     readers = _p_and_q_coeffs(_cube_mod([c % p for c in f], p))
     exact = (p_poly(p), q_poly(p))
@@ -390,8 +409,8 @@ def test_one_point_cube_matches_the_schoolbook_cube_mod_p(p):
 
 
 def test_one_point_cube_slots_hold_the_largest_coefficients():
-    # every coefficient p - 1: the middle slot of the cube comes within 3/4
-    # of its bound n^2 (p-1)^3, and at 997 a slot one byte short would carry
+    # every coefficient p - 1: the middle coefficient of the cube comes
+    # within 3/4 of n^2 (p-1)^3, the largest any F mod p can give
     for p, n in ((3, 2), (5, 3), (997, 499)):
         f = (p - 1,) * n
         cube = _schoolbook_mul(_schoolbook_mul(f, f), f)
@@ -411,6 +430,41 @@ def test_the_layer_keeps_each_prime_its_own_p_and_q(spy):
         assert (p_poly(p), q_poly(p)) == expected[p]
         assert p_identity_check(p) and coefficient_facts_check(p) and lemma_sum_checks(p)
     assert builds == [(5,), (6,), (5,)]
+
+
+@pytest.mark.parametrize("p", (5, 13, 199))
+def test_the_identity_fails_when_a_product_is_off_by_one(monkeypatch, p):
+    # on an empty store, every KS4 product with 1 added to its last
+    # coefficient: F^2, F^3 (so P) and F^2 F' are all built from the faulty
+    # products, and the identity must see it
+    mul = polyengine._mul
+
+    def faulty(a, b):
+        product = mul(a, b)
+        return product[:-1] + (product[-1] + 1,)
+
+    monkeypatch.setattr(polyengine, "_mul", faulty)
+    assert not p_identity_check(p)
+
+
+@pytest.mark.parametrize("p", (5, 13, 199))
+def test_the_lemma_sums_fail_when_the_cube_is_off_by_one(monkeypatch, p):
+    # on an empty store, the cube mod p with 1 added to its constant
+    # coefficient: every value of P mod p moves by 1
+    cube_mod = polyengine._cube_mod
+
+    def faulty(coeffs, p):
+        cube = cube_mod(coeffs, p)
+        return [(cube[0] + 1) % p] + cube[1:]
+
+    monkeypatch.setattr(polyengine, "_cube_mod", faulty)
+    assert not lemma_sum_checks(p)
+
+
+def test_coefficient_facts_pass_the_gate_once(spy):
+    gates = spy(polyengine, "check_prime")
+    assert coefficient_facts_check(13)
+    assert gates == [(13, POLY_MAX_P, "polynomial")]
 
 
 def test_chirp_z_rejects_a_root_that_is_not_primitive(monkeypatch):
