@@ -11,30 +11,34 @@ from outside, so nothing else needs checking.
 Products (KS4, multipoint Kronecker substitution at +-2^b for both factors
 and for their reversals; D. Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009, sections
-4-5).  A product coefficient is a sum of at most n = min(len(a), len(b))
-terms, so |c_k| <= B = max|a| * max|b| * n.  A digit is W bytes, with
-X = 2^(8W) and bits(B) + 3 <= 16W, so |c_k| < X^2/8: each coefficient spans
-two digits.  At x = 2^(4W), a(+-x) = a_e(X) +- x a_o(X) for the even and
-odd coefficient lists, each packed as two byte-aligned lists of every
-other coefficient at 2W bytes.  `_mul` forms h(x) and h(-x) for
-h = a b, and h~(x) and h~(-x) for the reversal h~(z) = z^(n-1) h(1/z) =
-a~(z) b~(z): four big-int products, each about half as long as one of the
-two products of KS2 at the same bound (CPython's Karatsuba does the work;
-a square packs its factor once and squares).  (h(x) + h(-x)) / 2 and
+4-5).  Every factor is a list of nonnegative coefficients with a nonzero
+one (F, F^2, F + 3z F', F mod p and its square), so a product coefficient
+is a sum of at most n = min(len(a), len(b)) nonnegative terms and
+0 <= c_k <= B = max(a) * max(b) * n.  A digit is W bytes, with X = 2^(8W)
+and bits(B) + 3 <= 16W, so c_k < X^2/8: each coefficient spans two
+digits.  At x = 2^(4W), a(+-x) = a_e(X) +- x a_o(X) for the even and odd
+coefficient lists, each packed as two byte-aligned lists of every other
+coefficient at 2W bytes.  `_mul` forms h(x) and h(-x) for h = a b, and
+h~(x) and h~(-x) for the reversal h~(z) = z^(n-1) h(1/z) = a~(z) b~(z):
+four big-int products, each about half as long as one of the two products
+of KS2 at the same bound (CPython's Karatsuba does the work; a square
+packs its factor once and squares).  (h(x) + h(-x)) / 2 and
 (h(x) - h(-x)) / (2x) are h_e(X) and h_o(X); the reversal gives each
-parity class read backwards, its even and odd halves swapped when
-len(h) is even.
+parity class read backwards, its even and odd halves swapped when len(h)
+is even.  A negative coefficient raises OverflowError at the packing, and
+an empty factor ValueError.
 
 Recovery, per parity class c_0 .. c_(N-1), from F = sum c_i X^i and
 R = sum c_i X^(N-1-i), in one O(N) pass over digits.  Write
-c_i = u_i + X v_i with 0 <= u_i < X.  The low digit u_i comes from F: with
-the borrow b_i = floor(sum_(j<i) c_j X^(j-i)), u_i = (digit i of F - b_i)
-mod X and b_(i+1) = v_i + floor((b_i + u_i) / X).  The high digit v_i comes
-from R: digits N-1-i and N-i of R read c_i + e_i + X c_(i-1) mod X^2, where
-the tail e_i = floor(sum_(j>i) c_j X^(i-j)) lies within X/4 + 1 of 0, so
-v_i = digit N-i of R - u_(i-1) + round((digit N-1-i of R - u_i) / X),
-lifted to the residue mod X nearest 0.  Signed coefficients need nothing
-more: digits are read in two's complement, and |v_i| < X/8 + 1.
+c_i = u_i + X v_i with 0 <= u_i < X and 0 <= v_i < X/8.  The low digit u_i
+comes from F: with the borrow b_i = floor(sum_(j<i) c_j X^(j-i)) >= 0,
+u_i = (digit i of F - b_i) mod X and b_(i+1) = v_i + floor((b_i + u_i) / X).
+The high digit v_i comes from R: digits N-1-i and N-i of R read
+c_i + e_i + X c_(i-1) mod X^2, where the one-sided tail
+e_i = floor(sum_(j>i) c_j X^(i-j)) lies in [0, X/8 + 1), so
+u_i + e_i carried into digit N-i exactly when digit N-1-i of R is below
+u_i, and v_i = (digit N-i of R - u_(i-1) - that carry) mod X, with no
+rounding and no lift.
 
 Builds.  `pochhammer_poly` multiplies by one linear factor (z + r) at a
 time, an O(d) step.  The exact F of a prime, F^2, F^3, and P and Q
@@ -46,9 +50,10 @@ c_k = [z^k] F^3 (`_p_and_q_coeffs`): [z^k] P = (k+1) c_k and
 [z^k] Q = k(k+1)/2 c_k, integers since k(k+1) is even.  `_p_and_q` applies
 it to the exact F^3, `lemma_sum_checks` to F^3 mod p; the formal
 derivatives are its oracle in the tests.  `p_identity_check` holds this P
-against F^3 + 3z F^2 F', with F' read off the kept F by the power rule;
-every product of the exact layers, of the identity and of the mod-p cube
-goes through `_mul`.
+against F^3 + 3z F^2 F' = F^2 (F + 3z F'), one product of the kept F^2 and
+[z^k] (F + 3z F') = (3k + 1) [z^k] F (the power rule), so its two sides
+share F^2 only; every product of the exact layers, of the identity and of
+the mod-p cube goes through `_mul`.
 
 Values mod p.  The facts of `lemma_sum_checks` need only F mod p: the
 kept F reduced mod p is cubed by `_mul` and reduced (`_cube_mod`), and P
@@ -104,22 +109,16 @@ POLY_MAX_P = 997
 
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
-    """sum_k coeffs[k] * 2^(8 width k) for signed integers below 2^(8 width)
-    in absolute value, byte-packed: a list with a negative coefficient as
-    its positive part minus its negated negative part."""
-
-    def packed(values) -> int:
-        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little")
-
-    if min(coeffs, default=0) >= 0:
-        return packed(coeffs)
-    return packed([c if c > 0 else 0 for c in coeffs]) - packed([-c if c < 0 else 0 for c in coeffs])
+    """sum_k coeffs[k] * 2^(8 width k) for 0 <= coeffs[k] < 2^(8 width),
+    byte-packed; a negative coefficient raises OverflowError."""
+    return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little"))), "little")
 
 
 def _evaluations(coeffs: tuple[int, ...], width: int) -> tuple[int, int]:
-    """(a(x), a(-x)) at x = 2^(4 width) for |a_k| < x^4: a(x) is the sum over
-    r < 4 of x^r times the pack of a[r::4] at x^4 = 2^(16 width), so each
-    coefficient fits its slot however far it overlaps the next power of x."""
+    """(a(x), a(-x)) at x = 2^(4 width) for 0 <= a_k < x^4: a(x) is the sum
+    over r < 4 of x^r times the pack of a[r::4] at x^4 = 2^(16 width), so
+    each coefficient fits its slot however far it overlaps the next power of
+    x; a(-x) may be negative."""
     wide, shift = 2 * width, 8 * width
     even = _pack(coeffs[0::4], wide) + (_pack(coeffs[2::4], wide) << shift)
     odd = (_pack(coeffs[1::4], wide) + (_pack(coeffs[3::4], wide) << shift)) << (shift // 2)
@@ -127,37 +126,35 @@ def _evaluations(coeffs: tuple[int, ...], width: int) -> tuple[int, int]:
 
 
 def _digits(value: int, count: int, width: int) -> list[int]:
-    """The `count` lowest base-2^(8 width) digits of value (two's complement)."""
+    """The `count` lowest base-2^(8 width) digits of a nonnegative value."""
     raw = (value & ((1 << (8 * width * count)) - 1)).to_bytes(count * width, "little")
     return [int.from_bytes(raw[s : s + width], "little") for s in range(0, count * width, width)]
 
 
 def _recover(forward: int, reverse: int, count: int, width: int) -> list[int]:
     """c_0 .. c_(count-1) from forward = sum c_i X^i and reverse =
-    sum c_i X^(count-1-i), X = 2^(8 width), |c_i| < X^2/8 (module docstring)."""
+    sum c_i X^(count-1-i), X = 2^(8 width), 0 <= c_i < X^2/8 (module
+    docstring)."""
     w = 8 * width
     mask = (1 << w) - 1
-    half = 1 << (w - 1)
     rev = _digits(reverse, count + 1, width)
     out = []
     borrow = low = 0
     for digit, lo, hi in zip(_digits(forward, count, width), reversed(rev[:count]), reversed(rev[1:])):
         prev, low = low, (digit - borrow) & mask
-        high = ((hi - prev + ((lo - low + half) >> w) + half) & mask) - half
+        high = (hi - prev + ((lo - low) >> w)) & mask
         borrow = high + ((borrow + low) >> w)
         out.append(low + (high << w))
     return out
 
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """KS4 product of two coefficient lists: four quarter-slot big-int
-    multiplications, at +-x for both factors and for their reversals (module
-    docstring).  A square (b is a) packs its factor once."""
-    if not a or not b:
-        return ()
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    if not bound:  # a zero factor: digits sized by 0 would not hold the other
-        return (0,) * (len(a) + len(b) - 1)
+    """KS4 product of two lists of nonnegative coefficients, each with a
+    nonzero one: four quarter-slot big-int multiplications, at +-x for both
+    factors and for their reversals (module docstring).  A square (b is a)
+    packs its factor once.  A negative coefficient raises OverflowError and
+    an empty list ValueError."""
+    bound = max(a) * max(b) * min(len(a), len(b))
     width = (bound.bit_length() + 3 + 15) // 16  # bound < X^2/8, X = 2^(8 width)
     plus_a, minus_a = _evaluations(a, width)
     rplus_a, rminus_a = _evaluations(a[::-1], width)
@@ -247,14 +244,12 @@ def q_poly(p: int) -> tuple[int, ...]:
 
 def p_identity_check(p: int) -> bool:
     """True iff P = d/dz [z F^3], read by the coefficient rule from F^3,
-    equals F^3 + 3z F^2 F' with F the rising-factorial polynomial and F'
-    its derivative by the power rule, [z^(k-1)] F' = k [z^k] F."""
+    equals F^3 + 3z F^2 F' = F^2 (F + 3z F') with F the rising-factorial
+    polynomial: one product of the kept F^2 and [z^k] (F + 3z F') =
+    (3k + 1) [z^k] F, by the power rule.  The two sides share F^2 only, so
+    a fault in F^3 shows."""
     big_p = p_poly(p)  # builds F, F^2, F^3 and P for this prime
-    f = _f(p)
-    rhs = list(_f3(p))
-    for k, c in enumerate(_mul(_f2(p), [k * f[k] for k in range(1, len(f))]), 1):  # + 3z F^2 F'
-        rhs[k] += 3 * c
-    return big_p == tuple(rhs)
+    return big_p == _mul(_f2(p), [(3 * k + 1) * c for k, c in enumerate(_f(p))])
 
 
 def coefficient_facts_check(p: int) -> bool:
@@ -321,7 +316,7 @@ def _power_sum(p: int, k: int) -> int:
 
 
 def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
-    """[[f(j) mod p for 0 <= j < p] for each f = sum_k coeffs[k] z^k in
+    """[[f(j) mod p for 1 <= j < p] for each f = sum_k coeffs[k] z^k in
     polys]: the kept walk g^i gives the points and the chirp tables, and
     one chirp-z correlation per polynomial (module docstring)."""
     n = p - 1
@@ -339,11 +334,10 @@ def _values_mod(polys: list[list[int]], p: int) -> list[list[int]]:
         for k, c in enumerate(coeffs):
             folded[k % n] += c  # j^n = 1 for every j != 0
         u = _pack([folded[k] * unchirp[k] % p for k in reversed(range(n))], width)
-        vals = [0] * p
-        vals[0] = coeffs[0] % p if coeffs else 0
+        vals = [0] * n
         slots = _digits((u * v) >> (8 * width * (n - 1)), n, width)
         for j, slot, w in zip(walk, slots, unchirp):
-            vals[j] = slot * w % p
+            vals[j - 1] = slot * w % p
         out.append(vals)
     return out
 
@@ -366,7 +360,7 @@ def lemma_sum_checks(p: int) -> bool:
     m = (p - 1) // 2
     pc, qc = _p_and_q_coeffs(_cube_mod([c % p for c in _f(p)], p))
     mf3 = pow(math.factorial(m) % p, 3, p)
-    p_vals, q_vals = (vals[1:] for vals in _values_mod([pc, qc], p))
+    p_vals, q_vals = _values_mod([pc, qc], p)
     return (
         sum(p_vals) % p == (-mf3) % p
         and (mf3 + sum(p_vals[:m])) % p == 0

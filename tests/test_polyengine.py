@@ -93,7 +93,8 @@ def test_derivative_linearity_and_product_rule():
         f = _random_poly(rng)
         g = _random_poly(rng)
         assert _derivative(_add(f, g)) == _add(_derivative(f), _derivative(g))
-        assert _derivative(_mul(f, g)) == _add(_mul(_derivative(f), g), _mul(f, _derivative(g)))
+        product_rule = _add(_schoolbook_mul(_derivative(f), g), _schoolbook_mul(f, _derivative(g)))
+        assert _derivative(_schoolbook_mul(f, g)) == product_rule
 
 
 def test_the_coefficient_rule_matches_the_derivatives():
@@ -118,8 +119,9 @@ def _quotient_sum(coeffs, roots):
     """The coefficients of sum_r f / (z + r) over `roots`, each exact quotient
     formed by synthetic division straight into one list; raises
     ArithmeticError when some (z + r) does not divide f.  Over every root of
-    F it is F' by the product rule: the oracle of the power rule's F' in
-    p_identity_check, and a check that F has the roots -1..-m."""
+    F it is F' by the product rule: the oracle of the power rule behind the
+    F + 3z F' of p_identity_check, and a check that F has the roots
+    -1..-m."""
     top = len(coeffs) - 1
     acc = [0] * top
     for r in roots:
@@ -293,10 +295,11 @@ def _schoolbook_mul(f, g):
 _BIG = 2**5000
 _coefficients = st.one_of(
     st.just(0),
-    st.integers(-9, 9),
-    st.integers(-_BIG, _BIG),
+    st.integers(0, 9),
+    st.integers(0, _BIG),
 )
-_polys = st.lists(_coefficients, max_size=12).map(tuple)
+# every factor _mul takes: nonnegative, with a nonzero coefficient
+_polys = st.lists(_coefficients, min_size=1, max_size=12).filter(any).map(tuple)
 
 
 # _AT_BOUND * 31 = 2^125 - 1, the largest product bound of an 8-byte digit
@@ -306,41 +309,50 @@ _AT_BOUND = (2**125 - 1) // 31
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_polys, _polys)
-@example((), (1, 2))
-@example((5,), (0, 0, -3))
-@example((-1, 1), (1, 1))  # z^2 - 1: slot 0 holds -1
-@example((-1,), (1, 1, 1))  # every slot negative, a borrow chain
-@example((-(2**5000), 2**5000), (2**5000, 2**5000))
-@example((7,), (-3,))  # 1 x 1: no odd half in either factor
+@example((5,), (0, 0, 3))  # leading zeros in one factor
+@example((1, 1), (1, 1))  # (z + 1)^2
+@example((1,), (1, 1, 1))  # a unit factor
+@example((2**5000, 2**5000), (2**5000, 2**5000))
 @example((2,), (5,))  # a single-slot product
-@example((1, -2, 3), (4, 5))  # odd x even lengths
-@example((-1, -1, -1, -1, -1), (1, 1, 1, 1))  # every slot of both halves borrows
-@example((-1, 1, -1, 1, -1, 1), (1, 1, 1))  # mixed signs in both halves
+@example((1, 2, 3), (4, 5))  # odd x even lengths
+@example((2**64 - 1,) * 5, (2**64 - 1,) * 4)  # low digits near X: carries in both halves
+@example((1, 0) * 3, (1, 1, 1))  # zeros and ones in both halves
 @example((31,), (_AT_BOUND,))  # c_0 = bound, the top of its slot
-@example((-31,), (_AT_BOUND,))  # c_0 = -bound
-@example((_AT_BOUND,) * 31, (-1,) * 31)  # c_30 = -bound, among 61
-@example((-_AT_BOUND,) * 31, (-1,) * 31)  # c_30 = +bound
-@example((3, -1, 4), (1, -5, 9))  # length 5: the reversal keeps the classes
-@example((3, -1, 4), (1, -5, 9, -2))  # length 6: the reversal swaps them
-@example((2, 7), (-1, 8))  # length 3, two-coefficient factors
-@example((-6,), (1, -2, 3, -4, 5, -6, 7, -8))  # 1 x n
-@example((1, 2, 3, 4, 5, 6, 7), (-9,))  # n x 1
-@example((-(2**300),) * 9, (-(2**200),) * 10)  # all-negative rows
-@example((1, -1) * 6, (-1, 1) * 5)  # alternating rows
+@example((_AT_BOUND,) * 31, (1,) * 31)  # c_30 = bound, among 61
+@example((3, 1, 4), (1, 5, 9))  # length 5: the reversal keeps the classes
+@example((3, 1, 4), (1, 5, 9, 2))  # length 6: the reversal swaps them
+@example((2, 7), (1, 8))  # length 3, two-coefficient factors
+@example((6,), (1, 2, 3, 4, 5, 6, 7, 8))  # 1 x n
+@example((1, 2, 3, 4, 5, 6, 7), (9,))  # n x 1
+@example((2**300,) * 9, (2**200,) * 10)  # long rows of wide coefficients
+@example((1, 0) * 6, (0, 1) * 5)  # alternating rows
 @example((2**200, 1), (1, 1))  # a factor coefficient spans two digits
-# a 127-bit bound takes 9-byte digits; 8 (bound < X^2/2, one guard bit)
-# would let the tails of these long equal rows carry past half a digit
+# a 127-bit bound takes 9-byte digits (bits(bound) + 3 <= 16 * 9), and the
+# middle coefficient of these long equal rows is the bound
 @example(((2**127 - 1) // 5,) * 5, (1,) * 5)
 # untrimmed factors: the product keeps every coefficient, zeros at the top
 # included, as the oracle does
 @example((1, 0, 0), (0, 3))  # trailing zeros: 3z plus two zero coefficients
-@example((0, 0), (1, 2))  # an all-zero factor: three zero coefficients
-@example((0,), (2**16,))  # a zero factor beside one wider than a 1-byte digit
-@example((), (0,))  # an empty factor: the empty product
 def test_product_matches_schoolbook(f, g):
     assert _mul(f, g) == _schoolbook_mul(f, g)
     assert _mul(g, f) == _mul(f, g)
     assert _mul(f, f) == _schoolbook_mul(f, f)  # the squaring branch
+
+
+@pytest.mark.parametrize("f, g", [((1, -2), (3, 4)), ((3, 4), (-1,)), ((-1, -1), (-1,))])
+def test_product_refuses_a_negative_coefficient(f, g):
+    # the packing takes no negative coefficient, whatever the sign of the bound
+    with pytest.raises(OverflowError):
+        _mul(f, g)
+    negative = f if min(f) < 0 else g
+    with pytest.raises(OverflowError):
+        _mul(negative, negative)  # the squaring branch
+
+
+def test_product_refuses_an_empty_factor():
+    for f, g in (((), (1, 2)), ((1, 2), ()), ((), ())):
+        with pytest.raises(ValueError):
+            _mul(f, g)
 
 
 def _schoolbook_cube(m):
@@ -397,7 +409,7 @@ def _p_and_q_mod(p):
 @pytest.mark.parametrize("p", [n for n in range(3, 200, 2) if is_odd_prime(n)] + [499, 997])
 def test_chirp_z_values_match_horner(p):
     polys = _p_and_q_mod(p)
-    horner = [[_horner_mod(coeffs, j, p) for j in range(p)] for coeffs in polys]
+    horner = [[_horner_mod(coeffs, j, p) for j in range(1, p)] for coeffs in polys]
     assert _values_mod(polys, p) == horner
 
 
@@ -408,7 +420,7 @@ def test_one_point_cube_matches_the_schoolbook_cube_mod_p(p):
     assert _cube_mod(list(f), p) == [c % p for c in cube]
 
 
-def test_one_point_cube_slots_hold_the_largest_coefficients():
+def test_cube_mod_at_the_largest_coefficients():
     # every coefficient p - 1: the middle coefficient of the cube comes
     # within 3/4 of n^2 (p-1)^3, the largest any F mod p can give
     for p, n in ((3, 2), (5, 3), (997, 499)):
@@ -435,8 +447,8 @@ def test_the_layer_keeps_each_prime_its_own_p_and_q(spy):
 @pytest.mark.parametrize("p", (5, 13, 199))
 def test_the_identity_fails_when_a_product_is_off_by_one(monkeypatch, p):
     # on an empty store, every KS4 product with 1 added to its last
-    # coefficient: F^2, F^3 (so P) and F^2 F' are all built from the faulty
-    # products, and the identity must see it
+    # coefficient: F^2, F^3 (so P) and F^2 (F + 3z F') are all built from
+    # the faulty products, and the identity must see it
     mul = polyengine._mul
 
     def faulty(a, b):
@@ -444,6 +456,21 @@ def test_the_identity_fails_when_a_product_is_off_by_one(monkeypatch, p):
         return product[:-1] + (product[-1] + 1,)
 
     monkeypatch.setattr(polyengine, "_mul", faulty)
+    assert not p_identity_check(p)
+
+
+@pytest.mark.parametrize("p", (5, 13, 199))
+def test_the_identity_fails_when_the_kept_cube_is_off_by_one(monkeypatch, p):
+    # on an empty store, the kept F^3 with 1 added to its constant
+    # coefficient: P moves, and the product F^2 (F + 3z F') shares only F^2
+    # with it, so the identity must see it
+    f3 = polyengine._f3
+
+    def faulty(p):
+        cube = f3(p)
+        return (cube[0] + 1,) + cube[1:]
+
+    monkeypatch.setattr(polyengine, "_f3", faulty)
     assert not p_identity_check(p)
 
 
